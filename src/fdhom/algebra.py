@@ -239,19 +239,27 @@ class FDAlgebra:
             raise FieldTooSmall(f"trace-form radical needs p > dim = {n}")
         rad = None
         if trace_valid:
+            # c_is^r = mult[i][s][r], the b_r-coefficient of b_i * b_s, is
+            # entry (r, s) of L_i, so tr(L_i L_j) = sum of c_is^r * c_jr^s:
+            # pair each nonzero of L_i with those of every L_j at the
+            # transposed position
             tr = Matrix(f, n, n)
-            lm = [self.left_mult_basis(i) for i in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    acc = f.zero
-                    li, lj = lm[i], lm[j]
-                    for r in range(n):
-                        lir = li.data[r]
-                        for s in range(n):
-                            if lir[s] and lj.data[s][r]:
-                                acc = f.add(acc, f.mul(lir[s], lj.data[s][r]))
-                    tr.data[i][j] = acc
-                    tr.data[j][i] = acc
+            nonzeros = [
+                [((s, r), c) for s, vec in enumerate(self.mult[i])
+                 for r, c in enumerate(vec) if c]
+                for i in range(n)
+            ]
+            at = {}
+            for j, entries in enumerate(nonzeros):
+                for pos, c in entries:
+                    at.setdefault(pos, []).append((j, c))
+            for i, entries in enumerate(nonzeros):
+                row = tr.data[i]
+                for (s, r), c in entries:
+                    for j, d in at.get((r, s), ()):
+                        row[j] += c * d
+                if f.kind == "Fp":
+                    row[:] = [x % f.p for x in row]
             ker = kernel_basis(tr)
             rad = [ker.col(k) for k in range(ker.cols)]
         if arrow_ideal is not None:

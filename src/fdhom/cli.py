@@ -42,14 +42,14 @@ def load_algebra(path: str) -> FDAlgebra:
         raise InputError(f"{path}: {e}")
     if doc.get("version") != 1:
         raise InputError(f"{path}: unsupported version {doc.get('version')}")
-    fld = doc.get("field", {"kind": "Q"})
-    if fld.get("kind") == "Q":
-        field = QQ
-    elif fld.get("kind") == "Fp":
-        field = GF(int(fld["p"]))
-    else:
-        raise InputError(f"{path}: unknown field kind {fld.get('kind')}")
     try:
+        fld = doc.get("field", {"kind": "Q"})
+        if fld.get("kind") == "Q":
+            field = QQ
+        elif fld.get("kind") == "Fp":
+            field = GF(int(fld["p"]))
+        else:
+            raise InputError(f"{path}: unknown field kind {fld.get('kind')}")
         if "quiver" in doc:
             qd = doc["quiver"]
             q = Quiver.make(qd["vertices"], [tuple(a) for a in qd["arrows"]])

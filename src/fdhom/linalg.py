@@ -1,8 +1,11 @@
 """Exact dense linear algebra over QQ and prime fields.
 
 Scalars are `fractions.Fraction` over QQ and canonical residues (ints in
-[0, p)) over F_p.  Pivoting is deterministic (first nonzero entry in column
-order) so every basis produced downstream is reproducible.
+[0, p)) over F_p.  Storage is dense (a list of rows), but the hot loops of
+`Matrix.__matmul__` and `rref` skip zeros: each row is reduced once to its
+nonzero (column, value) pairs and only those are multiplied.  Pivoting is
+deterministic (first nonzero entry in column order) so every basis produced
+downstream is reproducible.
 """
 
 from __future__ import annotations
@@ -98,7 +101,11 @@ def GF(p: int) -> FieldSpec:
 
 
 class Matrix:
-    """Dense matrix with exact entries, immutable by convention after build."""
+    """Dense matrix with exact entries, immutable by convention after build.
+
+    `data` holds every entry, zeros included; products and elimination
+    iterate only over the nonzero ones.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -187,22 +194,18 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         f = self.field
         out = Matrix(f, self.rows, other.cols)
-        bt = [[other.data[k][j] for k in range(other.rows)] for j in range(other.cols)]
-        if f.kind == "Fp":
-            p = f.p
-            for i, arow in enumerate(self.data):
-                orow = out.data[i]
-                for j, bcol in enumerate(bt):
-                    orow[j] = sum(a * b for a, b in zip(arow, bcol) if a and b) % p
-        else:
-            for i, arow in enumerate(self.data):
-                orow = out.data[i]
-                for j, bcol in enumerate(bt):
-                    acc = f.zero
-                    for a, b in zip(arow, bcol):
-                        if a and b:
-                            acc += a * b
-                    orow[j] = acc
+        # each row of B as its nonzero (j, b) pairs; out[i] += a * B[k] per nonzero a
+        bnz = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
+        p = f.p if f.kind == "Fp" else None
+        for arow, orow in zip(self.data, out.data):
+            hit = False
+            for a, brow in zip(arow, bnz):
+                if brow and a:
+                    hit = True
+                    for j, b in brow:
+                        orow[j] += a * b
+            if hit and p is not None:
+                orow[:] = [x % p for x in orow]
         return out
 
     @property
@@ -262,6 +265,7 @@ def vstack_all(field: FieldSpec, mats: list[Matrix], cols: int) -> Matrix:
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form; returns (R, pivot columns, rank)."""
     f = m.field
+    p = f.p if f.kind == "Fp" else None
     r = m.copy()
     data = r.data
     pivots: list[int] = []
@@ -276,17 +280,23 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
             continue
         if sel != prow:
             data[sel], data[prow] = data[prow], data[sel]
-        inv = f.inv(data[prow][col])
-        if inv != f.one:
-            data[prow] = [f.mul(inv, x) for x in data[prow]]
-        prow_vec = data[prow]
-        for i in range(r.rows):
-            if i != prow and data[i][col]:
-                c = data[i][col]
-                row_i = data[i]
-                for j in range(col, r.cols):
-                    if prow_vec[j]:
-                        row_i[j] = f.sub(row_i[j], f.mul(c, prow_vec[j]))
+        lead = data[prow][col]
+        if lead != 1:
+            inv = f.inv(lead)
+            data[prow] = [f.mul(inv, x) if x else x for x in data[prow]]
+        pivot_row = data[prow]
+        targets = [row for row in data if row[col] and row is not pivot_row]
+        if targets:
+            # the pivot row is zero left of col; eliminate with its nonzero pairs
+            pnz = [(j, v) for j, v in enumerate(pivot_row[col:], col) if v]
+            for row_i in targets:
+                c = row_i[col]
+                if p is None:
+                    for j, v in pnz:
+                        row_i[j] -= c * v
+                else:
+                    for j, v in pnz:
+                        row_i[j] = (row_i[j] - c * v) % p
         pivots.append(col)
         prow += 1
         if prow == r.rows:

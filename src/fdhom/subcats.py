@@ -754,12 +754,14 @@ def brute_indecomposables(a: FDAlgebra, dimvec_cap: int, seed: int = 0):
     nv = len(a.quiver.vertices)
     vidx = {lbl: i for i, lbl in enumerate(a.quiver.vertices)}
     arrow_ends = [(vidx[s], vidx[t]) for _, s, t in a.quiver.arrows]
+    most_entries = max((sum(dims[t] * dims[s] for s, t in arrow_ends)
+                        for dims in _dim_vectors(nv, dimvec_cap)), default=0)
+    if p ** most_entries > 200000:
+        raise CapExceeded("matrix enumeration too large at this cap")
     out: list[Module] = []
     for dims in _dim_vectors(nv, dimvec_cap):
         shapes = [(dims[t], dims[s]) for (s, t) in arrow_ends]
         total_entries = sum(r * c for r, c in shapes)
-        if p ** total_entries > 200000:
-            raise CapExceeded("matrix enumeration too large at this cap")
         for flat in itertools.product(range(p), repeat=total_entries):
             mats = []
             pos = 0

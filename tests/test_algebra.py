@@ -215,3 +215,49 @@ def test_build_over_gf7():
     a = preprojective_a_n(2, field=GF(7))
     assert a.dim == 4
     assert len(a.radical_basis()) == 2
+
+
+def _rebased(a, seed):
+    """The same algebra given only by structure constants, in a random basis.
+
+    New basis vector i is column i of a unitriangular P; a coordinate vector
+    v in the old basis becomes P^{-1} v.  No quiver or path data is kept, so
+    the radical comes from the trace form.
+    """
+    import random
+
+    from fdhom.algebra import FDAlgebra
+    from fdhom.linalg import Matrix, invert
+
+    f, n = a.field, a.dim
+    rng = random.Random(seed)
+    p = Matrix(f, n, n, [[1 if i == j else rng.choice([0, 0, 1, -1]) if i < j else 0
+                          for j in range(n)] for i in range(n)])
+    p_inv = invert(p)
+
+    def to_new(v):
+        return (p_inv @ Matrix.column(f, v)).col(0)
+
+    cols = [p.col(i) for i in range(n)]
+    mult = [[to_new(a.multiply(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    b = FDAlgebra(f, [f"v{i}" for i in range(n)], mult, to_new(a.unit),
+                  [to_new(e) for e in a.idempotents], origin="structure-constants")
+    return b, to_new
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda f: path_algebra_a_n(4, field=f), QQ),
+    (lambda f: preprojective_a_n(3, field=f), QQ),
+    (lambda f: path_algebra_a_n(3, field=f), GF(11)),
+])
+def test_trace_form_radical_matches_arrow_ideal(make, field):
+    from fdhom.linalg import Matrix, rank
+
+    a = make(field)
+    b, to_new = _rebased(a, seed=a.dim)
+    assert b.path_data is None
+    arrow_ideal = [to_new(v) for v in a.radical_basis()]
+    rad = b.radical_basis()
+    assert len(rad) == len(arrow_ideal)
+    stacked = Matrix(field, len(rad) * 2, b.dim, rad + arrow_ideal)
+    assert rank(stacked) == len(rad)

@@ -86,6 +86,13 @@ def test_invariants_parse_error(tmp_path, capsys):
     assert main(["invariants", str(p)]) == 2
 
 
+@pytest.mark.parametrize("field", [{"kind": "Fp", "p": 4}, {"kind": "Fp"}])
+def test_invariants_bad_field_is_input_error(tmp_path, capsys, field):
+    # a composite or missing modulus is bad input (2), never "refuted" (1)
+    path = write(tmp_path, "badfield.json", dict(KA2, field=field))
+    assert main(["invariants", path]) == 2
+
+
 def test_raw_structure_constants(tmp_path, capsys):
     # k[x]/(x^2) given directly by its multiplication table
     doc = {
