@@ -14,12 +14,13 @@ Conventions, fixed once and inherited by every other module:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fdhom.errors import BadRelation, FieldTooSmall, Inconclusive, NotAdmissible
-from fdhom.linalg import FieldSpec, Matrix, kernel_basis
+from fdhom.linalg import FieldSpec, Matrix, kernel_basis, solve
 
 Vec = list  # coefficient vector over the algebra basis
 
@@ -77,8 +78,25 @@ class _Path:
         return f"_Path({self.source}->{self.target}:{self.arrows})"
 
 
+def _memoized(method):
+    """Keep a no-argument FDAlgebra method's value in the algebra's memo,
+    under the method's name."""
+
+    @functools.wraps(method)
+    def wrapper(self):
+        return self.memo(method.__name__, lambda: method(self))
+
+    return wrapper
+
+
 class FDAlgebra:
-    """A finite-dimensional algebra given by exact structure constants."""
+    """A finite-dimensional algebra given by exact structure constants.
+
+    Everything derived from the structure constants and kept for reuse (the
+    opposite algebra, multiplication matrices, the radical, projective
+    modules, ...) lives in one per-algebra memo, read and written only
+    through `memo`.
+    """
 
     def __init__(
         self,
@@ -103,10 +121,7 @@ class FDAlgebra:
         self.quiver = quiver
         self.relations = relations
         self.path_data = path_data  # path-algebra bookkeeping (basis walks etc.)
-        self._lmats: dict[int, Matrix] = {}
-        self._rmats: dict[int, Matrix] = {}
-        self._radical: Optional[list[Vec]] = None
-        self._generators: Optional[list[Vec]] = None
+        self._memo: dict = {}
         # p > dim makes the trace-form radical valid; algebras with a quiver
         # presentation keep an arrow-ideal radical and may live over F_2/F_3
         if (field.kind == "Fp" and self.dim >= field.p
@@ -115,43 +130,42 @@ class FDAlgebra:
         if check:
             self._verify()
 
+    def memo(self, key, build):
+        """The value kept under key, computed by build() on first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    @property
+    @_memoized
+    def op(self) -> "FDAlgebra":
+        """The opposite algebra, built once; its own op is this algebra."""
+        b = opposite(self)
+        b.memo("op", lambda: self)
+        return b
+
     # -- multiplication --------------------------------------------------------
 
     def left_mult_basis(self, i: int) -> Matrix:
         """Matrix of m -> b_i * m on coefficient vectors."""
-        if i not in self._lmats:
-            m = Matrix(self.field, self.dim, self.dim)
-            for j in range(self.dim):
-                cij = self.mult[i][j]
-                for k in range(self.dim):
-                    m.data[k][j] = cij[k]
-            self._lmats[i] = m
-        return self._lmats[i]
+        return self.memo(("left_mult_basis", i), lambda: Matrix.from_columns(
+            self.field, self.dim, self.mult[i]))
 
     def right_mult_basis(self, j: int) -> Matrix:
         """Matrix of m -> m * b_j on coefficient vectors."""
-        if j not in self._rmats:
-            m = Matrix(self.field, self.dim, self.dim)
-            for i in range(self.dim):
-                cij = self.mult[i][j]
-                for k in range(self.dim):
-                    m.data[k][i] = cij[k]
-            self._rmats[j] = m
-        return self._rmats[j]
+        return self.memo(("right_mult_basis", j), lambda: Matrix.from_columns(
+            self.field, self.dim, [row[j] for row in self.mult]))
 
     def left_mult(self, x: Vec) -> Matrix:
-        f = self.field
-        out = Matrix(f, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                li = self.left_mult_basis(i)
-                for r in range(self.dim):
-                    row = out.data[r]
-                    lrow = li.data[r]
-                    for s in range(self.dim):
-                        if lrow[s]:
-                            row[s] = f.add(row[s], f.mul(c, lrow[s]))
-        return out
+        """Matrix of m -> x * m on coefficient vectors."""
+        return _linear_combination(self.field, self.dim, self.dim, x,
+                                   self.left_mult_basis)
+
+    def right_mult(self, x: Vec) -> Matrix:
+        """Matrix of m -> m * x on coefficient vectors."""
+        return _linear_combination(self.field, self.dim, self.dim, x,
+                                   self.right_mult_basis)
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
         f = self.field
@@ -173,9 +187,7 @@ class FDAlgebra:
         return [self.field.zero] * self.dim
 
     def basis_vec(self, i: int) -> Vec:
-        v = self.zero_vec()
-        v[i] = self.field.one
-        return v
+        return _unit_vec(self.field, self.dim, i)
 
     # -- structure -------------------------------------------------------------
 
@@ -216,6 +228,7 @@ class FDAlgebra:
         if tot != self.unit:
             raise ValueError("idempotents do not sum to the unit")
 
+    @_memoized
     def radical_basis(self) -> list[Vec]:
         """Basis of the Jacobson radical.
 
@@ -223,8 +236,6 @@ class FDAlgebra:
         any field, cross-checked against the trace form when that is valid).
         Otherwise the Dickson trace form is used, which needs QQ or p > dim.
         """
-        if self._radical is not None:
-            return self._radical
         f = self.field
         n = self.dim
         arrow_ideal = None
@@ -266,9 +277,9 @@ class FDAlgebra:
             if rad is not None and not _same_span(f, rad, arrow_ideal, n):
                 raise AssertionError("trace radical disagrees with the arrow ideal")
             rad = arrow_ideal
-        self._radical = rad
         return rad
 
+    @_memoized
     def homogeneous_generators(self) -> Optional[list[tuple[int, int, Vec]]]:
         """Radical generators sandwiched between idempotents.
 
@@ -277,12 +288,9 @@ class FDAlgebra:
         split with one-dimensional blocks (then the idempotents do not span
         A/J and no such homogeneous set exists).
         """
-        if getattr(self, "_homgens", None) is not None:
-            return self._homgens if self._homgens != "none" else None
         f, n = self.field, self.dim
         rad = self.radical_basis()
         if n - len(rad) != len(self.idempotents):
-            self._homgens = "none"
             return None
         pieces: list[tuple[int, int, Vec]] = []
         for g in rad:
@@ -300,29 +308,39 @@ class FDAlgebra:
         for v, w, g in pieces:
             if red.add(g):
                 chosen.append((v, w, g))
-        self._homgens = chosen
         return chosen
 
+    @_memoized
     def generator_vectors(self) -> list[Vec]:
         """Small algebra generating set: idempotents plus a lift of J/J^2.
 
         Falls back to the full basis when the semisimple quotient is not
         split basic (then idempotents alone do not see all of A/J).
         """
-        if self._generators is not None:
-            return self._generators
         hom = self.homogeneous_generators()
         if hom is None:
-            self._generators = [self.basis_vec(i) for i in range(self.dim)]
-        else:
-            self._generators = list(self.idempotents) + [g for _, _, g in hom]
-        return self._generators
+            return [self.basis_vec(i) for i in range(self.dim)]
+        return list(self.idempotents) + [g for _, _, g in hom]
 
     def is_semisimple(self) -> bool:
         return not self.radical_basis()
 
     def __repr__(self):
         return f"FDAlgebra(dim={self.dim}, origin={self.origin}, field={self.field})"
+
+
+def _linear_combination(f: FieldSpec, rows: int, cols: int, coeffs,
+                        mat_of) -> Matrix:
+    """sum_i coeffs[i] * mat_of(i) for rows x cols matrices, skipping zeros;
+    mat_of is called only at nonzero coefficients."""
+    out = Matrix(f, rows, cols)
+    for i, c in enumerate(coeffs):
+        if c:
+            for row, mrow in zip(out.data, mat_of(i).data):
+                for s, v in enumerate(mrow):
+                    if v:
+                        row[s] = f.add(row[s], f.mul(c, v))
+    return out
 
 
 class _SpanReducer:
@@ -663,11 +681,7 @@ def _quotient_algebra(a: FDAlgebra, ideal_vecs: list[Vec], origin: str):
         origin=origin,
         check=dim > 0,
     )
-    pm = Matrix(f, dim, a.dim)
-    for j in range(a.dim):
-        pv = proj(a.basis_vec(j))
-        for i in range(dim):
-            pm.data[i][j] = pv[i]
+    pm = Matrix.from_columns(f, dim, [proj(a.basis_vec(j)) for j in range(a.dim)])
     return quot, pm
 
 
@@ -737,7 +751,6 @@ def primitive_idempotents(a: FDAlgebra, seed: int = 0, budget: int = 64) -> list
 
 def _section_for(a: FDAlgebra, pm: Matrix):
     """Right inverse of the quotient projection, as a map on coeff vectors."""
-    from fdhom.linalg import solve
 
     def sect(v: Vec) -> Vec:
         sol = solve(pm, Matrix.column(a.field, v))
@@ -795,50 +808,40 @@ def _try_split(ss: FDAlgebra, e: Vec, rng: random.Random, budget: int):
             c = f.of(rng.randint(-3, 3))
             if c:
                 x = [f.add(u, f.mul(c, w)) for u, w in zip(x, v)]
-        facs = _coprime_minpoly_factors(ss, x, e)
-        if facs is None or len(facs) < 2:
+        e1 = _crt_idempotent(f, e, x, ss.multiply)
+        if e1 is None:
             continue
-        g = _poly_crt_eval(ss, x, e, facs)
-        if g is None:
-            continue
-        e1 = g
         e2 = [f.sub(u, v) for u, v in zip(e, e1)]
         if any(e1) and any(e2):
             return [e1, e2]
     raise Inconclusive("block resisted idempotent splitting within budget")
 
 
-def _minpoly_coeffs(ss: FDAlgebra, x: Vec, e: Vec) -> list:
-    """Minimal polynomial of x inside the corner algebra with unit e."""
-    f = ss.field
-    n = ss.dim
-    powers = [e]
-    red = _SpanReducer(f, [], n)
-    red.add(e)
-    cur = e
-    while True:
-        cur = ss.multiply(cur, x)
-        if red.contains(cur):
-            k = len(powers)
-            cols = Matrix(f, n, k)
-            for j, p in enumerate(powers):
-                for i in range(n):
-                    cols.data[i][j] = p[i]
-            from fdhom.linalg import solve
+def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul) -> Optional[Vec]:
+    """An idempotent polynomial in x, split off by the minimal polynomial.
 
-            sol = solve(cols, Matrix.column(f, cur))
-            coeffs = [f.neg(c) for c in sol.col(0)] + [f.one]
-            return coeffs  # monic, degree k
-        powers.append(cur)
-        red.add(cur)
+    Elements are coefficient vectors multiplied by `mul`, with unit `one`;
+    the powers of x are one, mul(one, x), mul(mul(one, x), x), ...  When
+    sympy's factor_list gives at least two factors, the result is the CRT
+    element that is 1 modulo the first factor power and 0 modulo the rest,
+    evaluated at x.  None when the minimal polynomial has degree <= 1 or a
+    single irreducible factor, or when the value fails the idempotency check.
+    """
+    import warnings
 
-
-def _coprime_minpoly_factors(ss: FDAlgebra, x: Vec, e: Vec):
-    """Pairwise-coprime factorization (with multiplicity) of minpoly(x)."""
     import sympy
 
-    f = ss.field
-    coeffs = _minpoly_coeffs(ss, x, e)
+    powers = [one]
+    red = _SpanReducer(f, [one], len(one))
+    cur = one
+    while True:
+        cur = mul(cur, x)
+        if red.contains(cur):
+            break
+        powers.append(cur)
+        red.add(cur)
+    sol = solve(Matrix.from_columns(f, len(one), powers), Matrix.column(f, cur))
+    coeffs = [f.neg(c) for c in sol.col(0)] + [f.one]  # monic
     if len(coeffs) <= 2:
         return None
     t = sympy.Symbol("t")
@@ -848,44 +851,25 @@ def _coprime_minpoly_factors(ss: FDAlgebra, x: Vec, e: Vec):
     else:
         poly = sympy.Poly(sum(int(c) * t**i for i, c in enumerate(coeffs)),
                           t, modulus=f.p)
-    import warnings
-
     with warnings.catch_warnings():
         # sympy's factor ordering compares modular integers internally
         warnings.simplefilter("ignore")
-        fac = sympy.factor_list(poly)[1]
-    return [(sympy.Poly(p, t), m) for p, m in fac]
-
-
-def _poly_crt_eval(ss: FDAlgebra, x: Vec, e: Vec, facs):
-    """Evaluate at x the CRT element that is 1 mod the first factor-power and
-    0 mod the rest; exact idempotent of the corner algebra."""
-    import sympy
-
-    f = ss.field
-    t = sympy.Symbol("t")
+        facs = sympy.factor_list(poly)[1]
+    if len(facs) < 2:
+        return None
     m1 = facs[0][0] ** facs[0][1]
-    rest = sympy.Poly(1, t)
-    for p, mlt in facs[1:]:
-        rest = rest * p**mlt
-    modulus = None if f.kind == "Q" else f.p
-    if modulus is None:
-        g, u, v = sympy.gcdex(m1.as_expr(), rest.as_expr(), t)
-    else:
-        g, u, v = sympy.gcdex(m1.as_expr(), rest.as_expr(), t, modulus=modulus)
-    # u*m1 + v*rest = 1  =>  take  v*rest  (== 1 mod m1, 0 mod rest)
-    upoly = sympy.Poly(sympy.expand(v * rest.as_expr()), t)
-    coeffs = list(reversed(upoly.all_coeffs()))
-    acc = ss.zero_vec()
-    power = e
-    for c in coeffs:
-        if f.kind == "Q":
-            cval = f.of(sympy.Rational(c))
-        else:
-            cval = f.of(int(c))
+    rest = poly.quo(m1)
+    # Bezout: u*m1 + v*rest = 1; then (v*rest)(x) is the wanted idempotent
+    _, v, g = m1.gcdex(rest)
+    if not g.is_one:
+        return None  # factors not coprime in this domain: give up on x
+    acc = [f.zero] * len(one)
+    power = one
+    for c in reversed((v * rest).rem(poly).all_coeffs()):
+        cval = f.of(sympy.Rational(c)) if f.kind == "Q" else f.of(int(c))
         if cval:
             acc = [f.add(a, f.mul(cval, w)) for a, w in zip(acc, power)]
-        power = ss.multiply(power, x)
-    if ss.multiply(acc, acc) != acc:
+        power = mul(power, x)
+    if mul(acc, acc) != acc:
         return None
     return acc

@@ -60,10 +60,6 @@ from fdhom.subcats import (
 )
 
 
-def _flatten(m: Matrix):
-    return [x for row in m.data for x in row]
-
-
 @dataclass
 class AuslanderTriple:
     lam: FDAlgebra
@@ -360,17 +356,10 @@ def ext_top_module(s: Module, n_plus_1: int) -> Module:
     src_star = stars[-2]
     tgt_star = stars[-1]
     n = a.dim * res.modules[-1].dim
-    cols = Matrix(f, n, len(bases[-1]))
-    for j, h in enumerate(bases[-1]):
-        fl = _flatten(h.matrix)
-        for i in range(n):
-            cols.data[i][j] = fl[i]
-    dm = Matrix(f, len(bases[-1]), len(bases[-2]))
-    for j, h in enumerate(bases[-2]):
-        fl = _flatten(h.matrix @ d.matrix)
-        sol = solve(cols, Matrix.column(f, fl))
-        for i in range(len(bases[-1])):
-            dm.data[i][j] = sol.data[i][0]
+    cols = Matrix.from_columns(f, n, [h.matrix.flatten() for h in bases[-1]])
+    dm = Matrix.from_columns(f, len(bases[-1]), [
+        solve(cols, Matrix.column(f, (h.matrix @ d.matrix).flatten())).col(0)
+        for h in bases[-2]])
     dstar = ModuleMap(src_star, tgt_star, dm, check=False)
     out, _ = cokernel(dstar)
     return out
@@ -561,10 +550,7 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
         if vec is None:
             return False
         cols.append(vec)
-    phi = Matrix(f, gamma2.dim, gamma.dim)
-    for k, vec in enumerate(cols):
-        for r in range(gamma2.dim):
-            phi.data[r][k] = vec[r]
+    phi = Matrix.from_columns(f, gamma2.dim, cols)
     from fdhom.linalg import invert
 
     if invert(phi) is None:
@@ -590,13 +576,9 @@ def _express_in_end(data2: EndData, i: int, j: int, mat: Matrix):
     maps = data2.hom.get((i, j), [])
     if not maps:
         return None if not mat.is_zero() else [f.zero] * data2.algebra.dim
-    n = mat.rows * mat.cols
-    cols = Matrix(f, n, len(maps))
-    for k, h in enumerate(maps):
-        fl = _flatten(h.matrix)
-        for r in range(n):
-            cols.data[r][k] = fl[r]
-    sol = solve(cols, Matrix.column(f, _flatten(mat)))
+    cols = Matrix.from_columns(f, mat.rows * mat.cols,
+                               [h.matrix.flatten() for h in maps])
+    sol = solve(cols, Matrix.column(f, mat.flatten()))
     if sol is None:
         return None
     out = [f.zero] * data2.algebra.dim

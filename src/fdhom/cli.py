@@ -40,10 +40,14 @@ def load_algebra(path: str) -> FDAlgebra:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"{path}: {e}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: the document must be a JSON object")
     if doc.get("version") != 1:
         raise InputError(f"{path}: unsupported version {doc.get('version')}")
     try:
         fld = doc.get("field", {"kind": "Q"})
+        if not isinstance(fld, dict):
+            raise InputError(f"{path}: the field must be a JSON object")
         if fld.get("kind") == "Q":
             field = QQ
         elif fld.get("kind") == "Fp":
@@ -67,7 +71,8 @@ def load_algebra(path: str) -> FDAlgebra:
             return FDAlgebra(field, labels, mult, unit, idems,
                              origin="structure-constants")
         raise InputError(f"{path}: needs a quiver or raw structure constants")
-    except (KeyError, ValueError, FdhomError) as e:
+    except (KeyError, TypeError, ValueError, FdhomError) as e:
+        # TypeError: a value of the wrong JSON type, e.g. "p": null
         raise InputError(f"{path}: {e}")
 
 
@@ -86,8 +91,13 @@ def _module_from_doc(doc, algebra, path):
                                simple_module)
     from fdhom.linalg import Matrix
 
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a module description must be a JSON object")
     build = doc.get("build")
     if build in ("projective", "simple", "injective"):
+        if algebra.quiver is None:
+            raise InputError(f"{path}: building at a vertex needs a quiver "
+                             "presentation of the algebra")
         v = doc.get("vertex")
         if v not in algebra.quiver.vertices:
             raise InputError(f"{path}: unknown vertex {v}")

@@ -25,10 +25,6 @@ from fdhom.modules import (
 )
 
 
-def _flatten(m: Matrix):
-    return [x for row in m.data for x in row]
-
-
 @dataclass
 class EndData:
     """An endomorphism algebra together with its functor bookkeeping."""
@@ -93,20 +89,15 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
     for (i, j), maps in hom.items():
         if not maps:
             continue
-        n = gens[j].dim * gens[i].dim
-        cols = Matrix(f, n, len(maps))
-        for k, h in enumerate(maps):
-            fl = _flatten(h.matrix)
-            for r in range(n):
-                cols.data[r][k] = fl[r]
-        solvers[(i, j)] = cols
+        solvers[(i, j)] = Matrix.from_columns(
+            f, gens[j].dim * gens[i].dim, [h.matrix.flatten() for h in maps])
 
     def express(i: int, j: int, mat: Matrix):
         if (i, j) not in solvers:
             if not mat.is_zero():
                 raise AssertionError("composite escapes the hom space")
             return []
-        sol = solve(solvers[(i, j)], Matrix.column(f, _flatten(mat)))
+        sol = solve(solvers[(i, j)], Matrix.column(f, mat.flatten()))
         if sol is None:
             raise AssertionError("composite escapes the hom space")
         return sol.col(0)
@@ -167,13 +158,8 @@ def module_over_end(data: EndData, x: Module) -> Module:
         if not b:
             solvers.append(None)
             continue
-        n = x.dim * data.gens[gi].dim
-        cols = Matrix(f, n, len(b))
-        for k, h in enumerate(b):
-            fl = _flatten(h.matrix)
-            for r in range(n):
-                cols.data[r][k] = fl[r]
-        solvers.append(cols)
+        solvers.append(Matrix.from_columns(
+            f, x.dim * data.gens[gi].dim, [h.matrix.flatten() for h in b]))
     action = []
     for k in range(a.dim):
         i, j, idx = data.basis_tags[k]
@@ -186,7 +172,7 @@ def module_over_end(data: EndData, x: Module) -> Module:
                 if not comp.is_zero():
                     raise AssertionError("hom block inconsistency")
                 continue
-            sol = solve(solvers[i], Matrix.column(f, _flatten(comp)))
+            sol = solve(solvers[i], Matrix.column(f, comp.flatten()))
             for r in range(len(blocks[i])):
                 mat.data[offs[i] + r][offs[j] + wpos] = sol.data[r][0]
         action.append(mat)
@@ -216,15 +202,11 @@ def module_over_end_map(data: EndData, fmap: ModuleMap) -> ModuleMap:
                 if not (fmap.matrix @ w.matrix).is_zero():
                     raise AssertionError("hom block inconsistency")
             continue
-        n = fmap.target.dim * data.gens[i].dim
-        cols = Matrix(f, n, len(by))
-        for k, h in enumerate(by):
-            fl = _flatten(h.matrix)
-            for r in range(n):
-                cols.data[r][k] = fl[r]
+        cols = Matrix.from_columns(f, fmap.target.dim * data.gens[i].dim,
+                                   [h.matrix.flatten() for h in by])
         for wpos, w in enumerate(bx):
             comp = fmap.matrix @ w.matrix  # w then fmap
-            sol = solve(cols, Matrix.column(f, _flatten(comp)))
+            sol = solve(cols, Matrix.column(f, comp.flatten()))
             for r in range(len(by)):
                 mat.data[offs_y[i] + r][offs_x[i] + wpos] = sol.data[r][0]
     return ModuleMap(src, tgt, mat, check=False)
@@ -251,13 +233,8 @@ def module_over_end_op(data: EndData, x: Module) -> Module:
         if not b:
             solvers.append(None)
             continue
-        n = data.gens[gi].dim * x.dim
-        cols = Matrix(f, n, len(b))
-        for k, h in enumerate(b):
-            fl = _flatten(h.matrix)
-            for r in range(n):
-                cols.data[r][k] = fl[r]
-        solvers.append(cols)
+        solvers.append(Matrix.from_columns(
+            f, data.gens[gi].dim * x.dim, [h.matrix.flatten() for h in b]))
     action = []
     for k in range(aop.dim):
         i, j, idx = data.basis_tags[k]
@@ -271,7 +248,7 @@ def module_over_end_op(data: EndData, x: Module) -> Module:
                 if not comp.is_zero():
                     raise AssertionError("hom block inconsistency")
                 continue
-            sol = solve(solvers[j], Matrix.column(f, _flatten(comp)))
+            sol = solve(solvers[j], Matrix.column(f, comp.flatten()))
             for r in range(len(blocks[j])):
                 mat.data[offs[j] + r][offs[i] + wpos] = sol.data[r][0]
         action.append(mat)

@@ -39,10 +39,6 @@ from fdhom.modules import (
 from fdhom.results import AtLeastCap
 
 
-def _flatten(m: Matrix):
-    return [x for row in m.data for x in row]
-
-
 def _hom_complex_rank(prev_homs, d: ModuleMap, next_homs) -> int:
     """Rank of Hom(d, Y): precomposition from span(prev_homs) into the space
     spanned by next_homs (both explicit bases)."""
@@ -54,7 +50,7 @@ def _hom_complex_rank(prev_homs, d: ModuleMap, next_homs) -> int:
     cnt = 0
     for h in prev_homs:
         img = h.matrix @ d.matrix
-        if red.add(_flatten(img)):
+        if red.add(img.flatten()):
             cnt += 1
     return cnt
 
@@ -137,17 +133,13 @@ def pd(m: Module, cap: int):
 
 
 def _pd_injective_at(a: FDAlgebra, v: int, cap: int):
-    cache = getattr(a, "_inj_pd_cache", None)
-    if cache is None:
-        cache = a._inj_pd_cache = {}
-    key = (v, cap)
-    if key not in cache:
+    def build():
         from fdhom.modules import injective_module
 
         res = min_proj_resolution(injective_module(a, v), cap)
-        cache[key] = AtLeastCap(cap) if res.truncated_at is not None \
-            else res.length
-    return cache[key]
+        return AtLeastCap(cap) if res.truncated_at is not None else res.length
+
+    return a.memo(("injective_pd", v, cap), build)
 
 
 def injective_dim(m: Module, cap: int):
@@ -276,35 +268,17 @@ def star_module(p: Module):
     if k == 0:
         return zero_module(a.op), []
     n = a.dim * p.dim
-    cols = Matrix(f, n, k)
-    for j, h in enumerate(basis):
-        fl = _flatten(h.matrix)
-        for i in range(n):
-            cols.data[i][j] = fl[i]
     from fdhom.modules import _left_inverse
 
-    coords = _left_inverse(cols)
+    coords = _left_inverse(Matrix.from_columns(
+        f, n, [h.matrix.flatten() for h in basis]))
     action = []
     for b in range(a.dim):
-        rb = _right_mult_matrix(a, b)
-        imgs = Matrix(f, n, k)
-        for j, h in enumerate(basis):
-            fl = _flatten(rb @ h.matrix)
-            for i in range(n):
-                imgs.data[i][j] = fl[i]
+        rb = a.right_mult_basis(b)
+        imgs = Matrix.from_columns(f, n, [(rb @ h.matrix).flatten() for h in basis])
         action.append(coords @ imgs)
     sm = Module(a.op, k, action, check=False)
     return sm, basis
-
-
-def _right_mult_matrix(a: FDAlgebra, j: int) -> Matrix:
-    f = a.field
-    out = Matrix(f, a.dim, a.dim)
-    for i in range(a.dim):
-        v = a.mult[i][j]
-        for r in range(a.dim):
-            out.data[r][i] = v[r]
-    return out
 
 
 def transpose(m: Module) -> Module:
@@ -322,17 +296,10 @@ def transpose(m: Module) -> Module:
     s1, basis1 = star_module(p1)
     f = a.field
     n = a.dim * p1.dim
-    cols = Matrix(f, n, len(basis1))
-    for j, h in enumerate(basis1):
-        fl = _flatten(h.matrix)
-        for i in range(n):
-            cols.data[i][j] = fl[i]
-    dm = Matrix(f, len(basis1), len(basis0))
-    for j, h in enumerate(basis0):
-        fl = _flatten(h.matrix @ d1.matrix)
-        sol = solve(cols, Matrix.column(f, fl))
-        for i in range(len(basis1)):
-            dm.data[i][j] = sol.data[i][0]
+    cols = Matrix.from_columns(f, n, [h.matrix.flatten() for h in basis1])
+    dm = Matrix.from_columns(f, len(basis1), [
+        solve(cols, Matrix.column(f, (h.matrix @ d1.matrix).flatten())).col(0)
+        for h in basis0])
     dstar = ModuleMap(s0, s1, dm, check=False)
     tr, _ = cokernel(dstar)
     return tr
@@ -381,10 +348,10 @@ def stable_hom_dim(x: Module, y: Module) -> int:
     f = x.algebra.field
     red = _SpanReducer(f, [], y.dim * x.dim)
     for u in lifts:
-        red.add(_flatten(q.matrix @ u.matrix))
+        red.add((q.matrix @ u.matrix).flatten())
     count = 0
     for h in homs:
-        if red.add(_flatten(h.matrix)):
+        if red.add(h.matrix.flatten()):
             count += 1
     return count
 
@@ -407,10 +374,10 @@ def costable_hom_dim(x: Module, y: Module,
     f = x.algebra.field
     red = _SpanReducer(f, [], y.dim * x.dim)
     for v in hom_basis(env, y):
-        red.add(_flatten(v.matrix @ mono.matrix))
+        red.add((v.matrix @ mono.matrix).flatten())
     count = 0
     for h in homs:
-        if red.add(_flatten(h.matrix)):
+        if red.add(h.matrix.flatten()):
             count += 1
     return count
 

@@ -146,10 +146,33 @@ class Matrix:
         vec = list(vec)
         return Matrix(field, len(vec), 1, [[x] for x in vec])
 
-    def copy(self) -> "Matrix":
-        m = Matrix(self.field, self.rows, self.cols)
-        m.data = [row[:] for row in self.data]
+    @staticmethod
+    def from_columns(field: FieldSpec, rows: int, vecs: Iterable) -> "Matrix":
+        """The rows x len(vecs) matrix whose columns are the given canonical
+        vectors (entries are taken as they are, not coerced)."""
+        vecs = list(vecs)
+        data = [list(r) for r in zip(*vecs)] if vecs else [[] for _ in range(rows)]
+        if len(data) != rows:
+            raise ValueError("column length does not match the row count")
+        return Matrix._of_rows(field, rows, len(vecs), data)
+
+    @staticmethod
+    def _of_rows(field: FieldSpec, rows: int, cols: int, data: list) -> "Matrix":
+        """Wrap ready rows of canonical entries, without copying or coercing."""
+        m = Matrix.__new__(Matrix)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.data = data
         return m
+
+    def copy(self) -> "Matrix":
+        return Matrix._of_rows(self.field, self.rows, self.cols,
+                               [row[:] for row in self.data])
+
+    def flatten(self) -> list:
+        """The entries in row-major order."""
+        return [x for row in self.data for x in row]
 
     # -- basic algebra ---------------------------------------------------------
 
@@ -166,28 +189,23 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         f = self.field
-        m = Matrix(f, self.rows, self.cols)
-        m.data = [
+        return Matrix._of_rows(f, self.rows, self.cols, [
             [f.add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
-        ]
-        return m
+        ])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         f = self.field
-        m = Matrix(f, self.rows, self.cols)
-        m.data = [
+        return Matrix._of_rows(f, self.rows, self.cols, [
             [f.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
-        ]
-        return m
+        ])
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.of(c)
-        m = Matrix(f, self.rows, self.cols)
-        m.data = [[f.mul(c, a) for a in row] for row in self.data]
-        return m
+        return Matrix._of_rows(f, self.rows, self.cols,
+                               [[f.mul(c, a) for a in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -213,9 +231,9 @@ class Matrix:
         return (self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        m = Matrix(self.field, self.cols, self.rows)
-        m.data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return m
+        return Matrix._of_rows(self.field, self.cols, self.rows,
+                               [[self.data[i][j] for i in range(self.rows)]
+                                for j in range(self.cols)])
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
@@ -226,16 +244,15 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        m = Matrix(self.field, self.rows, self.cols + other.cols)
-        m.data = [ra + rb for ra, rb in zip(self.data, other.data)]
-        return m
+        return Matrix._of_rows(self.field, self.rows, self.cols + other.cols,
+                               [ra + rb for ra, rb in zip(self.data, other.data)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        m = Matrix(self.field, self.rows + other.rows, self.cols)
-        m.data = [row[:] for row in self.data] + [row[:] for row in other.data]
-        return m
+        return Matrix._of_rows(self.field, self.rows + other.rows, self.cols,
+                               [row[:] for row in self.data]
+                               + [row[:] for row in other.data])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -312,7 +329,8 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the right null space {x : m @ x = 0}."""
     f = m.field
     r, pivots, rk = rref(m)
-    free = [j for j in range(m.cols) if j not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivot_set]
     out = Matrix(f, m.cols, len(free))
     for k, fc in enumerate(free):
         out.data[fc][k] = f.one
@@ -372,11 +390,6 @@ def column_space_basis(m: Matrix) -> Matrix:
         for i in range(m.rows):
             out.data[i][k] = m.data[i][pc]
     return out
-
-
-def in_span(basis: Matrix, vec: Matrix) -> bool:
-    """Is the column vector in the column span of `basis`?"""
-    return solve(basis, vec) is not None
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

@@ -8,17 +8,30 @@ anything built from raw data is checked against the structure constants.
 Hom spaces are solved blockwise in vertex-adapted coordinates: once the
 idempotent conditions are absorbed structurally, only the (few) homogeneous
 radical generators contribute equations.
+
+The injective side is the dual D of the projective side over the opposite
+algebra `FDAlgebra.op`: injective modules, envelopes and coresolutions, and
+left approximations (D of a right approximation of D x).  What is kept per
+algebra (the projectives P_i, the projective-injective vertices) lives in the
+algebra's memo, `FDAlgebra.memo`; what is kept per module (generator action,
+vertex blocks, Ext values) lives on the Module and is dropped with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional, Sequence
 
-from fdhom.algebra import FDAlgebra, _SpanReducer, opposite
+from fdhom.algebra import (
+    FDAlgebra,
+    _SpanReducer,
+    _crt_idempotent,
+    _linear_combination,
+    _unit_vec,
+)
 from fdhom.errors import Inconclusive
 from fdhom.linalg import (
-    FieldSpec,
     Matrix,
     column_space_basis,
     hstack_all,
@@ -28,17 +41,6 @@ from fdhom.linalg import (
     solve,
     vstack_all,
 )
-
-
-def _op(a: FDAlgebra) -> FDAlgebra:
-    if getattr(a, "_op_cache", None) is None:
-        b = opposite(a)
-        b._op_cache = a
-        a._op_cache = b
-    return a._op_cache
-
-
-FDAlgebra.op = property(_op)
 
 
 class Module:
@@ -78,18 +80,8 @@ class Module:
                     raise ValueError(f"action violates structure constants ({i},{j})")
 
     def act_vec(self, coeffs) -> Matrix:
-        f = self.algebra.field
-        out = Matrix(f, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c:
-                mi = self.action[i]
-                for r in range(self.dim):
-                    row = out.data[r]
-                    mir = mi.data[r]
-                    for s in range(self.dim):
-                        if mir[s]:
-                            row[s] = f.add(row[s], f.mul(c, mir[s]))
-        return out
+        return _linear_combination(self.algebra.field, self.dim, self.dim,
+                                   coeffs, self.action.__getitem__)
 
     def generator_action(self) -> list[Matrix]:
         if self._gen_action is None:
@@ -228,37 +220,22 @@ def _left_inverse(basis: Matrix) -> Matrix:
 
 
 def projective_module(a: FDAlgebra, i: int) -> Module:
-    """P_i = A e_i with the left action."""
-    cache = getattr(a, "_proj_cache", None)
-    if cache is None:
-        cache = a._proj_cache = {}
-    if i in cache:
-        return cache[i]
-    f = a.field
-    e = a.idempotents[i]
-    re = _right_mult(a, e)
-    basis = column_space_basis(re)
-    dim = basis.cols
-    coords = _left_inverse(basis)
-    action = [coords @ (a.left_mult_basis(b) @ basis) for b in range(a.dim)]
-    elements = [basis.col(k) for k in range(dim)]
-    gen = (coords @ Matrix.column(f, e)).col(0)
-    p = Module(a, dim, action, check=False,
-               proj_summands=[(i, gen)],
-               coord_summand=[0] * dim,
-               basis_elements=elements)
-    cache[i] = p
-    return p
+    """P_i = A e_i with the left action (built once per algebra)."""
 
+    def build():
+        e = a.idempotents[i]
+        basis = column_space_basis(a.right_mult(e))
+        dim = basis.cols
+        coords = _left_inverse(basis)
+        action = [coords @ (a.left_mult_basis(b) @ basis) for b in range(a.dim)]
+        elements = [basis.col(k) for k in range(dim)]
+        gen = (coords @ Matrix.column(a.field, e)).col(0)
+        return Module(a, dim, action, check=False,
+                      proj_summands=[(i, gen)],
+                      coord_summand=[0] * dim,
+                      basis_elements=elements)
 
-def _right_mult(a: FDAlgebra, x) -> Matrix:
-    f = a.field
-    out = Matrix(f, a.dim, a.dim)
-    for i in range(a.dim):
-        v = a.multiply(a.basis_vec(i), x)
-        for k in range(a.dim):
-            out.data[k][i] = v[k]
-    return out
+    return a.memo(("projective_module", i), build)
 
 
 def simple_module(a: FDAlgebra, i: int) -> Module:
@@ -363,7 +340,7 @@ def quotient_module(x: Module, sub_basis: Matrix):
     dim = len(free)
     proj = Matrix(f, dim, x.dim)
     for j in range(x.dim):
-        w = red.reduce(_unit(f, x.dim, j))
+        w = red.reduce(_unit_vec(f, x.dim, j))
         for i, c in enumerate(free):
             proj.data[i][j] = w[c]
     sect = Matrix(f, x.dim, dim)
@@ -372,12 +349,6 @@ def quotient_module(x: Module, sub_basis: Matrix):
     action = [proj @ x.action[b] @ sect for b in range(a.dim)]
     q = Module(a, dim, action, check=False)
     return q, ModuleMap(x, q, proj, check=False)
-
-
-def _unit(f: FieldSpec, n: int, i: int):
-    v = [f.zero] * n
-    v[i] = f.one
-    return v
 
 
 def kernel(fmap: ModuleMap):
@@ -486,9 +457,7 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
                 if any(row):
                     rows.append(row)
     if rows:
-        sys_m = Matrix(f, len(rows), tot)
-        sys_m.data = rows
-        ker = kernel_basis(sys_m)
+        ker = kernel_basis(Matrix._of_rows(f, len(rows), tot, rows))
     else:
         ker = Matrix.identity(f, tot)
     out = []
@@ -609,10 +578,7 @@ def projective_cover(m: Module):
         for j in range(part.dim):
             el = part.basis_elements[j]
             cols.append((m.act_vec(el) @ wm).col(0))
-    mat = Matrix(f, m.dim, p.dim)
-    for j, c in enumerate(cols):
-        for i in range(m.dim):
-            mat.data[i][j] = c[i]
+    mat = Matrix.from_columns(f, m.dim, cols)
     epi = ModuleMap(p, m, mat, check=False)
     if rank(mat) != m.dim:
         raise AssertionError("cover map is not surjective")
@@ -731,15 +697,9 @@ def min_inj_coresolution(m: Module, cap: int) -> Resolution:
 
 def projective_injective_vertices(a: FDAlgebra) -> set:
     """Vertices whose indecomposable injective is projective (cached)."""
-    cache = getattr(a, "_projinj_cache", None)
-    if cache is None:
-        cache = set()
-        for v in range(len(a.idempotents)):
-            core, _ = strip_projectives(injective_module(a, v))
-            if core.dim == 0:
-                cache.add(v)
-        a._projinj_cache = cache
-    return cache
+    return a.memo("projective_injective_vertices", lambda: {
+        v for v in range(len(a.idempotents))
+        if strip_projectives(injective_module(a, v))[0].dim == 0})
 
 
 def strip_projectives(m: Module):
@@ -856,28 +816,28 @@ def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
     if len(homs) == 1:
         return None  # the whole hom space is scalar multiples of one map
     rng = random.Random(seed)
+    mats = [h.matrix for h in homs]
     if f.kind == "Fp" and f.p ** len(homs) <= 4096:
-        import itertools
-
-        for coeffs in itertools.product(range(f.p), repeat=len(homs)):
-            m = Matrix(f, y.dim, x.dim)
-            for c, h in zip(coeffs, homs):
-                if c:
-                    m = m + h.matrix.scale(c)
+        for m in _fp_combinations(f, mats):
             if invert(m) is not None:
                 return ModuleMap(x, y, m, check=False)
         return None
     if x.dim <= 10 and len(homs) <= 8 and _det_identically_zero(f, homs):
         return None  # no combination of homs is invertible
     for _ in range(budget):
-        m = Matrix(f, y.dim, x.dim)
-        for h in homs:
-            c = rng.randint(-4, 4)
-            if c:
-                m = m + h.matrix.scale(f.of(c))
+        m = _linear_combination(f, y.dim, x.dim,
+                                [rng.randint(-4, 4) for _ in mats], mats.__getitem__)
         if invert(m) is not None:
             return ModuleMap(x, y, m, check=False)
     raise Inconclusive("no invertible combination found within budget")
+
+
+def _fp_combinations(f, mats: list[Matrix]):
+    """Every combination of mats over F_p, coefficient tuples in
+    itertools.product order."""
+    rows, cols = mats[0].shape
+    for coeffs in itertools.product(range(f.p), repeat=len(mats)):
+        yield _linear_combination(f, rows, cols, coeffs, mats.__getitem__)
 
 
 def _det_identically_zero(f, homs) -> bool:
@@ -979,30 +939,22 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
     idm = Matrix.identity(f, x.dim)
     if len(endos) == 1:
         return None  # End = k: certainly indecomposable
+    cands = [h.matrix for h in endos]
     if f.kind == "Fp" and f.p ** len(endos) <= 4096:
-        import itertools
-
-        for coeffs in itertools.product(range(f.p), repeat=len(endos)):
-            m = Matrix(f, x.dim, x.dim)
-            for c, h in zip(coeffs, endos):
-                if c:
-                    m = m + h.matrix.scale(c)
+        for m in _fp_combinations(f, cands):
             if m.is_zero() or m == idm:
                 continue
             if m @ m == m:
                 return m
         return None  # exhaustive: no nontrivial idempotent exists
-    cands = [h.matrix for h in endos]
     rng = random.Random(seed)
     for trial in range(budget):
         if trial < len(cands):
             h = cands[trial]
         else:
-            h = Matrix(f, x.dim, x.dim)
-            for e in endos:
-                c = rng.randint(-3, 3)
-                if c:
-                    h = h + e.matrix.scale(f.of(c))
+            h = _linear_combination(f, x.dim, x.dim,
+                                    [rng.randint(-3, 3) for _ in cands],
+                                    cands.__getitem__)
         eps = _idempotent_from_matrix(f, h, idm)
         if eps is not None and not eps.is_zero() and eps != idm:
             return eps
@@ -1014,69 +966,31 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
 def _idempotent_from_matrix(f, h: Matrix, idm: Matrix):
     """CRT idempotent from a coprime factorization of the minimal polynomial
     of h; None when the minimal polynomial is a single irreducible power."""
-    import sympy
-
-    n = h.rows
     if h @ h == h:
         return h
-    # minimal polynomial via the span of powers
-    powers = [idm]
-    red = _SpanReducer(f, [_flatten(idm)], n * n)
-    cur = idm
-    while True:
-        cur = cur @ h
-        flat = _flatten(cur)
-        if red.contains(flat):
-            break
-        powers.append(cur)
-        red.add(flat)
-    k = len(powers)
-    cols = Matrix(f, n * n, k)
-    for j, p in enumerate(powers):
-        fl = _flatten(p)
-        for i in range(n * n):
-            cols.data[i][j] = fl[i]
-    sol = solve(cols, Matrix.column(f, _flatten(cur)))
-    coeffs = [f.neg(c) for c in sol.col(0)] + [f.one]
-    if len(coeffs) <= 2:
-        return None
-    t = sympy.Symbol("t")
-    if f.kind == "Q":
-        poly = sympy.Poly(sum(sympy.Rational(c) * t**i
-                              for i, c in enumerate(coeffs)), t)
-    else:
-        poly = sympy.Poly(sum(int(c) * t**i for i, c in enumerate(coeffs)),
-                          t, modulus=f.p)
-    import warnings
+    n = h.rows
 
-    with warnings.catch_warnings():
-        # sympy's factor ordering compares modular integers internally
-        warnings.simplefilter("ignore")
-        facs = sympy.factor_list(poly)[1]
-    if len(facs) < 2:
-        return None
-    m1 = facs[0][0] ** facs[0][1]
-    rest = poly.quo(m1)
-    # Bezout: u*m1 + v*rest = 1; then (v*rest)(h) is the wanted idempotent
-    u, v, g = m1.gcdex(rest)
-    if not g.is_one:
-        return None  # factors not coprime in this domain: give up on h
-    upoly = (v * rest).rem(poly)
-    coeff_list = list(reversed(upoly.all_coeffs()))
-    acc = Matrix(f, n, n)
-    power = idm
-    for c in coeff_list:
-        cval = f.of(sympy.Rational(c)) if f.kind == "Q" else f.of(int(c))
-        if cval:
-            acc = acc + power.scale(cval)
-        power = power @ h
-    if acc @ acc != acc:
-        return None
-    return acc
+    def square(v):
+        return Matrix._of_rows(f, n, n, [v[i * n:(i + 1) * n] for i in range(n)])
+
+    eps = _crt_idempotent(f, idm.flatten(), h.flatten(),
+                          lambda u, v: (square(u) @ square(v)).flatten())
+    return None if eps is None else square(eps)
 
 
-def _flatten(m: Matrix):
-    return [x for row in m.data for x in row]
+def _trace_form(f, mats: list[Matrix]) -> Matrix:
+    """Gram matrix tr(m_i m_j) of square matrices (End(x) trace form)."""
+    n = len(mats)
+    tr = Matrix(f, n, n)
+    for i in range(n):
+        for j in range(i, n):
+            prod = mats[i] @ mats[j]
+            acc = f.zero
+            for d in range(prod.rows):
+                acc = f.add(acc, prod.data[d][d])
+            tr.data[i][j] = acc
+            tr.data[j][i] = acc
+    return tr
 
 
 def _end_is_local(x: Module, endos) -> bool:
@@ -1084,18 +998,8 @@ def _end_is_local(x: Module, endos) -> bool:
     f = x.algebra.field
     if f.kind == "Fp" and f.p <= len(endos):
         return False
-    n = len(endos)
-    tr = Matrix(f, n, n)
-    for i in range(n):
-        for j in range(i, n):
-            prod = endos[i].matrix @ endos[j].matrix
-            acc = f.zero
-            for d in range(x.dim):
-                acc = f.add(acc, prod.data[d][d])
-            tr.data[i][j] = acc
-            tr.data[j][i] = acc
-    raddim = kernel_basis(tr).cols
-    return n - raddim == 1
+    raddim = kernel_basis(_trace_form(f, [h.matrix for h in endos])).cols
+    return len(endos) - raddim == 1
 
 
 # -- approximations --------------------------------------------------------------
@@ -1118,6 +1022,13 @@ def right_approximation(gens: Sequence[Module], x: Module):
     for i, gi_ in enumerate(gens):
         for j, gj in enumerate(gens):
             pair_homs[(i, j)] = hom_basis(gi_, gj)
+
+    def through(gi, kept):
+        """Span of the maps gens[gi] -> x that factor through kept copies."""
+        span = [(copies[q][1].matrix @ u.matrix).flatten()
+                for q in kept for u in pair_homs[(gi, copies[q][0])]]
+        return _SpanReducer(f, span, x.dim * gens[gi].dim)
+
     # greedy removal: drop a copy when its map factors through the others
     keep = list(range(len(copies)))
     changed = True
@@ -1126,13 +1037,7 @@ def right_approximation(gens: Sequence[Module], x: Module):
         for pos in list(keep):
             gi, h = copies[pos]
             others = [q for q in keep if q != pos]
-            span = []
-            for q in others:
-                gj, hj = copies[q]
-                for u in pair_homs[(gi, gj)]:
-                    span.append(_flatten(hj.matrix @ u.matrix))
-            red = _SpanReducer(f, span, x.dim * gens[gi].dim)
-            if red.contains(_flatten(h.matrix)):
+            if through(gi, others).contains(h.matrix.flatten()):
                 keep = others
                 changed = True
                 break
@@ -1149,83 +1054,27 @@ def right_approximation(gens: Sequence[Module], x: Module):
             for i in range(x.dim):
                 mat.data[i][off + j] = hm.data[i][j]
         off += part.dim
-    fmap = ModuleMap(msum, x, mat, check=False)
-    _assert_right_approximation(gens, fmap, copies, keep, pair_homs)
-    return fmap, [copies[q][0] for q in keep]
-
-
-def _assert_right_approximation(gens, fmap, copies, keep, pair_homs):
-    """Every basis map gen -> x must factor through fmap (linear solve)."""
-    x = fmap.target
-    f = x.algebra.field
+    # certificate: every basis map gen -> x factors through the result
     for gi, g in enumerate(gens):
-        span = []
-        for q in keep:
-            gj = copies[q][0]
-            hj = copies[q][1]
-            for u in pair_homs[(gi, gj)]:
-                span.append(_flatten(hj.matrix @ u.matrix))
-        red = _SpanReducer(f, span, x.dim * g.dim)
+        red = through(gi, keep)
         for h in hom_basis(g, x):
-            if not red.contains(_flatten(h.matrix)):
+            if not red.contains(h.matrix.flatten()):
                 raise AssertionError("approximation certificate failed")
+    return ModuleMap(msum, x, mat, check=False), [copies[q][0] for q in keep]
 
 
 def left_approximation(x: Module, gens: Sequence[Module]):
-    """Minimal left add(⊕gens)-approximation f: x -> M'' (dual construction)."""
-    a = x.algebra
-    f = a.field
-    copies: list[tuple[int, ModuleMap]] = []
-    for gi, g in enumerate(gens):
-        for h in hom_basis(x, g):
-            copies.append((gi, h))
-    pair_homs = {}
-    for i, gi_ in enumerate(gens):
-        for j, gj in enumerate(gens):
-            pair_homs[(i, j)] = hom_basis(gi_, gj)
-    keep = list(range(len(copies)))
-    changed = True
-    while changed:
-        changed = False
-        for pos in list(keep):
-            gi, h = copies[pos]
-            others = [q for q in keep if q != pos]
-            span = []
-            for q in others:
-                gj, hj = copies[q]
-                for u in pair_homs[(gj, gi)]:
-                    span.append(_flatten(u.matrix @ hj.matrix))
-            red = _SpanReducer(f, span, gens[gi].dim * x.dim)
-            if red.contains(_flatten(h.matrix)):
-                keep = others
-                changed = True
-                break
-    if not keep:
-        z = zero_module(a)
-        return zero_map(x, z), []
-    parts = [gens[copies[q][0]] for q in keep]
-    msum, _, _ = direct_sum(parts)
-    mat = Matrix(f, msum.dim, x.dim)
-    off = 0
-    for q, part in zip(keep, parts):
-        hm = copies[q][1].matrix
-        for i in range(part.dim):
-            for j in range(x.dim):
-                mat.data[off + i][j] = hm.data[i][j]
-        off += part.dim
-    fmap = ModuleMap(x, msum, mat, check=False)
-    for gi, g in enumerate(gens):
-        span = []
-        for q in keep:
-            gj = copies[q][0]
-            hj = copies[q][1]
-            for u in pair_homs[(gj, gi)]:
-                span.append(_flatten(u.matrix @ hj.matrix))
-        red = _SpanReducer(f, span, g.dim * x.dim)
-        for h in hom_basis(x, g):
-            if not red.contains(_flatten(h.matrix)):
-                raise AssertionError("approximation certificate failed")
-    return fmap, [copies[q][0] for q in keep]
+    """Minimal left add(⊕gens)-approximation f: x -> M''.
+
+    The dual D of the minimal right add(⊕ D gens)-approximation of D x over
+    the opposite algebra (certified there); the target is the direct sum of
+    the retained gens, so their summand bookkeeping survives.
+    """
+    g, kept = right_approximation([dual(m) for m in gens], dual(x))
+    if not kept:
+        return zero_map(x, zero_module(x.algebra)), []
+    msum, _, _ = direct_sum([gens[i] for i in kept])
+    return ModuleMap(x, msum, g.matrix.transpose(), check=False), kept
 
 
 def resolution_dim(c_list: Sequence[Module], x: Module, cap: int):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fdhom.algebra import FDAlgebra, _SpanReducer
+from fdhom.algebra import FDAlgebra, _SpanReducer, _linear_combination
 from fdhom.endalg import EndData, end_algebra, module_over_end
 from fdhom.errors import (
     CapExceeded,
@@ -35,6 +35,8 @@ from fdhom.linalg import Matrix, invert, kernel_basis, solve
 from fdhom.modules import (
     Module,
     ModuleMap,
+    _fp_combinations,
+    _trace_form,
     cokernel,
     decompose,
     direct_sum,
@@ -55,10 +57,6 @@ from fdhom.modules import (
     strip_projectives,
 )
 from fdhom.results import AtLeastCap
-
-
-def _flatten(m: Matrix):
-    return [x for row in m.data for x in row]
 
 
 # -- orthogonality -----------------------------------------------------------
@@ -217,7 +215,7 @@ def _rad_end_basis(x: Module) -> list[Matrix]:
 
     Trace form over QQ or big enough p; over tiny fields the non-units are
     enumerated outright (they form the radical of the local ring)."""
-    endos = hom_basis(x, x)
+    endos = [h.matrix for h in hom_basis(x, x)]
     f = x.algebra.field
     n = len(endos)
     if n == 1:
@@ -225,40 +223,18 @@ def _rad_end_basis(x: Module) -> list[Matrix]:
     if f.kind == "Fp" and f.p <= max(n, x.dim):
         if f.p ** n > 4096:
             raise Inconclusive("endomorphism radical out of reach over F_p")
-        nonunits = []
         red = _SpanReducer(f, [], x.dim * x.dim)
-        for coeffs in itertools.product(range(f.p), repeat=n):
-            m = Matrix(f, x.dim, x.dim)
-            for c, h in zip(coeffs, endos):
-                if c:
-                    m = m + h.matrix.scale(c)
-            if invert(m) is None and red.add(_flatten(m)):
-                nonunits.append(m)
-        return nonunits
-    tr = Matrix(f, n, n)
-    for i in range(n):
-        for j in range(i, n):
-            prod = endos[i].matrix @ endos[j].matrix
-            acc = f.zero
-            for d in range(x.dim):
-                acc = f.add(acc, prod.data[d][d])
-            tr.data[i][j] = acc
-            tr.data[j][i] = acc
-    ker = kernel_basis(tr)
-    out = []
-    for k in range(ker.cols):
-        m = Matrix(f, x.dim, x.dim)
-        for i, c in enumerate(ker.col(k)):
-            if c:
-                m = m + endos[i].matrix.scale(c)
-        out.append(m)
-    return out
+        return [m for m in _fp_combinations(f, endos)
+                if invert(m) is None and red.add(m.flatten())]
+    ker = kernel_basis(_trace_form(f, endos))
+    return [_linear_combination(f, x.dim, x.dim, ker.col(k), endos.__getitem__)
+            for k in range(ker.cols)]
 
 
 def _hom_span_reducer(maps, rows, cols, field):
     red = _SpanReducer(field, [], rows * cols)
     for m in maps:
-        red.add(_flatten(m))
+        red.add(m.flatten())
     return red
 
 
@@ -300,28 +276,24 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
 
     cond_rows = []
     for om_phi in omega_phis:
-        mats = [to_quot(_flatten(h.matrix @ om_phi)) for h in homs]
+        mats = [to_quot((h.matrix @ om_phi).flatten()) for h in homs]
         for r in range(len(mats[0]) if mats else 0):
             cond_rows.append([mats[k][r] for k in range(len(homs))])
     for psi in psis:
-        mats = [to_quot(_flatten(psi @ h.matrix)) for h in homs]
+        mats = [to_quot((psi @ h.matrix).flatten()) for h in homs]
         for r in range(len(mats[0]) if mats else 0):
             cond_rows.append([mats[k][r] for k in range(len(homs))])
     if cond_rows:
-        sysm = Matrix(f, len(cond_rows), len(homs))
-        sysm.data = cond_rows
-        sol = kernel_basis(sysm)
+        sol = kernel_basis(Matrix._of_rows(f, len(cond_rows), len(homs), cond_rows))
         candidates = [sol.col(k) for k in range(sol.cols)]
     else:
         candidates = [[f.one if i == k else f.zero for i in range(len(homs))]
                       for k in range(len(homs))]
     h_elt = None
+    hom_mats = [h.matrix for h in homs]
     for cand in candidates:
-        m = Matrix(f, tz.dim, om.dim)
-        for c, h in zip(cand, homs):
-            if c:
-                m = m + h.matrix.scale(c)
-        if any(to_quot(_flatten(m))):
+        m = _linear_combination(f, tz.dim, om.dim, cand, hom_mats.__getitem__)
+        if any(to_quot(m.flatten())):
             h_elt = m
             break
     if h_elt is None:
@@ -363,20 +335,14 @@ def _lift_through(q: ModuleMap, phi: Matrix) -> Matrix:
     f = p.algebra.field
     endos = hom_basis(p, p)
     n = q.target.dim * p.dim
-    cols = Matrix(f, n, len(endos))
-    for k, e in enumerate(endos):
-        fl = _flatten(q.matrix @ e.matrix)
-        for r in range(n):
-            cols.data[r][k] = fl[r]
-    rhs = Matrix.column(f, _flatten(phi @ q.matrix))
+    cols = Matrix.from_columns(f, n, [(q.matrix @ e.matrix).flatten()
+                                      for e in endos])
+    rhs = Matrix.column(f, (phi @ q.matrix).flatten())
     sol = solve(cols, rhs)
     if sol is None:
         raise AssertionError("projective lifting failed")
-    out = Matrix(f, p.dim, p.dim)
-    for k, c in enumerate(sol.col(0)):
-        if c:
-            out = out + endos[k].matrix.scale(c)
-    return out
+    return _linear_combination(f, p.dim, p.dim, sol.col(0),
+                               [e.matrix for e in endos].__getitem__)
 
 
 def _pushout(f1: ModuleMap, f2: ModuleMap):
@@ -424,13 +390,9 @@ def _splits_mono(fmap: ModuleMap) -> bool:
     homs = hom_basis(b, a)
     if not homs:
         return a.dim == 0
-    n = a.dim * a.dim
-    cols = Matrix(f, n, len(homs))
-    for k, h in enumerate(homs):
-        fl = _flatten(h.matrix @ fmap.matrix)
-        for r in range(n):
-            cols.data[r][k] = fl[r]
-    rhs = Matrix.column(f, _flatten(Matrix.identity(f, a.dim)))
+    cols = Matrix.from_columns(f, a.dim * a.dim, [
+        (h.matrix @ fmap.matrix).flatten() for h in homs])
+    rhs = Matrix.column(f, (Matrix.identity(f, a.dim)).flatten())
     return solve(cols, rhs) is not None
 
 
@@ -441,13 +403,9 @@ def _splits_epi(fmap: ModuleMap) -> bool:
     homs = hom_basis(b, a)
     if not homs:
         return b.dim == 0
-    n = b.dim * b.dim
-    cols = Matrix(f, n, len(homs))
-    for k, h in enumerate(homs):
-        fl = _flatten(fmap.matrix @ h.matrix)
-        for r in range(n):
-            cols.data[r][k] = fl[r]
-    rhs = Matrix.column(f, _flatten(Matrix.identity(f, b.dim)))
+    cols = Matrix.from_columns(f, b.dim * b.dim, [
+        (fmap.matrix @ h.matrix).flatten() for h in homs])
+    rhs = Matrix.column(f, (Matrix.identity(f, b.dim)).flatten())
     return solve(cols, rhs) is not None
 
 
@@ -467,7 +425,7 @@ def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
         for h in homs:
             if _is_retraction(h):
                 continue
-            if not red.contains(_flatten(h.matrix)):
+            if not red.contains(h.matrix.flatten()):
                 raise AssertionError("lifting property fails on the right")
         homs2 = hom_basis(y, w)
         drops = hom_basis(fmap.target, w)
@@ -476,7 +434,7 @@ def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
         for h in homs2:
             if _is_section(h):
                 continue
-            if not red2.contains(_flatten(h.matrix)):
+            if not red2.contains(h.matrix.flatten()):
                 raise AssertionError("extension property fails on the left")
 
 
@@ -629,7 +587,7 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
             red = _SpanReducer(f, [], mp.target.dim * w.dim)
             cnt = 0
             for u in maps_prev:
-                if red.add(_flatten(mp.matrix @ u.matrix)):
+                if red.add((mp.matrix @ u.matrix).flatten()):
                     cnt += 1
             ranks.append(cnt)
         # injectivity at Y, exactness in the middle, image = J(W, X) at the end
@@ -649,7 +607,7 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
             red = _SpanReducer(f, [], w.dim * mp.source.dim)
             cnt = 0
             for u in maps_prev:
-                if red.add(_flatten(u.matrix @ mp.matrix)):
+                if red.add((u.matrix @ mp.matrix).flatten()):
                     cnt += 1
             ranks.append(cnt)
         ranks = list(reversed(ranks))

@@ -1,8 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fdhom
 from fdhom.algebra import (
+    FDAlgebra,
     PathExpr,
     Quiver,
+    _crt_idempotent,
     build_path_algebra,
     cartan_matrix,
     opposite,
@@ -11,7 +18,7 @@ from fdhom.algebra import (
     semisimple_quotient,
 )
 from fdhom.errors import BadRelation, NotAdmissible
-from fdhom.linalg import GF, QQ
+from fdhom.linalg import GF, QQ, Matrix
 from fdhom.presets import (
     loop_algebra,
     path_algebra_a_n,
@@ -144,6 +151,66 @@ def test_primitive_idempotents_k2():
     assert len(idems) == 2
     s = [a.field.add(x, y) for x, y in zip(idems[0], idems[1])]
     assert s == b.unit
+
+
+@pytest.mark.parametrize("n, field, seed", [(4, QQ, 1), (3, GF(5), 0)])
+def test_primitive_idempotents_of_bare_structure_constants(n, field, seed):
+    # k^n without a path presentation goes through the CRT splitting search;
+    # its primitive idempotents are unique: the vertex idempotents
+    a = semisimple_k_n(n, field)
+    b = FDAlgebra(field, a.basis_labels, a.mult, a.unit, a.idempotents,
+                  origin="structure-constants")
+    idems = primitive_idempotents(b, seed=seed)
+    assert sorted(idems) == sorted(a.idempotents)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_crt_idempotent_on_a_matrix(field):
+    def square(v):
+        return Matrix.from_rows(field, [v[3 * i:3 * i + 3] for i in range(3)])
+
+    # minimal polynomial (t-1)(t-2): two coprime factors
+    h = Matrix(field, 3, 3, [[1, 1, 0], [0, 2, 0], [0, 0, 1]])
+    one = Matrix.identity(field, 3)
+    assert ((h - one) @ (h - one.scale(2))).is_zero()
+    e = square(_crt_idempotent(field, one.flatten(), h.flatten(),
+                               lambda u, v: (square(u) @ square(v)).flatten()))
+    assert e @ e == e
+    assert not e.is_zero() and e != one
+    assert e @ h == h @ e
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_crt_idempotent_on_an_algebra_element(field):
+    a = path_algebra_a_n(2, field)
+    x = a.zero_vec()
+    for label, c in (("e(1)", 1), ("e(2)", 2), ("a1", 1)):
+        x[a.basis_labels.index(label)] = field.of(c)
+    # minimal polynomial (t-1)(t-2): (x - 1)(x - 2) = 0 with x not a scalar
+    shifted = [[field.sub(u, field.mul(field.of(c), v)) for u, v in zip(x, a.unit)]
+               for c in (1, 2)]
+    assert not any(a.multiply(*shifted))
+    assert all(any(s) for s in shifted)
+    e = _crt_idempotent(field, a.unit, x, a.multiply)
+    assert a.multiply(e, e) == e
+    assert any(e) and e != a.unit
+    assert a.multiply(e, x) == a.multiply(x, e)
+
+
+def test_op_needs_only_the_package_root():
+    # the opposite is a property of FDAlgebra itself, linked both ways, in an
+    # interpreter that imported nothing but fdhom
+    code = (
+        "import sys, fdhom\n"
+        "q = fdhom.Quiver.make(['1', '2'], [('a', '1', '2')])\n"
+        "a = fdhom.build_path_algebra(q, [])\n"
+        "assert a.op is a.op and a.op.op is a and a.op is not a\n"
+        "assert 'fdhom.modules' not in sys.modules\n"
+    )
+    src = str(Path(fdhom.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quotient_kills_vertex():

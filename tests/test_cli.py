@@ -26,6 +26,16 @@ SEMISIMPLE = {
     "relations": [],
 }
 
+# k[x]/(x^2) given directly by its multiplication table
+DUAL_NUMBERS = {
+    "version": 1,
+    "field": {"kind": "Q"},
+    "basis": ["1", "x"],
+    "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+    "unit": [1, 0],
+    "idempotents": [[1, 0]],
+}
+
 C2_TABLE = {
     "version": 1,
     "order": 2,
@@ -93,17 +103,27 @@ def test_invariants_bad_field_is_input_error(tmp_path, capsys, field):
     assert main(["invariants", path]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                  # not an object
+    dict(KA2, field="Q"),                    # field is a string
+    dict(KA2, field={"kind": "Fp", "p": None}),
+    dict(KA2, relations=5),                  # relations not a list
+])
+def test_invariants_malformed_shape_is_input_error(tmp_path, capsys, doc):
+    # documents of the wrong shape are bad input (2), never "refuted" (1)
+    path = write(tmp_path, "shape.json", doc)
+    assert main(["invariants", path]) == 2
+
+
+def test_vertex_module_over_structure_constants_is_input_error(tmp_path, capsys):
+    # a structure-constant algebra has no quiver, hence no vertex names
+    alg = write(tmp_path, "dualnum.json", DUAL_NUMBERS)
+    mod = write(tmp_path, "p.json", {"build": "projective", "vertex": "1"})
+    assert main(["orthogonal", alg, "--n", "2", "--cotilting", mod]) == 2
+
+
 def test_raw_structure_constants(tmp_path, capsys):
-    # k[x]/(x^2) given directly by its multiplication table
-    doc = {
-        "version": 1,
-        "field": {"kind": "Q"},
-        "basis": ["1", "x"],
-        "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
-        "unit": [1, 0],
-        "idempotents": [[1, 0]],
-    }
-    path = write(tmp_path, "dualnum.json", doc)
+    path = write(tmp_path, "dualnum.json", DUAL_NUMBERS)
     code, out_doc, _ = run(capsys, ["invariants", path, "--cap", "6"])
     assert out_doc["verdicts"]["dim"] == 2
     assert out_doc["verdicts"]["gldim"] == {"at_least": 6}

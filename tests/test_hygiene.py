@@ -1,0 +1,66 @@
+"""Static checks on the package source, with the standard library's ast.
+
+They keep one definition of each helper, no dead private helpers, and every
+attribute of FDAlgebra declared in algebra.py itself.
+"""
+
+import ast
+from pathlib import Path
+
+import fdhom
+
+SRC = Path(fdhom.__file__).resolve().parent
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
+         for p in sorted(SRC.glob("*.py"))}
+
+
+def _module_functions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_no_function_name_defined_in_two_modules():
+    where: dict[str, list[str]] = {}
+    for name, tree in TREES.items():
+        for fn in _module_functions(tree):
+            where.setdefault(fn, []).append(name)
+    assert {fn: mods for fn, mods in where.items() if len(mods) > 1} == {}
+
+
+def test_every_private_function_is_referenced():
+    # a reference is a use as a name or an attribute; an import alone is not
+    used = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{name}:{fn}" for name, tree in TREES.items()
+              for fn in _module_functions(tree)
+              if fn.startswith("_") and fn not in used]
+    assert unused == []
+
+
+def test_fdalgebra_attributes_are_set_only_in_algebra_py():
+    def is_fdalgebra(node):
+        return isinstance(node, ast.Name) and node.id == "FDAlgebra"
+
+    found = []
+    for name, tree in TREES.items():
+        if name == "algebra.py":
+            continue
+        for node in ast.walk(tree):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and node.args
+                  and is_fdalgebra(node.args[0])):
+                found.append(f"{name}:{node.lineno}")
+            for t in targets:
+                if isinstance(t, ast.Attribute) and is_fdalgebra(t.value):
+                    found.append(f"{name}:{t.lineno}")
+    assert found == []

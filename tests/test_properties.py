@@ -19,13 +19,16 @@ from fdhom.homology import (
     tau,
     tau_inv,
 )
-from fdhom.linalg import rank
+from fdhom.linalg import GF, Matrix, rank, solve
 from fdhom.modules import (
     decompose,
     dual,
+    hom_basis,
     hom_dim,
+    injective_envelope,
     injective_module,
     iso,
+    left_approximation,
     projective_module,
     regular_module,
 )
@@ -164,3 +167,32 @@ def test_duality_is_exact_contravariant_random():
         y = random_module(a, rng)
         assert hom_dim(x, y) == hom_dim(dual(y), dual(x))
         assert ext_dim(x, y, 1) == ext_dim(dual(y), dual(x), 1)
+
+
+def test_left_approximation_by_injectives_is_the_envelope():
+    # the minimal left add(DA)-approximation must be the injective envelope,
+    # and every map into an indecomposable injective must factor through it
+    algebras = [path_algebra_a_n(3), preprojective_a_n(2), loop_algebra(3),
+                path_algebra_a_n(3, GF(5))]
+    rng = random.Random(303)
+    checked = 0
+    for a in algebras:
+        f = a.field
+        gens = [injective_module(a, v) for v in range(len(a.idempotents))]
+        for _ in range(6):
+            x = random_module(a, rng)
+            fmap, kept = left_approximation(x, gens)
+            env, _ = injective_envelope(x)
+            assert fmap.source is x
+            assert fmap.target.dim == env.dim
+            assert sorted(fmap.target.inj_summands) == sorted(env.inj_summands)
+            assert fmap.target.inj_summands == kept
+            for g in gens:
+                through = Matrix.from_columns(f, g.dim * x.dim, [
+                    (u.matrix @ fmap.matrix).flatten()
+                    for u in hom_basis(fmap.target, g)])
+                for h in hom_basis(x, g):
+                    rhs = Matrix.column(f, h.matrix.flatten())
+                    assert solve(through, rhs) is not None
+                    checked += 1
+    assert checked >= 40
