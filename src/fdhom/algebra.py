@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fdhom.errors import BadRelation, FieldTooSmall, Inconclusive, NotAdmissible
+from fdhom.errors import (BadRelation, CertificateFailed, FieldTooSmall,
+                          Inconclusive, NotAdmissible)
 from fdhom.linalg import FieldSpec, Matrix, kernel_basis, solve
 
 Vec = list  # coefficient vector over the algebra basis
@@ -275,7 +276,7 @@ class FDAlgebra:
             rad = [ker.col(k) for k in range(ker.cols)]
         if arrow_ideal is not None:
             if rad is not None and not _same_span(f, rad, arrow_ideal, n):
-                raise AssertionError("trace radical disagrees with the arrow ideal")
+                raise CertificateFailed("trace radical disagrees with the arrow ideal")
             rad = arrow_ideal
         return rad
 

@@ -20,23 +20,25 @@ from fdhom.endalg import (
     module_over_end,
     module_over_end_map,
 )
-from fdhom.errors import IncompleteEnumeration, PreconditionFailed
+from fdhom.errors import (CertificateFailed, IncompleteEnumeration,
+                          PreconditionFailed)
 from fdhom.homology import (
     ext_dim,
     gldim,
     grade,
     injective_dim,
+    star_map,
     star_module,
     two_sided_mn,
 )
-from fdhom.linalg import Matrix, solve
+from fdhom.linalg import Matrix, offsets
 from fdhom.modules import (
     Module,
-    ModuleMap,
     cokernel,
     decompose,
     direct_sum,
     dual,
+    hom_coords,
     injective_module,
     iso,
     kernel,
@@ -149,23 +151,11 @@ def _right_module_over_end(data: EndData) -> Module:
     """⊕ M_i as a right module over End(⊕M_i), i.e. a left module over the
     opposite algebra: a basis map g: M_i -> M_j sends block i to block j."""
     aop = data.algebra.op
-    f = aop.field
-    dims = [g.dim for g in data.gens]
-    offs = []
-    tot = 0
-    for d in dims:
-        offs.append(tot)
-        tot += d
-    action = []
-    for k in range(aop.dim):
-        i, j, idx = data.basis_tags[k]
-        gmap = data.hom[(i, j)][idx]
-        mat = Matrix(f, tot, tot)
-        for r in range(dims[j]):
-            for c in range(dims[i]):
-                if gmap.matrix.data[r][c]:
-                    mat.data[offs[j] + r][offs[i] + c] = gmap.matrix.data[r][c]
-        action.append(mat)
+    offs = offsets(g.dim for g in data.gens)
+    tot = offs[-1]
+    action = [Matrix(aop.field, tot, tot).put(offs[j], offs[i],
+                                              data.hom[(i, j)][idx].matrix)
+              for i, j, idx in data.basis_tags]
     return Module(aop, tot, action, check=False)
 
 
@@ -308,7 +298,7 @@ def check_superprojective(gamma: FDAlgebra, e_idems: Sequence[int], n: int,
             break
         cur, _ = cokernel(fmap)
     if cond1 != cond2:
-        raise AssertionError(
+        raise CertificateFailed(
             f"superprojectivity self-test failed: grade={cond1}, chain={cond2}")
     return cond1 and cond2, details
 
@@ -340,28 +330,11 @@ def check_auslander_algebra(gamma: FDAlgebra, m: int, n: int, cap: int) -> bool:
 def ext_top_module(s: Module, n_plus_1: int) -> Module:
     """Ext^{n+1}(S, Γ) as a module over the opposite algebra (top degree:
     the cokernel of the last starred differential)."""
-    a = s.algebra
     res = min_proj_resolution(s, n_plus_1)
     if res.truncated_at is not None or res.length != n_plus_1:
         # Ext above pd vanishes; below top degree not supported here
-        return zero_module(a.op)
-    stars = []
-    bases = []
-    for p in res.modules:
-        sm, basis = star_module(p)
-        stars.append(sm)
-        bases.append(basis)
-    d = res.maps[-1]
-    f = a.field
-    src_star = stars[-2]
-    tgt_star = stars[-1]
-    n = a.dim * res.modules[-1].dim
-    cols = Matrix.from_columns(f, n, [h.matrix.flatten() for h in bases[-1]])
-    dm = Matrix.from_columns(f, len(bases[-1]), [
-        solve(cols, Matrix.column(f, (h.matrix @ d.matrix).flatten())).col(0)
-        for h in bases[-2]])
-    dstar = ModuleMap(src_star, tgt_star, dm, check=False)
-    out, _ = cokernel(dstar)
+        return zero_module(s.algebra.op)
+    out, _ = cokernel(star_map(res.maps[-1]))
     return out
 
 
@@ -541,15 +514,14 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
         return False
     # basis map: each basis hom of Γ maps to a hom between the images
     cols = []
-    for k in range(gamma.dim):
-        i, j, idx = data.basis_tags[k]
-        h = data.hom[(i, j)][idx]
+    for i, j, idx in data.basis_tags:
         hh = module_over_end_map(lam_data,
-                                 module_over_end_map(data, h))
-        vec = _express_in_end(data2, i, j, hh.matrix)
-        if vec is None:
+                                 module_over_end_map(data, data.hom[(i, j)][idx]))
+        c = hom_coords(data2.hom[(i, j)], [hh.matrix])
+        if c is None:
             return False
-        cols.append(vec)
+        cols.append([c.data[t][0] if (ti, tj) == (i, j) else f.zero
+                     for ti, tj, t in data2.basis_tags])
     phi = Matrix.from_columns(f, gamma2.dim, cols)
     from fdhom.linalg import invert
 
@@ -569,20 +541,3 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
                 return False
     return True
 
-
-def _express_in_end(data2: EndData, i: int, j: int, mat: Matrix):
-    """Coefficients of a hom M_i -> M_j inside the basis of End(⊕gens)."""
-    f = data2.algebra.field
-    maps = data2.hom.get((i, j), [])
-    if not maps:
-        return None if not mat.is_zero() else [f.zero] * data2.algebra.dim
-    cols = Matrix.from_columns(f, mat.rows * mat.cols,
-                               [h.matrix.flatten() for h in maps])
-    sol = solve(cols, Matrix.column(f, mat.flatten()))
-    if sol is None:
-        return None
-    out = [f.zero] * data2.algebra.dim
-    for k, (ti, tj, idx) in enumerate(data2.basis_tags):
-        if (ti, tj) == (i, j):
-            out[k] = sol.data[idx][0]
-    return out

@@ -1,8 +1,9 @@
 """Command line interface: file formats, reports, DOT emission.
 
 JSON in, JSON report out.  Exit codes: 0 all verdicts pass, 1 a checked
-property is refuted, 2 input error, 3 indeterminate at a cap.  Every command
-is deterministic given (inputs, seed).
+property is refuted, 2 input error, 3 indeterminate at a cap, 4 an internal
+certificate failed (a fault of the program, never of the input or of the
+property checked).  Every command is deterministic given (inputs, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 from fractions import Fraction
 
 from fdhom.algebra import FDAlgebra, PathExpr, Quiver, build_path_algebra
-from fdhom.errors import FdhomError
+from fdhom.errors import CertificateFailed, FdhomError
 from fdhom.linalg import GF, QQ
 from fdhom.results import AtLeastCap
 
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
+EXIT_CERTIFICATE = 4
 
 
 class InputError(Exception):
@@ -71,6 +73,8 @@ def load_algebra(path: str) -> FDAlgebra:
             return FDAlgebra(field, labels, mult, unit, idems,
                              origin="structure-constants")
         raise InputError(f"{path}: needs a quiver or raw structure constants")
+    except CertificateFailed:
+        raise
     except (KeyError, TypeError, ValueError, FdhomError) as e:
         # TypeError: a value of the wrong JSON type, e.g. "p": null
         raise InputError(f"{path}: {e}")
@@ -538,6 +542,9 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except CertificateFailed as e:
+        print(f"internal certificate failed: {e}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except FdhomError as e:
         print(f"indeterminate: {e}", file=sys.stderr)
         return EXIT_INDETERMINATE

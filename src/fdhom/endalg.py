@@ -4,7 +4,10 @@ For generators M_1..M_r, the algebra has basis the union of hom bases
 Hom(M_i, M_j); the product of f: M_i -> M_j and g: M_j -> M_l is "f then g",
 which makes End(A) of the regular module isomorphic to A itself.  The
 evaluation functor sends X to ⊕_i Hom(M_i, X), a left module over the
-endomorphism algebra by precomposition, and sends M_j to the j-th projective.
+endomorphism algebra by precomposition, and sends M_j to the j-th projective;
+its dual Hom(X, -) gives modules over the opposite algebra.  Both are built
+by one builder, `_hom_module`, and every coordinate in a hom basis (the
+multiplication table included) comes from `modules.hom_coords`.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from typing import Sequence
 
 from fdhom.algebra import FDAlgebra
 from fdhom.errors import PreconditionFailed
-from fdhom.linalg import Matrix, solve
+from fdhom.linalg import Matrix, offsets
 from fdhom.modules import (
     Module,
     ModuleMap,
     decompose,
     hom_basis,
+    hom_coords,
     iso,
     zero_module,
 )
@@ -63,8 +67,7 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    a = gens[0].algebra
-    f = a.field
+    f = gens[0].algebra.field
     if check_indec:
         for g in gens:
             dec = decompose(g, seed=seed)
@@ -74,142 +77,67 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
             for j in range(i + 1, len(gens)):
                 if iso(gens[i], gens[j]) is not None:
                     raise PreconditionFailed("generators are isomorphic")
-    hom = {}
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            hom[(i, j)] = hom_basis(gens[i], gens[j])
-    tags: list[tuple[int, int, int]] = []
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            for idx in range(len(hom[(i, j)])):
-                tags.append((i, j, idx))
+    r = range(len(gens))
+    hom = {(i, j): hom_basis(gens[i], gens[j]) for i in r for j in r}
+    tags = [(i, j, idx) for i in r for j in r for idx in range(len(hom[(i, j)]))]
     dim = len(tags)
-    # per-pair solver: express a map M_i -> M_j in the chosen hom basis
-    solvers = {}
-    for (i, j), maps in hom.items():
-        if not maps:
-            continue
-        solvers[(i, j)] = Matrix.from_columns(
-            f, gens[j].dim * gens[i].dim, [h.matrix.flatten() for h in maps])
-
-    def express(i: int, j: int, mat: Matrix):
-        if (i, j) not in solvers:
-            if not mat.is_zero():
-                raise AssertionError("composite escapes the hom space")
-            return []
-        sol = solve(solvers[(i, j)], Matrix.column(f, mat.flatten()))
-        if sol is None:
-            raise AssertionError("composite escapes the hom space")
-        return sol.col(0)
-
-    mult = [[None] * dim for _ in range(dim)]
-    zero = [f.zero] * dim
-    pos_of = {}
-    cursor = 0
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            for idx in range(len(hom[(i, j)])):
-                pos_of[(i, j, idx)] = cursor
-                cursor += 1
-    for k1, (i1, j1, idx1) in enumerate(tags):
-        h1 = hom[(i1, j1)][idx1]
-        for k2, (i2, j2, idx2) in enumerate(tags):
-            if j1 != i2:
-                mult[k1][k2] = list(zero)
-                continue
-            h2 = hom[(i2, j2)][idx2]
-            comp = h2.matrix @ h1.matrix  # h1 then h2 : M_i1 -> M_j2
-            coeffs = express(i1, j2, comp)
-            vec = list(zero)
-            for idx, c in enumerate(coeffs):
-                if c:
-                    vec[pos_of[(i1, j2, idx)]] = c
-            mult[k1][k2] = vec
+    maps = [hom[(i, j)][idx].matrix for i, j, idx in tags]
+    mult = [[[f.zero] * dim for _ in range(dim)] for _ in range(dim)]
     idems = []
-    unit = list(zero)
-    for i in range(len(gens)):
-        ident = express(i, i, Matrix.identity(f, gens[i].dim))
-        vec = list(zero)
-        for idx, c in enumerate(ident):
-            if c:
-                vec[pos_of[(i, i, idx)]] = c
-        idems.append(vec)
-        unit = [f.add(u, v) for u, v in zip(unit, vec)]
+    for i in r:
+        for l in r:
+            # every composite M_i -> M_j -> M_l ("h1 then h2"), and for i == l
+            # the identity, expressed in the basis of Hom(M_i, M_l) at once
+            pairs = [(k1, k2) for k1, (i1, j1, _) in enumerate(tags) if i1 == i
+                     for k2, (i2, l2, _) in enumerate(tags) if (i2, l2) == (j1, l)]
+            mats = [maps[k2] @ maps[k1] for k1, k2 in pairs]
+            if i == l:
+                mats.append(Matrix.identity(f, gens[i].dim))
+            if not mats:
+                continue
+            coords = hom_coords(hom[(i, l)], mats,
+                                "composite escapes the hom space")
+            vecs = [[coords.data[idx][c] if (ti, tj) == (i, l) else f.zero
+                     for ti, tj, idx in tags] for c in range(len(mats))]
+            for (k1, k2), vec in zip(pairs, vecs):
+                mult[k1][k2] = vec
+            if i == l:
+                idems.append(vecs[-1])
+    unit = [f.zero] * dim
+    for e in idems:
+        unit = [f.add(u, v) for u, v in zip(unit, e)]
     labels = [f"[{i}->{j}#{idx}]" for (i, j, idx) in tags]
     alg = FDAlgebra(f, labels, mult, unit, idems, origin="endomorphism")
     return EndData(alg, gens, hom, tags)
 
 
+def _hom_module(data: EndData, alg: FDAlgebra, blocks: list, pre: bool) -> Module:
+    """⊕ blocks as a left module over alg, the shared builder of the two
+    evaluation functors.  A basis map g: M_i -> M_j acts by precomposition,
+    Hom(M_j, x) -> Hom(M_i, x), w -> g;w (pre), or by postcomposition,
+    Hom(x, M_i) -> Hom(x, M_j), w -> w;g; each image is written in the hom
+    basis of its target block."""
+    offs = offsets(len(b) for b in blocks)
+    tot = offs[-1]
+    if tot == 0:
+        return zero_module(alg)
+    action = []
+    for i, j, idx in data.basis_tags:
+        g = data.hom[(i, j)][idx].matrix
+        src, dst = (j, i) if pre else (i, j)
+        mat = Matrix(alg.field, tot, tot)
+        if blocks[src]:
+            comps = [w.matrix @ g if pre else g @ w.matrix for w in blocks[src]]
+            mat.put(offs[dst], offs[src], hom_coords(
+                blocks[dst], comps, "hom block inconsistency"))
+        action.append(mat)
+    return Module(alg, tot, action, check=False)
+
+
 def module_over_end(data: EndData, x: Module) -> Module:
     """⊕_i Hom(M_i, x) as a left module over End(⊕ M_i) (precomposition)."""
-    a = data.algebra
-    f = a.field
-    blocks = [hom_basis(g, x) for g in data.gens]
-    offs = []
-    tot = 0
-    for b in blocks:
-        offs.append(tot)
-        tot += len(b)
-    if tot == 0:
-        return zero_module(a)
-    # solver per block
-    solvers = []
-    for gi, b in enumerate(blocks):
-        if not b:
-            solvers.append(None)
-            continue
-        solvers.append(Matrix.from_columns(
-            f, x.dim * data.gens[gi].dim, [h.matrix.flatten() for h in b]))
-    action = []
-    for k in range(a.dim):
-        i, j, idx = data.basis_tags[k]
-        gmap = data.hom[(i, j)][idx]
-        mat = Matrix(f, tot, tot)
-        # sends the Hom(M_j, x) block into the Hom(M_i, x) block: w -> g;w
-        for wpos, w in enumerate(blocks[j]):
-            comp = w.matrix @ gmap.matrix
-            if solvers[i] is None:
-                if not comp.is_zero():
-                    raise AssertionError("hom block inconsistency")
-                continue
-            sol = solve(solvers[i], Matrix.column(f, comp.flatten()))
-            for r in range(len(blocks[i])):
-                mat.data[offs[i] + r][offs[j] + wpos] = sol.data[r][0]
-        action.append(mat)
-    return Module(a, tot, action, check=False)
-
-
-def module_over_end_map(data: EndData, fmap: ModuleMap) -> ModuleMap:
-    """Functoriality: a map X -> Y of base modules induces
-    ⊕Hom(M_i, X) -> ⊕Hom(M_i, Y) by postcomposition."""
-    f = data.algebra.field
-    src = module_over_end(data, fmap.source)
-    tgt = module_over_end(data, fmap.target)
-    blocks_x = [hom_basis(g, fmap.source) for g in data.gens]
-    blocks_y = [hom_basis(g, fmap.target) for g in data.gens]
-    offs_x, offs_y = [], []
-    tx = ty = 0
-    for bx, by in zip(blocks_x, blocks_y):
-        offs_x.append(tx)
-        offs_y.append(ty)
-        tx += len(bx)
-        ty += len(by)
-    mat = Matrix(f, tgt.dim, src.dim)
-    for i, bx in enumerate(blocks_x):
-        by = blocks_y[i]
-        if not bx or not by:
-            for wpos, w in enumerate(bx):
-                if not (fmap.matrix @ w.matrix).is_zero():
-                    raise AssertionError("hom block inconsistency")
-            continue
-        cols = Matrix.from_columns(f, fmap.target.dim * data.gens[i].dim,
-                                   [h.matrix.flatten() for h in by])
-        for wpos, w in enumerate(bx):
-            comp = fmap.matrix @ w.matrix  # w then fmap
-            sol = solve(cols, Matrix.column(f, comp.flatten()))
-            for r in range(len(by)):
-                mat.data[offs_y[i] + r][offs_x[i] + wpos] = sol.data[r][0]
-    return ModuleMap(src, tgt, mat, check=False)
+    return _hom_module(data, data.algebra,
+                       [hom_basis(g, x) for g in data.gens], pre=True)
 
 
 def module_over_end_op(data: EndData, x: Module) -> Module:
@@ -218,38 +146,23 @@ def module_over_end_op(data: EndData, x: Module) -> Module:
     This is the cotilting transport functor Hom(-, T) when the generators
     are the indecomposable summands of T.
     """
-    aop = data.algebra.op
-    f = aop.field
-    blocks = [hom_basis(x, g) for g in data.gens]
-    offs = []
-    tot = 0
-    for b in blocks:
-        offs.append(tot)
-        tot += len(b)
-    if tot == 0:
-        return zero_module(aop)
-    solvers = []
-    for gi, b in enumerate(blocks):
-        if not b:
-            solvers.append(None)
-            continue
-        solvers.append(Matrix.from_columns(
-            f, data.gens[gi].dim * x.dim, [h.matrix.flatten() for h in b]))
-    action = []
-    for k in range(aop.dim):
-        i, j, idx = data.basis_tags[k]
-        gmap = data.hom[(i, j)][idx]
-        mat = Matrix(f, tot, tot)
-        # over the opposite algebra, g: M_i -> M_j sends the Hom(x, M_i)
-        # block into the Hom(x, M_j) block: w -> w;g
-        for wpos, w in enumerate(blocks[i]):
-            comp = gmap.matrix @ w.matrix
-            if solvers[j] is None:
-                if not comp.is_zero():
-                    raise AssertionError("hom block inconsistency")
-                continue
-            sol = solve(solvers[j], Matrix.column(f, comp.flatten()))
-            for r in range(len(blocks[j])):
-                mat.data[offs[j] + r][offs[i] + wpos] = sol.data[r][0]
-        action.append(mat)
-    return Module(aop, tot, action, check=False)
+    return _hom_module(data, data.algebra.op,
+                       [hom_basis(x, g) for g in data.gens], pre=False)
+
+
+def module_over_end_map(data: EndData, fmap: ModuleMap) -> ModuleMap:
+    """Functoriality: a map X -> Y of base modules induces
+    ⊕Hom(M_i, X) -> ⊕Hom(M_i, Y) by postcomposition."""
+    blocks_x = [hom_basis(g, fmap.source) for g in data.gens]
+    blocks_y = [hom_basis(g, fmap.target) for g in data.gens]
+    src = _hom_module(data, data.algebra, blocks_x, pre=True)
+    tgt = _hom_module(data, data.algebra, blocks_y, pre=True)
+    offs_x = offsets(len(b) for b in blocks_x)
+    offs_y = offsets(len(b) for b in blocks_y)
+    mat = Matrix(data.algebra.field, tgt.dim, src.dim)
+    for i, (bx, by) in enumerate(zip(blocks_x, blocks_y)):
+        if bx:  # w then fmap
+            mat.put(offs_y[i], offs_x[i], hom_coords(
+                by, [fmap.matrix @ w.matrix for w in bx],
+                "hom block inconsistency"))
+    return ModuleMap(src, tgt, mat, check=False)

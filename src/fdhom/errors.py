@@ -37,6 +37,10 @@ class NoSocleElement(FdhomError):
     """Internal inconsistency: no annihilated extension class was found."""
 
 
+class CertificateFailed(FdhomError):
+    """An internal certificate of a computed result did not check out."""
+
+
 class PreconditionFailed(FdhomError):
     """A certified precondition of an operation was refuted, with the clause."""
 

@@ -14,13 +14,13 @@ from typing import Optional, Sequence
 
 from fdhom.algebra import FDAlgebra, _SpanReducer
 from fdhom.errors import ResolutionTruncated
-from fdhom.linalg import Matrix, solve
 from fdhom.modules import (
     Module,
     ModuleMap,
     cokernel,
     dual,
     hom_basis,
+    hom_coords,
     hom_dim,
     injective_envelope,
     kernel,
@@ -262,46 +262,35 @@ def star_module(p: Module):
     of b is post-composition with right multiplication by b.
     """
     a = p.algebra
-    f = a.field
     basis = hom_basis(p, regular_module(a))
     k = len(basis)
     if k == 0:
         return zero_module(a.op), []
-    n = a.dim * p.dim
-    from fdhom.modules import _left_inverse
+    coords = hom_coords(basis, [a.right_mult_basis(b) @ h.matrix
+                                for b in range(a.dim) for h in basis],
+                        "star action escapes Hom(P, A)")
+    action = [coords.block(0, b * k, k, k) for b in range(a.dim)]
+    return Module(a.op, k, action, check=False), basis
 
-    coords = _left_inverse(Matrix.from_columns(
-        f, n, [h.matrix.flatten() for h in basis]))
-    action = []
-    for b in range(a.dim):
-        rb = a.right_mult_basis(b)
-        imgs = Matrix.from_columns(f, n, [(rb @ h.matrix).flatten() for h in basis])
-        action.append(coords @ imgs)
-    sm = Module(a.op, k, action, check=False)
-    return sm, basis
+
+def star_map(d: ModuleMap) -> ModuleMap:
+    """Hom(d, A): Hom(P_0, A) -> Hom(P_1, A), h -> d;h, for a map d: P_1 -> P_0
+    of projectives, between the star modules over the opposite algebra."""
+    s0, basis0 = star_module(d.target)
+    s1, basis1 = star_module(d.source)
+    dm = hom_coords(basis1, [h.matrix @ d.matrix for h in basis0],
+                    "starred differential escapes Hom(P, A)")
+    return ModuleMap(s0, s1, dm, check=False)
 
 
 def transpose(m: Module) -> Module:
     """Tr m = coker(P_0^* -> P_1^*) over the opposite algebra."""
-    a = m.algebra
     if m.dim == 0:
-        return zero_module(a.op)
+        return zero_module(m.algebra.op)
     res = min_proj_resolution(m, 1)
-    p0 = res.modules[0]
-    s0, basis0 = star_module(p0)
     if res.length == 0:
-        return zero_module(a.op)
-    d1 = res.maps[0]
-    p1 = res.modules[1]
-    s1, basis1 = star_module(p1)
-    f = a.field
-    n = a.dim * p1.dim
-    cols = Matrix.from_columns(f, n, [h.matrix.flatten() for h in basis1])
-    dm = Matrix.from_columns(f, len(basis1), [
-        solve(cols, Matrix.column(f, (h.matrix @ d1.matrix).flatten())).col(0)
-        for h in basis0])
-    dstar = ModuleMap(s0, s1, dm, check=False)
-    tr, _ = cokernel(dstar)
+        return zero_module(m.algebra.op)
+    tr, _ = cokernel(star_map(res.maps[0]))
     return tr
 
 

@@ -174,6 +174,18 @@ class Matrix:
         """The entries in row-major order."""
         return [x for row in self.data for x in row]
 
+    def put(self, r0: int, c0: int, block: "Matrix") -> "Matrix":
+        """Copy block into self with its top-left entry at (r0, c0); returns
+        self, so a block matrix is built as `Matrix(...).put(...)`."""
+        for row, brow in zip(self.data[r0: r0 + block.rows], block.data):
+            row[c0: c0 + block.cols] = brow
+        return self
+
+    def block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols submatrix whose top-left entry is (r0, c0)."""
+        return Matrix._of_rows(self.field, rows, cols, [
+            row[c0: c0 + cols] for row in self.data[r0: r0 + rows]])
+
     # -- basic algebra ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -259,24 +271,26 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"
 
 
+def offsets(sizes: Iterable[int]) -> list[int]:
+    """Where each block starts when blocks of the given sizes are laid end to
+    end; one entry more than there are sizes, the last being the total."""
+    out = [0]
+    for n in sizes:
+        out.append(out[-1] + n)
+    return out
+
+
 def hstack_all(field: FieldSpec, mats: list[Matrix], rows: int) -> Matrix:
-    out = Matrix(field, rows, sum(m.cols for m in mats))
-    j0 = 0
-    for m in mats:
-        for i in range(rows):
-            out.data[i][j0 : j0 + m.cols] = m.data[i]
-        j0 += m.cols
+    offs = offsets(m.cols for m in mats)
+    out = Matrix(field, rows, offs[-1])
+    for m, j0 in zip(mats, offs):
+        out.put(0, j0, m)
     return out
 
 
 def vstack_all(field: FieldSpec, mats: list[Matrix], cols: int) -> Matrix:
-    out = Matrix(field, sum(m.rows for m in mats), cols)
-    i0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            out.data[i0 + i] = m.data[i][:]
-        i0 += m.rows
-    return out
+    return Matrix._of_rows(field, sum(m.rows for m in mats), cols,
+                           [row[:] for m in mats for row in m.data])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:

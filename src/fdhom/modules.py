@@ -30,13 +30,14 @@ from fdhom.algebra import (
     _linear_combination,
     _unit_vec,
 )
-from fdhom.errors import Inconclusive
+from fdhom.errors import CertificateFailed, Inconclusive
 from fdhom.linalg import (
     Matrix,
     column_space_basis,
     hstack_all,
     invert,
     kernel_basis,
+    offsets,
     rank,
     solve,
     vstack_all,
@@ -268,47 +269,31 @@ def direct_sum(mods: Sequence[Module]):
         raise ValueError("empty direct sum: use zero_module")
     a = mods[0].algebra
     f = a.field
-    total = sum(m.dim for m in mods)
-    action = []
-    for b in range(a.dim):
-        big = Matrix(f, total, total)
-        off = 0
-        for m in mods:
-            mb = m.action[b]
-            for r in range(m.dim):
-                big.data[off + r][off: off + m.dim] = mb.data[r]
-            off += m.dim
-        action.append(big)
+    offs = offsets(m.dim for m in mods)
+    total = offs[-1]
+    action = [Matrix(f, total, total) for _ in range(a.dim)]
+    for m, off in zip(mods, offs):
+        for big, mb in zip(action, m.action):
+            big.put(off, off, mb)
     ps = coord = be = inj = None
     if all(m.proj_summands is not None and m.coord_summand is not None
            for m in mods):
         ps, coord = [], []
-        off = 0
-        for m in mods:
-            base = len(ps)
-            for (v, g) in m.proj_summands:
-                gg = [f.zero] * total
-                gg[off: off + m.dim] = g
-                ps.append((v, gg))
-            coord.extend(base + c for c in m.coord_summand)
-            off += m.dim
+        for m, off in zip(mods, offs):
+            coord.extend(len(ps) + c for c in m.coord_summand)
+            ps.extend((v, [f.zero] * off + g + [f.zero] * (total - off - m.dim))
+                      for v, g in m.proj_summands)
     if all(m.basis_elements is not None for m in mods):
         be = [v for m in mods for v in m.basis_elements]
     if all(m.inj_summands is not None for m in mods):
         inj = [v for m in mods for v in m.inj_summands]
     s = Module(a, total, action, check=False, proj_summands=ps,
                coord_summand=coord, basis_elements=be, inj_summands=inj)
-    incls, projs = [], []
-    off = 0
-    for m in mods:
-        inc = Matrix(f, total, m.dim)
-        prj = Matrix(f, m.dim, total)
-        for r in range(m.dim):
-            inc.data[off + r][r] = f.one
-            prj.data[r][off + r] = f.one
-        incls.append(ModuleMap(m, s, inc, check=False))
-        projs.append(ModuleMap(s, m, prj, check=False))
-        off += m.dim
+    ids = [Matrix.identity(f, m.dim) for m in mods]
+    incls = [ModuleMap(m, s, Matrix(f, total, m.dim).put(off, 0, i), check=False)
+             for m, off, i in zip(mods, offs, ids)]
+    projs = [ModuleMap(s, m, Matrix(f, m.dim, total).put(0, off, i), check=False)
+             for m, off, i in zip(mods, offs, ids)]
     return s, incls, projs
 
 
@@ -508,6 +493,24 @@ def hom_dim(x: Module, y: Module) -> int:
     return len(hom_basis(x, y))
 
 
+def hom_coords(basis: Sequence[ModuleMap], mats: Sequence[Matrix],
+               what: Optional[str] = None) -> Optional[Matrix]:
+    """Coordinates of the matrices in an independent hom basis, one column
+    per matrix, from one solve over all of them stacked together.
+
+    None when some matrix lies outside the span; a certified caller passes
+    `what`, and then that raises CertificateFailed instead.  Either the basis
+    or the list of matrices must be nonempty.
+    """
+    ref = basis[0].matrix if basis else mats[0]
+    f, n = ref.field, ref.rows * ref.cols
+    sol = solve(Matrix.from_columns(f, n, [h.matrix.flatten() for h in basis]),
+                Matrix.from_columns(f, n, [m.flatten() for m in mats]))
+    if sol is None and what is not None:
+        raise CertificateFailed(what)
+    return sol
+
+
 # -- radical, top, socle -------------------------------------------------------
 
 
@@ -569,7 +572,7 @@ def projective_cover(m: Module):
         if covered.dim() == t.dim:
             break
     if covered.dim() != t.dim:
-        raise AssertionError("top not covered: missing generators")
+        raise CertificateFailed("top not covered: missing generators")
     parts = [projective_module(a, v) for v, _ in chosen]
     p, _, _ = direct_sum(parts) if parts else (zero_module(a), [], [])
     cols = []
@@ -581,14 +584,14 @@ def projective_cover(m: Module):
     mat = Matrix.from_columns(f, m.dim, cols)
     epi = ModuleMap(p, m, mat, check=False)
     if rank(mat) != m.dim:
-        raise AssertionError("cover map is not surjective")
+        raise CertificateFailed("cover map is not surjective")
     # minimality: kernel inside rad P
     kb = kernel_basis(mat)
     if kb.cols:
         radp, incl = radical_of_module(p)
         for k in range(kb.cols):
             if solve(incl.matrix, Matrix.column(f, kb.col(k))) is None:
-                raise AssertionError("cover kernel escapes the radical")
+                raise CertificateFailed("cover kernel escapes the radical")
     return p, epi
 
 
@@ -644,18 +647,18 @@ class Resolution:
             comp = (seq[i + 1].then(seq[i]) if self.flavor == "projective"
                     else seq[i].then(seq[i + 1]))
             if not comp.is_zero():
-                raise AssertionError("composite not zero in resolution")
+                raise CertificateFailed("composite not zero in resolution")
         prev_rank = self.aug.rank()
         if prev_rank != self.target.dim:
-            raise AssertionError("augmentation fails at the resolved module")
+            raise CertificateFailed("augmentation fails at the resolved module")
         for i, d in enumerate(self.maps):
             if d.rank() != self.modules[i].dim - prev_rank:
-                raise AssertionError("resolution not exact")
+                raise CertificateFailed("resolution not exact")
             prev_rank = d.rank()
         if self.truncated_at is None:
             # termination: exact at the last term as well
             if prev_rank != self.modules[-1].dim:
-                raise AssertionError("resolution does not terminate exactly")
+                raise CertificateFailed("resolution does not terminate exactly")
 
 
 def min_proj_resolution(m: Module, cap: int) -> Resolution:
@@ -872,20 +875,11 @@ class Decomposition:
 
     def reassembled(self):
         """(S, to_module, from_module) with both composites identities."""
-        s, sincl, sproj = direct_sum(self.leaves) if self.leaves else (
-            zero_module(self.module.algebra), [], [])
-        f = self.module.algebra.field
-        to_m = Matrix(f, self.module.dim, s.dim)
-        from_m = Matrix(f, s.dim, self.module.dim)
-        off = 0
-        for leaf, inc, prj in zip(self.leaves, self.incls, self.projs):
-            for j in range(leaf.dim):
-                for i in range(self.module.dim):
-                    to_m.data[i][off + j] = inc.matrix.data[i][j]
-            for i in range(leaf.dim):
-                for j in range(self.module.dim):
-                    from_m.data[off + i][j] = prj.matrix.data[i][j]
-            off += leaf.dim
+        s = direct_sum(self.leaves)[0] if self.leaves else \
+            zero_module(self.module.algebra)
+        f, n = self.module.algebra.field, self.module.dim
+        to_m = hstack_all(f, [inc.matrix for inc in self.incls], n)
+        from_m = vstack_all(f, [prj.matrix for prj in self.projs], n)
         return s, ModuleMap(s, self.module, to_m, check=False), \
             ModuleMap(self.module, s, from_m, check=False)
 
@@ -916,10 +910,10 @@ def decompose(m: Module, seed: int = 0, budget: int = 64) -> Decomposition:
     total = Matrix(f, m.dim, m.dim)
     for l, i_, p_ in zip(mods, incls, projs):
         if p_.matrix @ i_.matrix != Matrix.identity(f, l.dim):
-            raise AssertionError("split pair does not retract")
+            raise CertificateFailed("split pair does not retract")
         total = total + i_.matrix @ p_.matrix
     if total != Matrix.identity(f, m.dim):
-        raise AssertionError("split idempotents do not sum to the identity")
+        raise CertificateFailed("split idempotents do not sum to the identity")
     reps: list[tuple[Module, int]] = []
     for x in mods:
         for k, (r, mult) in enumerate(reps):
@@ -1044,22 +1038,14 @@ def right_approximation(gens: Sequence[Module], x: Module):
     if not keep:
         z = zero_module(a)
         return zero_map(z, x), []
-    parts = [gens[copies[q][0]] for q in keep]
-    msum, _, _ = direct_sum(parts)
-    mat = Matrix(f, x.dim, msum.dim)
-    off = 0
-    for q, part in zip(keep, parts):
-        hm = copies[q][1].matrix
-        for j in range(part.dim):
-            for i in range(x.dim):
-                mat.data[i][off + j] = hm.data[i][j]
-        off += part.dim
+    msum, _, _ = direct_sum([gens[copies[q][0]] for q in keep])
+    mat = hstack_all(f, [copies[q][1].matrix for q in keep], x.dim)
     # certificate: every basis map gen -> x factors through the result
     for gi, g in enumerate(gens):
         red = through(gi, keep)
         for h in hom_basis(g, x):
             if not red.contains(h.matrix.flatten()):
-                raise AssertionError("approximation certificate failed")
+                raise CertificateFailed("approximation certificate failed")
     return ModuleMap(msum, x, mat, check=False), [copies[q][0] for q in keep]
 
 

@@ -17,6 +17,7 @@ from fdhom.algebra import FDAlgebra, _SpanReducer, _linear_combination
 from fdhom.endalg import EndData, end_algebra, module_over_end
 from fdhom.errors import (
     CapExceeded,
+    CertificateFailed,
     Inconclusive,
     IncompleteEnumeration,
     NoSocleElement,
@@ -31,7 +32,7 @@ from fdhom.homology import (
     tau_n,
     two_sided_mn,
 )
-from fdhom.linalg import Matrix, invert, kernel_basis, solve
+from fdhom.linalg import Matrix, invert, kernel_basis, offsets, solve, vstack_all
 from fdhom.modules import (
     Module,
     ModuleMap,
@@ -310,11 +311,11 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
         [not _splits_mono(incl_tz), not _splits_epi(e_to_z)],
     )
     if not incl_tz.is_injective() or not e_to_z.is_surjective():
-        raise AssertionError("pushout sequence not exact at the ends")
+        raise CertificateFailed("pushout sequence not exact at the ends")
     if incl_tz.rank() + e_to_z.rank() != mid.dim:
-        raise AssertionError("pushout sequence not exact in the middle")
+        raise CertificateFailed("pushout sequence not exact in the middle")
     if _splits_epi(e_to_z):
-        raise AssertionError("almost split sequence splits")
+        raise CertificateFailed("almost split sequence splits")
     return seq
 
 
@@ -340,7 +341,7 @@ def _lift_through(q: ModuleMap, phi: Matrix) -> Matrix:
     rhs = Matrix.column(f, (phi @ q.matrix).flatten())
     sol = solve(cols, rhs)
     if sol is None:
-        raise AssertionError("projective lifting failed")
+        raise CertificateFailed("projective lifting failed")
     return _linear_combination(f, p.dim, p.dim, sol.col(0),
                                [e.matrix for e in endos].__getitem__)
 
@@ -354,12 +355,7 @@ def _pushout(f1: ModuleMap, f2: ModuleMap):
     alg = a.algebra
     f = alg.field
     bc, incls, _ = direct_sum([b, c])
-    graph = Matrix(f, bc.dim, a.dim)
-    for j in range(a.dim):
-        for i in range(b.dim):
-            graph.data[i][j] = f1.matrix.data[i][j]
-        for i in range(c.dim):
-            graph.data[b.dim + i][j] = f.neg(f2.matrix.data[i][j])
+    graph = vstack_all(f, [f1.matrix, f2.matrix.scale(-1)], a.dim)
     po, proj = cokernel(ModuleMap(a, bc, graph, check=False))
     c_to_po = incls[1].then(proj)
     b_to_po = incls[0].then(proj)
@@ -371,15 +367,11 @@ def _induced_out(mid: Module, out_data, q: ModuleMap) -> ModuleMap:
     proj, incls = out_data
     f = mid.algebra.field
     z = q.target
-    bc = incls[0].target
-    big = Matrix(f, z.dim, bc.dim)
-    for j in range(q.source.dim):
-        for i in range(z.dim):
-            big.data[i][j] = q.matrix.data[i][j]
+    big = Matrix(f, z.dim, incls[0].target.dim).put(0, 0, q.matrix)
     # solve E -> Z from (B⊕C) -> Z through the projection (it kills the graph)
     sol = solve(proj.matrix.transpose(), big.transpose())
     if sol is None:
-        raise AssertionError("induced map does not descend to the pushout")
+        raise CertificateFailed("induced map does not descend to the pushout")
     return ModuleMap(mid, z, sol.transpose(), check=False)
 
 
@@ -426,7 +418,7 @@ def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
             if _is_retraction(h):
                 continue
             if not red.contains(h.matrix.flatten()):
-                raise AssertionError("lifting property fails on the right")
+                raise CertificateFailed("lifting property fails on the right")
         homs2 = hom_basis(y, w)
         drops = hom_basis(fmap.target, w)
         red2 = _hom_span_reducer([u.matrix @ fmap.matrix for u in drops],
@@ -435,7 +427,7 @@ def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
             if _is_section(h):
                 continue
             if not red2.contains(h.matrix.flatten()):
-                raise AssertionError("extension property fails on the left")
+                raise CertificateFailed("extension property fails on the left")
 
 
 def _is_retraction(h: ModuleMap) -> bool:
@@ -465,7 +457,7 @@ def n_almost_split(gens: Sequence[Module], x_index: int, n: int,
     s = simple_module(gamma, x_index)
     res = min_proj_resolution(s, n + 2)
     if res.truncated_at is not None or res.length != n + 1:
-        raise AssertionError(
+        raise CertificateFailed(
             f"simple at X has pd {res.length if res.truncated_at is None else '>cap'}"
             f", expected {n + 1}")
     terms: list[Module] = []
@@ -492,12 +484,12 @@ def n_almost_split(gens: Sequence[Module], x_index: int, n: int,
     # exactness of the module sequence 0 -> Y -> ... -> X -> 0
     ranks = [m.rank() for m in maps_seq]
     if not maps_seq[0].is_injective():
-        raise AssertionError("transported sequence not exact at Y")
+        raise CertificateFailed("transported sequence not exact at Y")
     for k in range(1, len(maps_seq)):
         if ranks[k] != terms_seq[k].dim - ranks[k - 1]:
-            raise AssertionError("transported sequence not exact")
+            raise CertificateFailed("transported sequence not exact")
     if ranks[-1] != terms_seq[-1].dim:
-        raise AssertionError("transported sequence not onto X")
+        raise CertificateFailed("transported sequence not onto X")
     return AlmostSplitSeq(n, terms_seq, maps_seq, rad_flags)
 
 
@@ -508,16 +500,8 @@ def _transport_map(data: EndData, q_src, q_tgt, src_verts, tgt_verts,
     f = gamma.field
     # generator images: d(gen of copy c) decomposed per target copy as an
     # element of the endomorphism algebra, then into a Λ-map block
-    src_offs = []
-    off = 0
-    for v in src_verts:
-        src_offs.append(off)
-        off += data.gens[v].dim
-    tgt_offs = []
-    off = 0
-    for v in tgt_verts:
-        tgt_offs.append(off)
-        off += data.gens[v].dim
+    src_offs = offsets(data.gens[v].dim for v in src_verts)
+    tgt_offs = offsets(data.gens[v].dim for v in tgt_verts)
     big = Matrix(f, m_tgt.dim, m_src.dim)
     for c, (v, gen) in enumerate(q_src.proj_summands):
         img = d.matrix @ Matrix.column(f, gen)
@@ -537,39 +521,20 @@ def _transport_map(data: EndData, q_src, q_tgt, src_verts, tgt_verts,
                             elt[r] = f.add(elt[r], f.mul(cval, be[r]))
             if not any_nz:
                 continue
-            block = data.element_block(elt, v, v2)
-            for i in range(data.gens[v2].dim):
-                for j in range(data.gens[v].dim):
-                    if block.data[i][j]:
-                        big.data[tgt_offs[c2] + i][src_offs[c] + j] = \
-                            block.data[i][j]
+            big.put(tgt_offs[c2], src_offs[c], data.element_block(elt, v, v2))
     return ModuleMap(m_src, m_tgt, big, check=True)
 
 
 def _map_in_radical(mp: ModuleMap, src_verts, tgt_verts, data: EndData) -> bool:
     """All blocks between isomorphic indecomposable summands non-invertible."""
-    f = mp.source.algebra.field
-    src_offs = []
-    off = 0
-    for v in src_verts:
-        src_offs.append(off)
-        off += data.gens[v].dim
-    tgt_offs = []
-    off = 0
-    for v in tgt_verts:
-        tgt_offs.append(off)
-        off += data.gens[v].dim
+    src_offs = offsets(data.gens[v].dim for v in src_verts)
+    tgt_offs = offsets(data.gens[v].dim for v in tgt_verts)
     for c, v in enumerate(src_verts):
         for c2, v2 in enumerate(tgt_verts):
-            if data.gens[v].dim != data.gens[v2].dim:
+            d = data.gens[v].dim
+            if d != data.gens[v2].dim or iso(data.gens[v], data.gens[v2]) is None:
                 continue
-            if iso(data.gens[v], data.gens[v2]) is None:
-                continue
-            block = Matrix(f, data.gens[v2].dim, data.gens[v].dim)
-            for i in range(data.gens[v2].dim):
-                for j in range(data.gens[v].dim):
-                    block.data[i][j] = mp.matrix.data[tgt_offs[c2] + i][src_offs[c] + j]
-            if invert(block) is not None:
+            if invert(mp.matrix.block(tgt_offs[c2], src_offs[c], d, d)) is not None:
                 return False
     return True
 
@@ -783,26 +748,12 @@ def _satisfies_relations(a: FDAlgebra, dims, mats, arrow_ends) -> bool:
 
 
 def _module_from_rep(a: FDAlgebra, dims, mats, arrow_ends) -> Module:
-    f = a.field
-    nv = len(dims)
-    offs = []
-    off = 0
-    for d in dims:
-        offs.append(off)
-        off += d
-    total = off
+    offs = offsets(dims)
+    total = offs[-1]
     action = []
-    pd_ = a.path_data
-    for k in range(a.dim):
-        src = pd_["sources"][k]
-        arrows_seq = pd_["arrows"][k]
+    for src, arrows_seq in zip(a.path_data["sources"], a.path_data["arrows"]):
         m, tgt = _path_matrix(a, dims, mats, arrow_ends, arrows_seq, src)
-        big = Matrix(f, total, total)
-        for i in range(dims[tgt]):
-            for j in range(dims[src]):
-                if m.data[i][j]:
-                    big.data[offs[tgt] + i][offs[src] + j] = m.data[i][j]
-        action.append(big)
+        action.append(Matrix(a.field, total, total).put(offs[tgt], offs[src], m))
     return Module(a, total, action, check=False)
 
 
