@@ -45,7 +45,6 @@ class EndData:
     def element_block(self, coeffs, i: int, j: int) -> Matrix:
         """The M_i -> M_j component of an algebra element, as a Λ-map matrix."""
         f = self.algebra.field
-        base = self.gens[i].dim
         out = Matrix(f, self.gens[j].dim, self.gens[i].dim)
         for k, c in enumerate(coeffs):
             if not c:

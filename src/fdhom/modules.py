@@ -47,7 +47,7 @@ from fdhom.linalg import (
 class Module:
     __slots__ = ("algebra", "dim", "action", "proj_summands", "inj_summands",
                  "coord_summand", "basis_elements", "_gen_action", "_vblocks",
-                 "_ext_cache")
+                 "_ext_cache", "_dual")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action: list[Matrix],
                  check: bool = True, proj_summands=None, inj_summands=None,
@@ -66,6 +66,7 @@ class Module:
         self._gen_action = None
         self._vblocks = None
         self._ext_cache = None
+        self._dual = None  # the module this one was built as the dual of
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         if check:
@@ -94,19 +95,14 @@ class Module:
         """(B, ranges): columns of B concatenate bases of the e_v-components;
         ranges[v] = (start, stop) inside B's columns.  B is invertible."""
         if self._vblocks is None:
-            a = self.algebra
-            f = a.field
-            parts = []
-            ranges = []
-            start = 0
-            for e in a.idempotents:
-                basis = column_space_basis(self.act_vec(e))
-                parts.append(basis)
-                ranges.append((start, start + basis.cols))
-                start += basis.cols
-            if start != self.dim:
+            f = self.algebra.field
+            parts = [column_space_basis(self.act_vec(e))
+                     for e in self.algebra.idempotents]
+            offs = offsets(b.cols for b in parts)
+            ranges = list(zip(offs, offs[1:]))
+            if offs[-1] != self.dim:
                 raise ValueError("idempotent components do not exhaust the module")
-            b = hstack_all(f, parts, self.dim) if parts else Matrix(f, self.dim, 0)
+            b = hstack_all(f, parts, self.dim)
             binv = invert(b) if self.dim else Matrix(f, 0, 0)
             if self.dim and binv is None:
                 raise ValueError("vertex components are not independent")
@@ -247,15 +243,22 @@ def simple_module(a: FDAlgebra, i: int) -> Module:
 
 def injective_module(a: FDAlgebra, i: int) -> Module:
     """I_i = D(e_i A): dual of the opposite-side projective at i."""
-    m = dual(projective_module(a.op, i))
-    m.inj_summands = [i]
-    return m
+    return dual(projective_module(a.op, i))
 
 
 def dual(m: Module) -> Module:
-    """Vector-space dual over the opposite algebra (transposed action)."""
-    return Module(m.algebra.op, m.dim,
-                  [mat.transpose() for mat in m.action], check=False)
+    """Vector-space dual over the opposite algebra (transposed action).
+
+    The result remembers m, so the dual of a dual is m itself, bookkeeping
+    included; a known sum of projectives dualizes to the sum of the
+    injectives at the same vertices."""
+    if m._dual is not None:
+        return m._dual
+    d = Module(m.algebra.op, m.dim, [mat.transpose() for mat in m.action],
+               check=False, inj_summands=None if m.proj_summands is None
+               else [v for v, _ in m.proj_summands])
+    d._dual = m
+    return d
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -405,11 +408,8 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
     xd = [b - a for a, b in rx]
     yd = [b - a for a, b in ry]
     # unknown: block F_v of shape yd[v] x xd[v]; offsets into the flat vector
-    off = [0] * nv
-    tot = 0
-    for v in range(nv):
-        off[v] = tot
-        tot += xd[v] * yd[v]
+    off = offsets(xd[v] * yd[v] for v in range(nv))
+    tot = off[-1]
     if tot == 0:
         return []
     rows: list[list] = []
@@ -448,7 +448,6 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
     out = []
     for kcol in range(ker.cols):
         col = ker.col(kcol)
-        fb = Matrix(f, y.dim, x.dim)
         # assemble block-diagonal map in adapted coords
         adapted = Matrix(f, sum(yd), sum(xd))
         for v in range(nv):
@@ -611,7 +610,6 @@ def injective_envelope(m: Module):
         return z, zero_map(m, z)
     pd_, q = projective_cover(dual(m))
     env = dual(pd_)
-    env.inj_summands = [v for v, _ in pd_.proj_summands]
     mono = ModuleMap(m, env, q.matrix.transpose(), check=False)
     return env, mono
 
@@ -684,11 +682,7 @@ def min_proj_resolution(m: Module, cap: int) -> Resolution:
 def min_inj_coresolution(m: Module, cap: int) -> Resolution:
     """Dualized projective resolution of the dual module."""
     res = min_proj_resolution(dual(m), cap)
-    modules = []
-    for p in res.modules:
-        i = dual(p)
-        i.inj_summands = [v for v, _ in p.proj_summands]
-        modules.append(i)
+    modules = [dual(p) for p in res.modules]
     maps = [dual_map(d) for d in res.maps]
     aug = ModuleMap(m, modules[0], res.aug.matrix.transpose(), check=False)
     return Resolution("injective", m, modules, maps, aug,

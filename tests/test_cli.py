@@ -115,6 +115,30 @@ def test_invariants_malformed_shape_is_input_error(tmp_path, capsys, doc):
     assert main(["invariants", path]) == 2
 
 
+def test_invariants_certificate_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a failed internal certificate is a fault of the program (4): never
+    # "refuted" (1), bad input (2) or indeterminate (3)
+    import fdhom.modules
+
+    monkeypatch.setattr(fdhom.modules, "rank", lambda m: -1)
+    path = write(tmp_path, "ka2.json", KA2)
+    assert main(["invariants", path, "--cap", "8"]) == 4
+    assert "internal certificate failed" in capsys.readouterr().err
+
+
+def test_certificate_failure_while_loading_exits_4(tmp_path, capsys, monkeypatch):
+    # load_algebra turns library errors into input errors, but not this one
+    import fdhom.cli
+    from fdhom.errors import CertificateFailed
+
+    def fail(*args, **kwargs):
+        raise CertificateFailed("trace radical disagrees with the arrow ideal")
+
+    monkeypatch.setattr(fdhom.cli, "build_path_algebra", fail)
+    path = write(tmp_path, "ka2.json", KA2)
+    assert main(["invariants", path]) == 4
+
+
 def test_vertex_module_over_structure_constants_is_input_error(tmp_path, capsys):
     # a structure-constant algebra has no quiver, hence no vertex names
     alg = write(tmp_path, "dualnum.json", DUAL_NUMBERS)

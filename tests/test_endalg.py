@@ -5,11 +5,12 @@ from fdhom.endalg import (
     module_over_end_map,
     module_over_end_op,
 )
-from fdhom.homology import ext_dim
+from fdhom.homology import ext_dim, star_module
 from fdhom.modules import (
     dual,
     hom_basis,
     hom_dim,
+    identity_map,
     injective_module,
     iso,
     projective_module,
@@ -17,6 +18,8 @@ from fdhom.modules import (
     simple_module,
     zero_module,
 )
+from fdhom.auslander import ext_top_module
+from fdhom.linalg import Matrix
 from fdhom.presets import loop_algebra, path_algebra_a_n, preprojective_a_n
 from fdhom.subcats import knit_indecomposables
 
@@ -94,3 +97,59 @@ def test_cotilting_transport_preserves_ext():
             gy = module_over_end_op(data, y)
             for i in range(3):
                 assert ext_dim(x, y, i) == ext_dim(gy, gx, i)
+
+
+def test_module_over_end_op_of_generator_is_opposite_projective():
+    # Hom(M_j, ⊕M_i) is the right ideal e_j End, the projective at j over End^op
+    for a in (preprojective_a_n(2), path_algebra_a_n(3)):
+        inds, _ = knit_indecomposables(a)
+        data = end_algebra(inds)
+        for j, g in enumerate(data.gens):
+            pj = module_over_end_op(data, g)
+            assert iso(pj, projective_module(data.algebra.op, j)) is not None
+
+
+def test_star_of_projective_is_opposite_projective():
+    # Hom(A e_i, A) ≅ e_i A, the projective at i over A^op
+    for a in (preprojective_a_n(2), path_algebra_a_n(3), loop_algebra(2)):
+        for i in range(len(a.idempotents)):
+            sm, _ = star_module(projective_module(a, i))
+            assert iso(sm, projective_module(a.op, i)) is not None
+
+
+def test_module_over_end_map_respects_identities_and_composites():
+    a = path_algebra_a_n(3)
+    inds, _ = knit_indecomposables(a)
+    data = end_algebra(inds)
+    mods = inds + [regular_module(a)]
+    for x in mods:
+        fid = module_over_end_map(data, identity_map(x))
+        assert fid.matrix == Matrix.identity(a.field, fid.source.dim)
+    composed = 0
+    for x in mods:
+        for y in mods:
+            for z in mods:
+                for f in hom_basis(x, y):
+                    for g in hom_basis(y, z):
+                        lhs = module_over_end_map(data, f.then(g)).matrix
+                        rhs = (module_over_end_map(data, g).matrix
+                               @ module_over_end_map(data, f).matrix)
+                        assert lhs == rhs
+                        composed += 1
+    assert composed > 20
+
+
+def test_ext_top_module_dimension_is_top_ext():
+    # the Auslander algebras of the acceptance suite have gl.dim 2 = n + 1
+    for a in (path_algebra_a_n(2), path_algebra_a_n(3), loop_algebra(2)):
+        inds, _ = knit_indecomposables(a)
+        gamma = end_algebra(inds).algebra
+        reg = regular_module(gamma)
+        tops = 0
+        for v in range(len(gamma.idempotents)):
+            s = simple_module(gamma, v)
+            top = ext_top_module(s, 2)
+            assert top.algebra is gamma.op
+            assert top.dim == ext_dim(s, reg, 2)
+            tops += top.dim
+        assert tops > 0

@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library's ast.
 
-They keep one definition of each helper, no dead private helpers, and every
-attribute of FDAlgebra declared in algebra.py itself.
+They keep one definition of each helper, no dead private helpers, every
+attribute of FDAlgebra declared in algebra.py itself, and no assertions in the
+package.
 """
 
 import ast
@@ -63,4 +64,20 @@ def test_fdalgebra_attributes_are_set_only_in_algebra_py():
             for t in targets:
                 if isinstance(t, ast.Attribute) and is_fdalgebra(t.value):
                     found.append(f"{name}:{t.lineno}")
+    assert found == []
+
+
+def test_no_assert_or_assertion_error_in_the_package():
+    # internal checks raise CertificateFailed, which the CLI maps to exit
+    # code 4; an AssertionError would escape it and exit 1, "refuted", and an
+    # assert statement vanishes under python -O
+    found = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                    isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append(f"{name}:{node.lineno}")
     assert found == []

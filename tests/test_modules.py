@@ -3,13 +3,15 @@ import random
 import pytest
 
 from fdhom.algebra import cartan_matrix
-from fdhom.linalg import GF, QQ, Matrix
+from fdhom.errors import CertificateFailed
+from fdhom.linalg import GF, QQ, Matrix, rank
 from fdhom.modules import (
     Module,
     decompose,
     direct_sum,
     dual,
     hom_basis,
+    hom_coords,
     hom_dim,
     injective_envelope,
     injective_module,
@@ -136,6 +138,27 @@ def test_dual_projective_is_opposite_injective():
 def test_dual_zero():
     a = path_algebra_a_n(2)
     assert dual(zero_module(a)).dim == 0
+
+
+def test_dual_of_dual_is_the_module_itself():
+    a = preprojective_a_n(2)
+    for v in range(2):
+        p = projective_module(a.op, v)
+        assert dual(injective_module(a, v)) is p
+        assert p.proj_summands is not None and p.basis_elements is not None
+    s, _, _ = direct_sum([projective_module(a, 0), projective_module(a, 1)])
+    assert dual(dual(s)) is s
+
+
+def test_dual_of_projective_sum_knows_its_injective_summands():
+    a = path_algebra_a_n(3)
+    s, _, _ = direct_sum([projective_module(a, 2), projective_module(a, 0),
+                          projective_module(a, 2)])
+    assert dual(s).inj_summands == [2, 0, 2]
+    env, _ = injective_envelope(simple_module(a, 1))
+    assert env.inj_summands == [1]
+    assert injective_module(a, 1).inj_summands == [1]
+    assert dual(simple_module(a, 1)).inj_summands is None
 
 
 def test_radical_top_socle():
@@ -424,6 +447,70 @@ def hom_basis_public(x, y):
         x2 = Module(x.algebra, x.dim, x.action, check=False)
         return hom_basis(x2, y)
     return hom_basis(x, y)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_hom_coords_reproduce_every_matrix(field):
+    a = path_algebra_a_n(3, field=field)
+    rng = random.Random(4)
+    pairs = [(projective_module(a, 0), regular_module(a)),
+             (regular_module(a), regular_module(a)),
+             (simple_module(a, 1), injective_module(a, 1))]
+    for x, y in pairs:
+        basis = hom_basis(x, y)
+        assert basis
+        mats = [h.matrix for h in basis]
+        coeffs = [[field.of(rng.randint(-3, 3)) for _ in basis]
+                  for _ in range(4)]
+        combos = [_combination(field, mats, c) for c in coeffs]
+        coords = hom_coords(basis, combos)
+        # the basis is independent, so the coordinates are the coefficients
+        assert [coords.col(k) for k in range(len(combos))] == coeffs
+        for k, m in enumerate(combos):
+            assert _combination(field, mats, coords.col(k)) == m
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_hom_coords_outside_the_span_is_none(field):
+    a = path_algebra_a_n(3, field=field)
+    x, y = projective_module(a, 0), regular_module(a)
+    basis = hom_basis(x, y)
+    outside = []
+    for i in range(y.dim):
+        for j in range(x.dim):
+            e = Matrix(field, y.dim, x.dim)
+            e.data[i][j] = field.one
+            flat = Matrix.from_columns(
+                field, y.dim * x.dim, [h.matrix.flatten() for h in basis]
+                + [e.flatten()])
+            if rank(flat) > len(basis):
+                outside.append(e)
+    assert outside
+    for e in outside:
+        assert hom_coords(basis, [basis[0].matrix, e]) is None
+        with pytest.raises(CertificateFailed):
+            hom_coords(basis, [e], "escapes")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_hom_coords_with_an_empty_basis(field):
+    a = path_algebra_a_n(3, field=field)
+    x, y = simple_module(a, 0), simple_module(a, 2)
+    assert hom_basis(x, y) == []
+    zero = Matrix(field, y.dim, x.dim)
+    coords = hom_coords([], [zero, zero])
+    assert coords.shape == (0, 2)
+    one = Matrix.identity(field, 1)
+    assert hom_coords([], [zero, one]) is None
+    with pytest.raises(CertificateFailed):
+        hom_coords([], [one], "escapes")
+
+
+def _combination(field, mats, coeffs):
+    out = Matrix(field, mats[0].rows, mats[0].cols)
+    for c, m in zip(coeffs, mats):
+        out = out + m.scale(c)
+    return out
 
 
 def test_gf2_module_machinery():
