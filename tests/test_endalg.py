@@ -125,18 +125,18 @@ def test_module_over_end_map_respects_identities_and_composites():
     for x in mods:
         fid = module_over_end_map(data, identity_map(x))
         assert fid.matrix == Matrix.identity(a.field, fid.source.dim)
+    homs = {(x, y): [(h, module_over_end_map(data, h).matrix)
+                     for h in hom_basis(mods[x], mods[y])]
+            for x in range(len(inds)) for y in range(len(inds))}
     composed = 0
-    for x in mods:
-        for y in mods:
-            for z in mods:
-                for f in hom_basis(x, y):
-                    for g in hom_basis(y, z):
-                        lhs = module_over_end_map(data, f.then(g)).matrix
-                        rhs = (module_over_end_map(data, g).matrix
-                               @ module_over_end_map(data, f).matrix)
-                        assert lhs == rhs
-                        composed += 1
-    assert composed > 20
+    for (x, y), fs in homs.items():
+        for z in range(len(inds)):
+            for f, ff in fs:
+                for g, fg in homs[(y, z)]:
+                    fgf = module_over_end_map(data, f.then(g)).matrix
+                    composed += not fgf.is_zero()
+                    assert fgf == fg @ ff
+    assert composed > 10
 
 
 def test_ext_top_module_dimension_is_top_ext():
