@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fdhom.errors import (BadRelation, CertificateFailed, FieldTooSmall,
-                          Inconclusive, NotAdmissible)
+from fdhom.errors import (BadRelation, FieldTooSmall, Inconclusive,
+                          NotAdmissible)
 from fdhom.linalg import FieldSpec, Matrix, kernel_basis, solve
 
 Vec = list  # coefficient vector over the algebra basis
@@ -123,11 +123,6 @@ class FDAlgebra:
         self.relations = relations
         self.path_data = path_data  # path-algebra bookkeeping (basis walks etc.)
         self._memo: dict = {}
-        # p > dim makes the trace-form radical valid; algebras with a quiver
-        # presentation keep an arrow-ideal radical and may live over F_2/F_3
-        if (field.kind == "Fp" and self.dim >= field.p
-                and path_data is None and self.dim > 0):
-            raise FieldTooSmall(f"need p > dim, got p={field.p}, dim={self.dim}")
         if check:
             self._verify()
 
@@ -158,30 +153,16 @@ class FDAlgebra:
         return self.memo(("right_mult_basis", j), lambda: Matrix.from_columns(
             self.field, self.dim, [row[j] for row in self.mult]))
 
-    def left_mult(self, x: Vec) -> Matrix:
-        """Matrix of m -> x * m on coefficient vectors."""
-        return _linear_combination(self.field, self.dim, self.dim, x,
-                                   self.left_mult_basis)
-
     def right_mult(self, x: Vec) -> Matrix:
         """Matrix of m -> m * x on coefficient vectors."""
         return _linear_combination(self.field, self.dim, self.dim, x,
                                    self.right_mult_basis)
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            multi = self.mult[i]
-            for j, cj in enumerate(y):
-                if not cj:
-                    continue
-                c = f.mul(ci, cj)
-                for k, v in enumerate(multi[j]):
-                    if v:
-                        out[k] = f.add(out[k], f.mul(c, v))
+        out = self.zero_vec()
+        for k, c in _sparse_product(self.field, self.mult_nonzeros(),
+                                    _sparse(x), _sparse(y)).items():
+            out[k] = c
         return out
 
     def zero_vec(self) -> Vec:
@@ -231,54 +212,33 @@ class FDAlgebra:
 
     @_memoized
     def radical_basis(self) -> list[Vec]:
-        """Basis of the Jacobson radical.
+        """Basis of the Jacobson radical, certified over every field.
 
-        Algebras with a quiver presentation use the arrow ideal (valid over
-        any field, cross-checked against the trace form when that is valid).
-        Otherwise the Dickson trace form is used, which needs QQ or p > dim.
+        The radical proposed from the stored idempotents, `_idempotent_radical`,
+        is kept when its certificate holds.  Otherwise (say k^n given with the
+        single idempotent 1) it is the kernel of the trace form tr(L_x L_y),
+        which Dickson's criterion makes valid over QQ and for p > dim; over a
+        smaller prime field FieldTooSmall is raised.
         """
-        f = self.field
-        n = self.dim
-        arrow_ideal = None
-        if self.path_data is not None:
-            arrow_ideal = [
-                self.basis_vec(i)
-                for i in range(n)
-                if self.path_data["lengths"][i] >= 1
-            ]
-        trace_valid = f.kind == "Q" or f.p > n
-        if arrow_ideal is None and not trace_valid:
-            raise FieldTooSmall(f"trace-form radical needs p > dim = {n}")
-        rad = None
-        if trace_valid:
-            # c_is^r = mult[i][s][r], the b_r-coefficient of b_i * b_s, is
-            # entry (r, s) of L_i, so tr(L_i L_j) = sum of c_is^r * c_jr^s:
-            # pair each nonzero of L_i with those of every L_j at the
-            # transposed position
-            tr = Matrix(f, n, n)
-            nonzeros = [
-                [((s, r), c) for s, vec in enumerate(self.mult[i])
-                 for r, c in enumerate(vec) if c]
-                for i in range(n)
-            ]
-            at = {}
-            for j, entries in enumerate(nonzeros):
-                for pos, c in entries:
-                    at.setdefault(pos, []).append((j, c))
-            for i, entries in enumerate(nonzeros):
-                row = tr.data[i]
-                for (s, r), c in entries:
-                    for j, d in at.get((r, s), ()):
-                        row[j] += c * d
-                if f.kind == "Fp":
-                    row[:] = [x % f.p for x in row]
-            ker = kernel_basis(tr)
-            rad = [ker.col(k) for k in range(ker.cols)]
-        if arrow_ideal is not None:
-            if rad is not None and not _same_span(f, rad, arrow_ideal, n):
-                raise CertificateFailed("trace radical disagrees with the arrow ideal")
-            rad = arrow_ideal
-        return rad
+        rad = _idempotent_radical(self)
+        if rad is not None:
+            return rad
+        f, n = self.field, self.dim
+        if f.kind == "Fp" and f.p <= n:
+            raise FieldTooSmall(
+                f"the radical could not be certified over {f} (dim {n})")
+        # tr(L_i L_j) = tr(L_{b_i b_j}), and tr(L_r) sums mult[r][s][s]
+        tr_l = [f.of(sum(mk[s][s] for s in range(n))) for mk in self.mult]
+        ker = kernel_basis(Matrix._of_rows(f, n, n, [
+            [f.of(sum(c * tr_l[r] for r, c in v)) for v in row]
+            for row in self.mult_nonzeros()]))
+        return [ker.col(k) for k in range(ker.cols)]
+
+    @_memoized
+    def mult_nonzeros(self) -> list[list[list[tuple[int, object]]]]:
+        """Entry [s][t] lists (r, c), c the nonzero b_r-coefficient of b_s b_t."""
+        return [[[(r, c) for r, c in enumerate(vec) if c] for vec in row]
+                for row in self.mult]
 
     @_memoized
     def homogeneous_generators(self) -> Optional[list[tuple[int, int, Vec]]]:
@@ -392,10 +352,88 @@ class _SpanReducer:
         return list(self.pivot_of_row)
 
 
-def _same_span(f: FieldSpec, a: list[Vec], b: list[Vec], n: int) -> bool:
-    ra = _SpanReducer(f, a, n)
-    rb = _SpanReducer(f, b, n)
-    return all(ra.contains(v) for v in b) and all(rb.contains(v) for v in a)
+def _idempotent_radical(a: FDAlgebra) -> Optional[list[Vec]]:
+    """The radical proposed from the idempotents e_1..e_r, or None when its
+    certificate fails.
+
+    Where each corner e_i A e_i is local with residue field k, lambda_i(b) is
+    the c with e_i b e_i - c e_i nilpotent, and the candidate J is the kernel
+    of pi = (lambda_1, ..., lambda_r): A -> k^r, the span of every e_j A e_i
+    with i != j plus ker lambda_i on each corner.  With P_i: b -> e_i b e_i,
+    lambda_i(b) = tr(L_b P_i) / tr(P_i) when p does not divide the corner's
+    dimension tr(P_i); otherwise each c in F_p is tried.  Certificate: pi is
+    onto and multiplicative, so J is an ideal with dim A - dim J = r and
+    A/J = k^r semisimple (rad A lies in J), and J^L = 0 for some L (J lies in
+    rad A).  This holds over every field.
+    """
+    f, n, zero = a.field, a.dim, a.field.zero
+    nz = a.mult_nonzeros()
+    rows = []
+    for e in map(_sparse, a.idempotents):
+        corner = [_sparse_product(f, nz, _sparse_product(f, nz, e, {m: f.one}), e)
+                  for m in range(n)]  # P_i b_m
+        entries = [(m, l, v) for m, pm in enumerate(corner) for l, v in pm.items()]
+        d = f.of(sum(v for m, l, v in entries if l == m))
+        if d:  # tr(L_b P_i) sums the b_m-coefficients of b P_i b_m
+            rows.append([f.div(f.of(sum(v * a.mult[b][l][m] for m, l, v in entries)), d)
+                         for b in range(n)])
+        else:
+            rows.append([_residue(f, nz, e, pm) for pm in corner])
+            if None in rows[-1]:
+                return None
+    ker = kernel_basis(Matrix._of_rows(f, len(rows), n, rows))
+    if ker.cols != n - len(rows):
+        return None
+    cols = [[(i, row[m]) for i, row in enumerate(rows) if row[m]] for m in range(n)]
+    for k in range(n):
+        for l in range(n):
+            got = {}
+            for m, c in nz[k][l]:
+                for i, v in cols[m]:
+                    got[i] = f.add(got.get(i, zero), f.mul(c, v))
+            want = {i: f.mul(v, rows[i][l]) for i, v in cols[k] if rows[i][l]}
+            if {i: v for i, v in got.items() if v} != want:
+                return None
+    rad = [ker.col(k) for k in range(ker.cols)]
+    gens = power = [_sparse(v) for v in rad]
+    while power:  # J^(k+1) = J^k J, strictly smaller while nonzero
+        red = _SpanReducer(f, [], n)
+        for xy in (_sparse_product(f, nz, x, y) for x in power for y in gens):
+            if xy:
+                red.add([xy.get(r, zero) for r in range(n)])
+        if red.dim() >= len(power):
+            return None
+        power = [_sparse(v) for v in red.rows]
+    return rad
+
+
+def _sparse(v: Vec) -> dict:
+    return {r: c for r, c in enumerate(v) if c}
+
+
+def _sparse_product(f: FieldSpec, nz, x: dict, y: dict) -> dict:
+    """x * y for vectors given as {index: nonzero coefficient}, likewise,
+    from the structure constants nz of `FDAlgebra.mult_nonzeros`."""
+    out: dict = {}
+    for s, c in x.items():
+        for t, d in y.items():
+            for r, v in nz[s][t]:
+                out[r] = f.add(out.get(r, 0), f.mul(f.mul(c, d), v))
+    return {r: c for r, c in out.items() if c}
+
+
+def _residue(f: FieldSpec, nz, e: dict, x: dict):
+    """The c in F_p with x - c e nilpotent, or None when there is none
+    (sparse vectors as in `_sparse_product`).  A nilpotent y has y^dim = 0,
+    so y is squared until the exponent passes dim."""
+    for c in range(f.p) if x else [f.zero]:
+        y = {r: v for r in x.keys() | e.keys()
+             if (v := f.sub(x.get(r, 0), f.mul(c, e.get(r, 0))))}
+        for _ in range(len(nz).bit_length()):
+            y = _sparse_product(f, nz, y, y)
+        if not y:
+            return c
+    return None
 
 
 # -- path algebra construction ----------------------------------------------
@@ -579,9 +617,7 @@ def build_path_algebra(
         idempotents.append(vec)
         unit = [field.add(a, b) for a, b in zip(unit, vec)]
 
-    lengths = [len(paths[pi].arrows) for pi in basis_paths]
     sources = [paths[pi].source for pi in basis_paths]
-    targets = [paths[pi].target for pi in basis_paths]
     walks = [paths[pi].arrows for pi in basis_paths]
     return FDAlgebra(
         field,
@@ -592,13 +628,7 @@ def build_path_algebra(
         origin="path-algebra",
         quiver=q,
         relations=list(rels),
-        path_data={
-            "lengths": lengths,
-            "sources": sources,
-            "targets": targets,
-            "arrows": walks,
-            "nilpotency": found_n,
-        },
+        path_data={"sources": sources, "arrows": walks},
     )
 
 
@@ -709,7 +739,7 @@ def cartan_matrix(a: FDAlgebra) -> list[list[int]]:
 
 
 def semisimple_quotient(a: FDAlgebra):
-    """(A/J, projection matrix). Valid under the radical preconditions."""
+    """(A/J, projection matrix); FieldTooSmall as in `FDAlgebra.radical_basis`."""
     rad = a.radical_basis()
     return _quotient_algebra(a, rad, origin="semisimple-quotient")
 

@@ -16,9 +16,10 @@ from typing import Optional, Sequence
 from fdhom.algebra import FDAlgebra, quotient_by_idempotent_ideal
 from fdhom.endalg import (
     EndData,
+    _evaluation,
+    _induced_map,
     end_algebra,
     module_over_end,
-    module_over_end_map,
 )
 from fdhom.errors import (CertificateFailed, IncompleteEnumeration,
                           PreconditionFailed)
@@ -506,8 +507,10 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
     data = pres.data
     gamma = data.algebra
     f = gamma.field
-    images = [module_over_end(lam_data, module_over_end(data, g))
-              for g in data.gens]
+    # each evaluation module is built once and shared by the induced maps
+    ev = [_evaluation(data, g) for g in data.gens]
+    ev_lam = [_evaluation(lam_data, m) for _, m in ev]
+    images = [m for _, m in ev_lam]
     data2 = end_algebra(images, check_indec=False)
     gamma2 = data2.algebra
     if gamma2.dim != gamma.dim:
@@ -515,8 +518,8 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
     # basis map: each basis hom of Γ maps to a hom between the images
     cols = []
     for i, j, idx in data.basis_tags:
-        hh = module_over_end_map(lam_data,
-                                 module_over_end_map(data, data.hom[(i, j)][idx]))
+        hh = _induced_map(_induced_map(data.hom[(i, j)][idx], ev[i], ev[j]),
+                          ev_lam[i], ev_lam[j])
         c = hom_coords(data2.hom[(i, j)], [hh.matrix])
         if c is None:
             return False

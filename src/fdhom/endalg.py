@@ -133,10 +133,16 @@ def _hom_module(data: EndData, alg: FDAlgebra, blocks: list, pre: bool) -> Modul
     return Module(alg, tot, action, check=False)
 
 
+def _evaluation(data: EndData, x: Module):
+    """(blocks, module): the hom bases Hom(M_i, x) and ⊕_i Hom(M_i, x) built
+    from them as a left module over End(⊕ M_i) (precomposition)."""
+    blocks = [hom_basis(g, x) for g in data.gens]
+    return blocks, _hom_module(data, data.algebra, blocks, pre=True)
+
+
 def module_over_end(data: EndData, x: Module) -> Module:
     """⊕_i Hom(M_i, x) as a left module over End(⊕ M_i) (precomposition)."""
-    return _hom_module(data, data.algebra,
-                       [hom_basis(g, x) for g in data.gens], pre=True)
+    return _evaluation(data, x)[1]
 
 
 def module_over_end_op(data: EndData, x: Module) -> Module:
@@ -152,13 +158,17 @@ def module_over_end_op(data: EndData, x: Module) -> Module:
 def module_over_end_map(data: EndData, fmap: ModuleMap) -> ModuleMap:
     """Functoriality: a map X -> Y of base modules induces
     ⊕Hom(M_i, X) -> ⊕Hom(M_i, Y) by postcomposition."""
-    blocks_x = [hom_basis(g, fmap.source) for g in data.gens]
-    blocks_y = [hom_basis(g, fmap.target) for g in data.gens]
-    src = _hom_module(data, data.algebra, blocks_x, pre=True)
-    tgt = _hom_module(data, data.algebra, blocks_y, pre=True)
+    return _induced_map(fmap, _evaluation(data, fmap.source),
+                        _evaluation(data, fmap.target))
+
+
+def _induced_map(fmap: ModuleMap, ev_x, ev_y) -> ModuleMap:
+    """module_over_end_map on the evaluations ev_x, ev_y of fmap's source and
+    target, as returned by `_evaluation`."""
+    (blocks_x, src), (blocks_y, tgt) = ev_x, ev_y
     offs_x = offsets(len(b) for b in blocks_x)
     offs_y = offsets(len(b) for b in blocks_y)
-    mat = Matrix(data.algebra.field, tgt.dim, src.dim)
+    mat = Matrix(src.algebra.field, tgt.dim, src.dim)
     for i, (bx, by) in enumerate(zip(blocks_x, blocks_y)):
         if bx:  # w then fmap
             mat.put(offs_y[i], offs_x[i], hom_coords(

@@ -14,7 +14,7 @@ class NotAdmissible(FdhomError):
 
 
 class FieldTooSmall(FdhomError):
-    """Prime field with p <= dim: the trace-form radical is not trustworthy."""
+    """The radical could not be certified over this field."""
 
 
 class Inconclusive(FdhomError):

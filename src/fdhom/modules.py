@@ -30,7 +30,7 @@ from fdhom.algebra import (
     _linear_combination,
     _unit_vec,
 )
-from fdhom.errors import CertificateFailed, Inconclusive
+from fdhom.errors import CertificateFailed, FieldTooSmall, Inconclusive
 from fdhom.linalg import (
     Matrix,
     column_space_basis,
@@ -790,8 +790,11 @@ def cosyzygy(m: Module, k: int = 1) -> Module:
 def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
     """An invertible intertwiner x -> y, or None when provably none exists.
 
-    Raises Inconclusive when hom spaces are nonzero both ways and dimensions
-    match but no invertible combination was found within the budget.
+    Exact when End(x) is certified local: id_x = phi^-1 phi for an
+    isomorphism phi is a sum of composites g_b f_a of basis maps, one of them
+    a unit, so f_a is a split mono between modules of equal dimension, found
+    by the loop over the basis maps.  For a non-local x, raises Inconclusive
+    when no invertible combination was found within the budget.
     """
     if x.algebra is not y.algebra:
         raise ValueError("iso across algebras")
@@ -802,16 +805,14 @@ def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
     if x.vertex_dims() != y.vertex_dims():
         return None
     homs = hom_basis(x, y)
-    if not homs:
-        return None
-    if not hom_basis(y, x):
+    if not homs or not hom_basis(y, x):
         return None
     for h in homs:
         if invert(h.matrix) is not None:
             return h
+    if len(homs) == 1 or _end_is_local(hom_basis(x, x)):
+        return None  # scalar multiples of one map, or End(x) local
     f = x.algebra.field
-    if len(homs) == 1:
-        return None  # the whole hom space is scalar multiples of one map
     rng = random.Random(seed)
     mats = [h.matrix for h in homs]
     if f.kind == "Fp" and f.p ** len(homs) <= 4096:
@@ -819,8 +820,6 @@ def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
             if invert(m) is not None:
                 return ModuleMap(x, y, m, check=False)
         return None
-    if x.dim <= 10 and len(homs) <= 8 and _det_identically_zero(f, homs):
-        return None  # no combination of homs is invertible
     for _ in range(budget):
         m = _linear_combination(f, y.dim, x.dim,
                                 [rng.randint(-4, 4) for _ in mats], mats.__getitem__)
@@ -835,26 +834,6 @@ def _fp_combinations(f, mats: list[Matrix]):
     rows, cols = mats[0].shape
     for coeffs in itertools.product(range(f.p), repeat=len(mats)):
         yield _linear_combination(f, rows, cols, coeffs, mats.__getitem__)
-
-
-def _det_identically_zero(f, homs) -> bool:
-    """Does det(sum t_k h_k) vanish identically (no invertible combination)?"""
-    import sympy
-
-    n = homs[0].matrix.rows
-    ts = sympy.symbols(f"t0:{len(homs)}")
-    m = sympy.zeros(n, n)
-    for t, h in zip(ts, homs):
-        for i in range(n):
-            for j in range(n):
-                e = h.matrix.data[i][j]
-                if e:
-                    m[i, j] += t * (sympy.Rational(e) if f.kind == "Q" else int(e))
-    det = sympy.expand(m.det())
-    if f.kind == "Fp":
-        det = sympy.Poly(det, *ts, modulus=f.p) if det != 0 else det
-        return det == 0 or det.is_zero
-    return det == 0
 
 
 class Decomposition:
@@ -946,7 +925,7 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
         eps = _idempotent_from_matrix(f, h, idm)
         if eps is not None and not eps.is_zero() and eps != idm:
             return eps
-    if _end_is_local(x, endos):
+    if _end_is_local(endos):
         return None
     raise Inconclusive("endomorphism block resisted idempotent splitting")
 
@@ -966,28 +945,28 @@ def _idempotent_from_matrix(f, h: Matrix, idm: Matrix):
     return None if eps is None else square(eps)
 
 
-def _trace_form(f, mats: list[Matrix]) -> Matrix:
-    """Gram matrix tr(m_i m_j) of square matrices (End(x) trace form)."""
-    n = len(mats)
-    tr = Matrix(f, n, n)
-    for i in range(n):
-        for j in range(i, n):
-            prod = mats[i] @ mats[j]
-            acc = f.zero
-            for d in range(prod.rows):
-                acc = f.add(acc, prod.data[d][d])
-            tr.data[i][j] = acc
-            tr.data[j][i] = acc
-    return tr
+def _rad_end_basis(endos: Sequence[ModuleMap]) -> list[Matrix]:
+    """Basis of rad End(x), as matrices, from endos = hom_basis(x, x), x != 0:
+    `FDAlgebra.radical_basis` of End(x) in that basis, with idempotent id_x."""
+    f, n, dim = endos[0].matrix.field, len(endos), endos[0].source.dim
+    mats = [h.matrix for h in endos]
+    coords = hom_coords(endos, [u @ v for u in mats for v in mats]
+                        + [Matrix.identity(f, dim)], "composite escapes End(x)")
+    cols = [coords.col(k) for k in range(n * n + 1)]
+    end = FDAlgebra(f, [f"h{k}" for k in range(n)],
+                    [cols[k * n:(k + 1) * n] for k in range(n)], cols[-1],
+                    [cols[-1]], origin="endomorphism", check=False)
+    return [_linear_combination(f, dim, dim, v, mats.__getitem__)
+            for v in end.radical_basis()]
 
 
-def _end_is_local(x: Module, endos) -> bool:
-    """Certify End(x) local via its semisimple quotient (valid field sizes)."""
-    f = x.algebra.field
-    if f.kind == "Fp" and f.p <= len(endos):
+def _end_is_local(endos: Sequence[ModuleMap]) -> bool:
+    """Is End(x) local with residue field k?  Such an End(x) certifies its
+    radical from id_x, so FieldTooSmall means that it is not."""
+    try:
+        return len(endos) - len(_rad_end_basis(endos)) == 1
+    except FieldTooSmall:
         return False
-    raddim = kernel_basis(_trace_form(f, [h.matrix for h in endos])).cols
-    return len(endos) - raddim == 1
 
 
 # -- approximations --------------------------------------------------------------

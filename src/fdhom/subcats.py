@@ -18,7 +18,6 @@ from fdhom.endalg import EndData, end_algebra, module_over_end
 from fdhom.errors import (
     CapExceeded,
     CertificateFailed,
-    Inconclusive,
     IncompleteEnumeration,
     NoSocleElement,
     PreconditionFailed,
@@ -36,8 +35,7 @@ from fdhom.linalg import Matrix, invert, kernel_basis, offsets, solve, vstack_al
 from fdhom.modules import (
     Module,
     ModuleMap,
-    _fp_combinations,
-    _trace_form,
+    _rad_end_basis,
     cokernel,
     decompose,
     direct_sum,
@@ -211,27 +209,6 @@ class AlmostSplitSeq:
         return self.terms[0], self.terms[-1]
 
 
-def _rad_end_basis(x: Module) -> list[Matrix]:
-    """Basis of rad End(x) for indecomposable x.
-
-    Trace form over QQ or big enough p; over tiny fields the non-units are
-    enumerated outright (they form the radical of the local ring)."""
-    endos = [h.matrix for h in hom_basis(x, x)]
-    f = x.algebra.field
-    n = len(endos)
-    if n == 1:
-        return []
-    if f.kind == "Fp" and f.p <= max(n, x.dim):
-        if f.p ** n > 4096:
-            raise Inconclusive("endomorphism radical out of reach over F_p")
-        red = _SpanReducer(f, [], x.dim * x.dim)
-        return [m for m in _fp_combinations(f, endos)
-                if invert(m) is None and red.add(m.flatten())]
-    ker = kernel_basis(_trace_form(f, endos))
-    return [_linear_combination(f, x.dim, x.dim, ker.col(k), endos.__getitem__)
-            for k in range(ker.cols)]
-
-
 def _hom_span_reducer(maps, rows, cols, field):
     red = _SpanReducer(field, [], rows * cols)
     for m in maps:
@@ -261,12 +238,12 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     # radical endomorphisms phi of Z, psi of tau Z
     conds: list[list] = []
     omega_phis = []
-    for phi in _rad_end_basis(z):
+    for phi in _rad_end_basis(hom_basis(z, z)):
         # lift phi through the cover, then restrict to the kernel
         lift = _lift_through(q, phi)
         om_phi = solve(om_incl.matrix, lift @ om_incl.matrix)
         omega_phis.append(om_phi)
-    psis = _rad_end_basis(tz)
+    psis = _rad_end_basis(hom_basis(tz, tz))
     dim_flat = tz.dim * om.dim
     # express the two families of linear conditions in terms of the quotient
     # by proj_red: build the quotient coordinates once
@@ -594,7 +571,7 @@ def _radical_hom_dim(w: Module, x: Module) -> int:
     d = hom_dim(w, x)
     if w.dim == x.dim and iso(w, x) is not None:
         endos = hom_basis(w, w)
-        return d - (len(endos) - len(_rad_end_basis(w)))
+        return d - (len(endos) - len(_rad_end_basis(endos)))
     return d
 
 

@@ -18,7 +18,7 @@ from fdhom.algebra import (
     semisimple_quotient,
 )
 from fdhom.errors import BadRelation, NotAdmissible
-from fdhom.linalg import GF, QQ, Matrix
+from fdhom.linalg import GF, QQ, Matrix, rank
 from fdhom.presets import (
     loop_algebra,
     path_algebra_a_n,
@@ -268,14 +268,16 @@ def test_small_prime_path_algebra_allowed():
     assert len(a.radical_basis()) == 2
 
 
-def test_small_prime_raw_algebra_rejected():
-    from fdhom.algebra import FDAlgebra
-    from fdhom.errors import FieldTooSmall
-
+def test_small_prime_raw_algebra_radical():
+    # the same algebra given only by structure constants: its radical is
+    # certified from the idempotents, over F_2 too
     a = preprojective_a_n(2, field=GF(2))
-    with pytest.raises(FieldTooSmall):
-        FDAlgebra(a.field, a.basis_labels, a.mult, a.unit, a.idempotents,
+    b = FDAlgebra(a.field, a.basis_labels, a.mult, a.unit, a.idempotents,
                   origin="endomorphism")
+    rad = b.radical_basis()
+    assert len(rad) == 2
+    arrows = [a.basis_vec(a.basis_labels.index(x)) for x in ("a1", "b1")]
+    assert rank(Matrix(a.field, 4, a.dim, rad + arrows)) == 2
 
 
 def test_build_over_gf7():

@@ -154,6 +154,34 @@ def test_raw_structure_constants(tmp_path, capsys):
     assert code == 3  # periodic resolutions: genuinely cut off at the cap
 
 
+def test_raw_structure_constants_over_f2(tmp_path, capsys):
+    # the radical is certified from the idempotent over F_2 as well: the
+    # report is the one over QQ
+    doc = dict(DUAL_NUMBERS, field={"kind": "Fp", "p": 2})
+    path = write(tmp_path, "dualnum_f2.json", doc)
+    code, out_doc, _ = run(capsys, ["invariants", path, "--cap", "6"])
+    assert out_doc["verdicts"]["dim"] == 2
+    assert out_doc["verdicts"]["gldim"] == {"at_least": 6}
+    assert code == 3
+
+
+def test_uncertified_radical_is_indeterminate(tmp_path, capsys):
+    # k x k over F_2 given with the single idempotent 1: its corner is not
+    # local, and the trace form needs p > dim, so FieldTooSmall is raised;
+    # the input is valid, so that is indeterminate (3), not an input error (2)
+    doc = {
+        "version": 1,
+        "field": {"kind": "Fp", "p": 2},
+        "basis": ["e1", "e2"],
+        "mult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        "unit": [1, 1],
+        "idempotents": [[1, 1]],
+    }
+    path = write(tmp_path, "kxk_f2.json", doc)
+    assert main(["invariants", path, "--cap", "6"]) == 3
+    assert "could not be certified" in capsys.readouterr().err
+
+
 def test_raw_structure_constants_invalid(tmp_path, capsys):
     doc = {
         "version": 1,

@@ -1,8 +1,8 @@
 """Static checks on the package source, with the standard library's ast.
 
 They keep one definition of each helper, no dead private helpers, every
-attribute of FDAlgebra declared in algebra.py itself, and no assertions in the
-package.
+attribute of FDAlgebra declared in algebra.py itself, no assertions in the
+package, and sympy imported in one place only.
 """
 
 import ast
@@ -81,3 +81,23 @@ def test_no_assert_or_assertion_error_in_the_package():
                     isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _imports_sympy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "sympy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "sympy"
+    return False
+
+
+def test_sympy_is_imported_only_by_crt_idempotent():
+    # the one use of sympy is factoring minimal polynomials for idempotent
+    # splitting; radicals and isomorphism tests need no symbolic algebra
+    found = [f"{name}:<module>" for name, tree in TREES.items()
+             for node in tree.body if _imports_sympy(node)]
+    found += [f"{name}:{fn.name}" for name, tree in TREES.items()
+              for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if _imports_sympy(node)]
+    assert found == ["algebra.py:_crt_idempotent"]

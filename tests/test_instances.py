@@ -5,14 +5,15 @@ import pytest
 from fdhom.algebra import Quiver, build_path_algebra
 from fdhom.endalg import end_algebra
 from fdhom.homology import domdim, gldim
+from fdhom.linalg import QQ
 from fdhom.presets import loop_algebra
 from fdhom.subcats import knit_indecomposables
 
 
-def d4_subspace_algebra():
+def d4_subspace_algebra(field=QQ):
     q = Quiver.make(["0", "1", "2", "3"],
                     [("a", "1", "0"), ("b", "2", "0"), ("c", "3", "0")])
-    return build_path_algebra(q, [])
+    return build_path_algebra(q, [], field=field)
 
 
 def test_loop_cubed_auslander_algebra():
