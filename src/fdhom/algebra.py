@@ -95,8 +95,7 @@ class FDAlgebra:
 
     Everything derived from the structure constants and kept for reuse (the
     opposite algebra, multiplication matrices, the radical, projective
-    modules, ...) lives in one per-algebra memo, read and written only
-    through `memo`.
+    modules, ...) lives in one per-algebra memo, written only through `memo`.
     """
 
     def __init__(
@@ -174,38 +173,31 @@ class FDAlgebra:
     # -- structure -------------------------------------------------------------
 
     def _verify(self):
-        f = self.field
-        n = self.dim
+        """Unit laws, the idempotent family and associativity on every triple
+        of basis elements, all from the nonzero structure constants."""
+        f, n = self.field, self.dim
         if n == 0:
             return
-        # unit laws
+        nz = self.mult_nonzeros()
+        unit = _sparse(self.unit)
         for j in range(n):
-            if self.multiply(self.unit, self.basis_vec(j)) != self.basis_vec(j):
+            bj = {j: f.one}
+            if _sparse_product(f, nz, unit, bj) != bj:
                 raise ValueError(f"unit fails on the left of b_{j}")
-            if self.multiply(self.basis_vec(j), self.unit) != self.basis_vec(j):
+            if _sparse_product(f, nz, bj, unit) != bj:
                 raise ValueError(f"unit fails on the right of b_{j}")
-        # associativity: exhaustive at desk scale, sampled above it
-        if n <= 24:
-            triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        else:
-            rng = random.Random(0)
-            triples = [
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(2000)
-            ]
-        for i, j, k in triples:
-            left = self.multiply(self.mult[i][j], self.basis_vec(k))
-            right = self.multiply(self.basis_vec(i), self.mult[j][k])
-            if left != right:
-                raise ValueError(f"associativity fails on ({i},{j},{k})")
-        # idempotent family
-        tot = [f.zero] * n
-        for a, e in enumerate(self.idempotents):
-            if self.multiply(e, e) != e:
+        bad = _first_nonassociative_triple(f, nz)
+        if bad is not None:
+            raise ValueError(f"associativity fails on ({bad[0]},{bad[1]},{bad[2]})")
+        idems = [_sparse(e) for e in self.idempotents]
+        for a, e in enumerate(idems):
+            if _sparse_product(f, nz, e, e) != e:
                 raise ValueError(f"idempotent {a} is not idempotent")
-            for b, e2 in enumerate(self.idempotents):
-                if a != b and any(self.multiply(e, e2)):
+            for b, e2 in enumerate(idems):
+                if a != b and _sparse_product(f, nz, e, e2):
                     raise ValueError(f"idempotents {a},{b} not orthogonal")
+        tot = [f.zero] * n
+        for e in self.idempotents:
             tot = [f.add(u, v) for u, v in zip(tot, e)]
         if tot != self.unit:
             raise ValueError("idempotents do not sum to the unit")
@@ -219,7 +211,14 @@ class FDAlgebra:
         single idempotent 1) it is the kernel of the trace form tr(L_x L_y),
         which Dickson's criterion makes valid over QQ and for p > dim; over a
         smaller prime field FieldTooSmall is raised.
+
+        A and its opposite `op` have the same radical, and both routes above
+        give it the same basis on the two; whichever of the two algebras is
+        asked second takes the other's.
         """
+        twin = self._memo.get("op")
+        if twin is not None and "radical_basis" in twin._memo:
+            return twin.radical_basis()
         rad = _idempotent_radical(self)
         if rad is not None:
             return rad
@@ -263,8 +262,10 @@ class FDAlgebra:
                     piece = self.multiply(wg, ev)
                     if any(piece):
                         pieces.append((v, w, piece))
-        sq = [self.multiply(x, y) for x in rad for y in rad]
-        red = _SpanReducer(f, sq, n)
+        nz, srad = self.mult_nonzeros(), [_sparse(x) for x in rad]
+        sq = [_sparse_product(f, nz, x, y) for x in srad for y in srad]
+        red = _SpanReducer(f, [[xy.get(r, f.zero) for r in range(n)]
+                               for xy in sq if xy], n)
         chosen: list[tuple[int, int, Vec]] = []
         for v, w, g in pieces:
             if red.add(g):
@@ -405,6 +406,38 @@ def _idempotent_radical(a: FDAlgebra) -> Optional[list[Vec]]:
             return None
         power = [_sparse(v) for v in red.rows]
     return rad
+
+
+def _first_nonassociative_triple(f: FieldSpec, nz) -> Optional[tuple[int, int, int]]:
+    """The least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or None, from
+    the structure constants nz of `FDAlgebra.mult_nonzeros`.
+
+    For each middle index j, (b_i b_j) b_k is summed over the pairs with
+    b_i b_j != 0 and b_i (b_j b_k) over those with b_j b_k != 0; a triple
+    that neither reaches is zero on both sides.
+    """
+    n = len(nz)
+    right_of = [[(k, v) for k, v in enumerate(row) if v] for row in nz]
+    left_of = [[(i, nz[i][s]) for i in range(n) if nz[i][s]] for s in range(n)]
+    p = f.p if f.kind == "Fp" else None
+    bad = []
+    for j in range(n):
+        assoc: dict = {}  # (i, k) -> (b_i b_j) b_k - b_i (b_j b_k)
+        for i in range(n):
+            for r, c in nz[i][j]:
+                for k, vec in right_of[r]:
+                    acc = assoc.setdefault((i, k), {})
+                    for t, d in vec:
+                        acc[t] = acc.get(t, 0) + c * d
+        for k in range(n):
+            for s, c in nz[j][k]:
+                for i, vec in left_of[s]:
+                    acc = assoc.setdefault((i, k), {})
+                    for t, d in vec:
+                        acc[t] = acc.get(t, 0) - c * d
+        bad += [(i, j, k) for (i, k), acc in assoc.items()
+                if any(x % p if p else x for x in acc.values())]
+    return min(bad, default=None)
 
 
 def _sparse(v: Vec) -> dict:

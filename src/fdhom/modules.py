@@ -28,6 +28,8 @@ from fdhom.algebra import (
     _SpanReducer,
     _crt_idempotent,
     _linear_combination,
+    _sparse,
+    _sparse_product,
     _unit_vec,
 )
 from fdhom.errors import CertificateFailed, FieldTooSmall, Inconclusive
@@ -182,9 +184,11 @@ def identity_map(x: Module) -> ModuleMap:
 
 def _coord_summands_from_elements(a: FDAlgebra, elements) -> Optional[list[int]]:
     """Unique vertex v with b*e_v = b, per element; None if not homogeneous."""
+    f, nz = a.field, a.mult_nonzeros()
+    idems = [_sparse(e) for e in a.idempotents]
     out = []
-    for b in elements:
-        hits = [v for v, e in enumerate(a.idempotents) if a.multiply(b, e) == b]
+    for b in map(_sparse, elements):
+        hits = [v for v, e in enumerate(idems) if _sparse_product(f, nz, b, e) == b]
         if len(hits) != 1:
             return None
         out.append(hits[0])
@@ -224,8 +228,23 @@ def projective_module(a: FDAlgebra, i: int) -> Module:
         basis = column_space_basis(a.right_mult(e))
         dim = basis.cols
         coords = _left_inverse(basis)
-        action = [coords @ (a.left_mult_basis(b) @ basis) for b in range(a.dim)]
         elements = [basis.col(k) for k in range(dim)]
+        # column k of the action of b: the coordinates of b * elements[k]
+        f, nz, p = a.field, a.mult_nonzeros(), a.field.p
+        coords_at = [[(row, x) for row, x in enumerate(col) if x]
+                     for col in map(coords.col, range(a.dim))]
+        cols = [[(t, c) for t, c in enumerate(u) if c] for u in elements]
+        action = []
+        for b in range(a.dim):
+            m = Matrix(f, dim, dim)
+            for k, u in enumerate(cols):
+                for t, c in u:
+                    for r, v in nz[b][t]:
+                        for row, x in coords_at[r]:
+                            m.data[row][k] += c * v * x
+            if p is not None:
+                m.data = [[x % p for x in row] for row in m.data]
+            action.append(m)
         gen = (coords @ Matrix.column(a.field, e)).col(0)
         return Module(a, dim, action, check=False,
                       proj_summands=[(i, gen)],
@@ -919,13 +938,15 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
         if trial < len(cands):
             h = cands[trial]
         else:
+            if trial == len(cands) and _end_is_local(endos):
+                return None  # a local End(x) has no idempotent but 0 and 1
             h = _linear_combination(f, x.dim, x.dim,
                                     [rng.randint(-3, 3) for _ in cands],
                                     cands.__getitem__)
         eps = _idempotent_from_matrix(f, h, idm)
         if eps is not None and not eps.is_zero() and eps != idm:
             return eps
-    if _end_is_local(endos):
+    if budget <= len(cands) and _end_is_local(endos):
         return None
     raise Inconclusive("endomorphism block resisted idempotent splitting")
 
