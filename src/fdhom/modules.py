@@ -532,15 +532,25 @@ def hom_coords(basis: Sequence[ModuleMap], mats: Sequence[Matrix],
 # -- radical, top, socle -------------------------------------------------------
 
 
-def radical_of_module(m: Module):
-    """(rad M, inclusion): the image of the algebra radical's action."""
+def _radical_actions(m: Module) -> list[Matrix]:
+    """Actions on M of generators of J as an ideal: the arrows
+    (`homogeneous_generators`), or the radical basis when there are none.
+    The arrows span J modulo J^2 and J is nilpotent, so J is spanned by
+    words in them: JM = sum_g g M and soc M = the common kernel."""
     a = m.algebra
-    rad = a.radical_basis()
-    if not rad or m.dim == 0:
-        z = zero_module(a)
-        return z, zero_map(z, m)
-    big = hstack_all(a.field, [m.act_vec(r) for r in rad], m.dim)
-    return submodule(m, column_space_basis(big), known_invariant=True)
+    homs = a.homogeneous_generators()
+    gens = a.radical_basis() if homs is None else [g for _, _, g in homs]
+    return [m.act_vec(g) for g in gens]
+
+
+def _radical_span(m: Module) -> Matrix:
+    """Column basis of JM."""
+    return column_space_basis(hstack_all(m.algebra.field, _radical_actions(m), m.dim))
+
+
+def radical_of_module(m: Module):
+    """(rad M, inclusion): JM, the span of the arrows' actions."""
+    return submodule(m, _radical_span(m), known_invariant=True)
 
 
 def top(m: Module):
@@ -550,12 +560,8 @@ def top(m: Module):
 
 
 def socle(m: Module):
-    """(soc M, inclusion): the annihilator of the algebra radical."""
-    a = m.algebra
-    rad = a.radical_basis()
-    if not rad or m.dim == 0:
-        return m, identity_map(m)
-    big = vstack_all(a.field, [m.act_vec(r) for r in rad], m.dim)
+    """(soc M, inclusion): the common kernel of the arrows' actions."""
+    big = vstack_all(m.algebra.field, _radical_actions(m), m.dim)
     return submodule(m, kernel_basis(big), known_invariant=True)
 
 
@@ -563,33 +569,39 @@ def socle(m: Module):
 
 
 def projective_cover(m: Module):
-    """(P, epi): minimal projective cover, built from a greedy generating
-    family of the top.  Kernel ⊆ rad P is asserted."""
+    """(P, epi): minimal projective cover.
+
+    Generators w in e_v M are chosen greedily: w is kept when it lies
+    outside JM plus the spans A w' of the w' kept before.  Over a basic
+    algebra A = span(e_i) + J, so A w' + JM = k w' + JM and only w' joins
+    the span; otherwise w' is closed under every basis element.  The choice
+    depends only on the subspace JM.  Kernel inside JP is certified."""
     a = m.algebra
     f = a.field
     if m.dim == 0:
         z = zero_module(a)
         return z, zero_map(z, m)
-    t, pi = top(m)
+    jm = _radical_span(m)
+    covered = _SpanReducer(f, [jm.col(k) for k in range(jm.cols)], m.dim)
+    basic = a.homogeneous_generators() is not None
     chosen: list[tuple[int, list]] = []  # (vertex, generator vector in M)
-    covered = _SpanReducer(f, [], t.dim)
     for v, e in enumerate(a.idempotents):
         comp = column_space_basis(m.act_vec(e))
         for k in range(comp.cols):
             w = comp.col(k)
-            tw = [_dotrow(f, pi.matrix.data[i], w) for i in range(t.dim)]
-            if not any(covered.reduce(tw)):
+            if covered.contains(w):
                 continue
             chosen.append((v, w))
-            # the new summand covers the semisimple submodule generated by tw
-            for b in range(a.dim):
-                img = t.action[b] @ Matrix.column(f, tw)
-                covered.add(img.col(0))
-            if covered.dim() == t.dim:
+            if basic:
+                covered.add(w)
+            else:
+                for x in m.action:
+                    covered.add((x @ Matrix.column(f, w)).col(0))
+            if covered.dim() == m.dim:
                 break
-        if covered.dim() == t.dim:
+        if covered.dim() == m.dim:
             break
-    if covered.dim() != t.dim:
+    if covered.dim() != m.dim:
         raise CertificateFailed("top not covered: missing generators")
     parts = [projective_module(a, v) for v, _ in chosen]
     p, _, _ = direct_sum(parts) if parts else (zero_module(a), [], [])
@@ -606,19 +618,10 @@ def projective_cover(m: Module):
     # minimality: kernel inside rad P
     kb = kernel_basis(mat)
     if kb.cols:
-        radp, incl = radical_of_module(p)
-        for k in range(kb.cols):
-            if solve(incl.matrix, Matrix.column(f, kb.col(k))) is None:
-                raise CertificateFailed("cover kernel escapes the radical")
+        jp = _radical_span(p)
+        if rank(hstack_all(f, [jp, kb], p.dim)) != jp.cols:
+            raise CertificateFailed("cover kernel escapes the radical")
     return p, epi
-
-
-def _dotrow(f, row, w):
-    acc = f.zero
-    for c, x in zip(row, w):
-        if c and x:
-            acc = f.add(acc, f.mul(c, x))
-    return acc
 
 
 def injective_envelope(m: Module):
@@ -669,9 +672,10 @@ class Resolution:
         if prev_rank != self.target.dim:
             raise CertificateFailed("augmentation fails at the resolved module")
         for i, d in enumerate(self.maps):
-            if d.rank() != self.modules[i].dim - prev_rank:
+            rk = d.rank()
+            if rk != self.modules[i].dim - prev_rank:
                 raise CertificateFailed("resolution not exact")
-            prev_rank = d.rank()
+            prev_rank = rk
         if self.truncated_at is None:
             # termination: exact at the last term as well
             if prev_rank != self.modules[-1].dim:
@@ -718,6 +722,12 @@ def projective_injective_vertices(a: FDAlgebra) -> set:
         if strip_projectives(injective_module(a, v))[0].dim == 0})
 
 
+def _top_dims(m: Module) -> list[int]:
+    """dim e_v(M/JM) = dim e_v M - rank(e_v JM), for each vertex v."""
+    jm = _radical_span(m)
+    return [rank(x) - rank(x @ jm) for x in map(m.act_vec, m.algebra.idempotents)]
+
+
 def strip_projectives(m: Module):
     """(core, removed): split off projective direct summands.
 
@@ -725,15 +735,13 @@ def strip_projectives(m: Module):
     projective.  The core has no projective summands.
     """
     a = m.algebra
-    f = a.field
     removed: list[int] = []
     cur = m
     changed = True
     while changed and cur.dim:
         changed = False
         # a projective summand at v forces a simple S_v inside the top
-        t, _ = top(cur)
-        top_dims = t.vertex_dims()
+        top_dims = _top_dims(cur)
         for v in range(len(a.idempotents)):
             if top_dims[v] == 0:
                 continue
