@@ -294,14 +294,18 @@ class FDAlgebra:
 def _linear_combination(f: FieldSpec, rows: int, cols: int, coeffs,
                         mat_of) -> Matrix:
     """sum_i coeffs[i] * mat_of(i) for rows x cols matrices, skipping zeros;
-    mat_of is called only at nonzero coefficients."""
+    mat_of is called only at nonzero coefficients.  A single coefficient 1
+    (a basis vector, such as a vertex or an arrow of a path algebra) gives a
+    copy of its matrix."""
+    nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
+    if len(nonzero) == 1 and nonzero[0][1] == f.one:
+        return mat_of(nonzero[0][0]).copy()
     out = Matrix(f, rows, cols)
-    for i, c in enumerate(coeffs):
-        if c:
-            for row, mrow in zip(out.data, mat_of(i).data):
-                for s, v in enumerate(mrow):
-                    if v:
-                        row[s] = f.add(row[s], f.mul(c, v))
+    for i, c in nonzero:
+        for row, mrow in zip(out.data, mat_of(i).data):
+            for s, v in enumerate(mrow):
+                if v:
+                    row[s] = f.add(row[s], f.mul(c, v))
     return out
 
 

@@ -35,6 +35,7 @@ from fdhom.homology import (
 from fdhom.linalg import Matrix, offsets
 from fdhom.modules import (
     Module,
+    _approximation_chain,
     cokernel,
     decompose,
     direct_sum,
@@ -42,12 +43,9 @@ from fdhom.modules import (
     hom_coords,
     injective_module,
     iso,
-    kernel,
-    left_approximation,
     min_proj_resolution,
     projective_module,
     regular_module,
-    right_approximation,
     simple_module,
     strip_projectives,
     zero_module,
@@ -241,32 +239,13 @@ def check_extension_pair(gamma: FDAlgebra, f_idems: Sequence[int],
     idv = injective_dim(ei_sum, max(cap, m + 1))
     if isinstance(idv, AtLeastCap) or idv > m:
         return False
-    # 0 -> P -> I_0 -> ... -> I_m -> 0 by minimal left add(I)-approximations
-    cur = p_sum
-    for _ in range(m + 1):
-        if cur.dim == 0:
-            break
-        fmap, _ = left_approximation(cur, i_parts)
-        if not fmap.is_injective():
-            return False
-        cur, _ = cokernel(fmap)
-    else:
-        if cur.dim:
-            return False
-    # ... -> P_1 -> P_0 -> I -> 0 by minimal right add(P)-approximations
-    i_sum, _, _ = direct_sum(i_parts)
-    cur = i_sum
-    for _ in range(m + 1):
-        if cur.dim == 0:
-            break
-        fmap, _ = right_approximation(p_parts, cur)
-        if not fmap.is_surjective():
-            return False
-        cur, _ = kernel(fmap)
-    else:
-        if cur.dim:
-            return False
-    return True
+    # 0 -> P -> I_0 -> ... -> I_m -> 0 by minimal left add(I)-approximations,
+    # and ... -> P_1 -> P_0 -> I -> 0 by minimal right add(P)-approximations
+    _, rest = _approximation_chain(p_sum, i_parts, m + 1, left=True)
+    if rest is None or rest.dim:
+        return False
+    _, rest = _approximation_chain(direct_sum(i_parts)[0], p_parts, m + 1)
+    return rest is not None and rest.dim == 0
 
 
 def check_superprojective(gamma: FDAlgebra, e_idems: Sequence[int], n: int,
@@ -288,16 +267,8 @@ def check_superprojective(gamma: FDAlgebra, e_idems: Sequence[int], n: int,
             if not ok:
                 cond1 = False
     i_parts = [injective_module(gamma, v) for v in e_idems]
-    cur = regular_module(gamma)
-    cond2 = True
-    for _ in range(n + 1):
-        if cur.dim == 0:
-            break
-        fmap, _ = left_approximation(cur, i_parts)
-        if not fmap.is_injective():
-            cond2 = False
-            break
-        cur, _ = cokernel(fmap)
+    _, rest = _approximation_chain(regular_module(gamma), i_parts, n + 1, left=True)
+    cond2 = rest is not None
     if cond1 != cond2:
         raise CertificateFailed(
             f"superprojectivity self-test failed: grade={cond1}, chain={cond2}")

@@ -189,16 +189,6 @@ def emit_report(report: dict, args) -> None:
     print(text)
 
 
-def _has_indeterminate(x) -> bool:
-    if isinstance(x, AtLeastCap) or x is None:
-        return True
-    if isinstance(x, dict):
-        return any(_has_indeterminate(v) for v in x.values())
-    if isinstance(x, (list, tuple)):
-        return any(_has_indeterminate(v) for v in x)
-    return False
-
-
 def _dot(labels, mult, dotted) -> str:
     lines = ["digraph ar {"]
     for lbl in labels:

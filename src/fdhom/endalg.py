@@ -38,10 +38,6 @@ class EndData:
     hom: dict  # (i, j) -> list[ModuleMap]
     basis_tags: list[tuple[int, int, int]]  # algebra basis k -> (i, j, index)
 
-    def basis_map(self, k: int) -> ModuleMap:
-        i, j, idx = self.basis_tags[k]
-        return self.hom[(i, j)][idx]
-
     def element_block(self, coeffs, i: int, j: int) -> Matrix:
         """The M_i -> M_j component of an algebra element, as a Λ-map matrix."""
         f = self.algebra.field

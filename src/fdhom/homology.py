@@ -12,22 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fdhom.algebra import FDAlgebra, _SpanReducer
+from fdhom.algebra import FDAlgebra
 from fdhom.errors import ResolutionTruncated
 from fdhom.modules import (
     Module,
     ModuleMap,
+    _map_span,
     cokernel,
+    direct_sum,
     dual,
     hom_basis,
     hom_coords,
     hom_dim,
     injective_envelope,
-    kernel,
     left_approximation,
     min_inj_coresolution,
     min_proj_resolution,
     projective_cover,
+    projective_module,
     regular_module,
     simple_module,
     strip_injectives,
@@ -39,20 +41,11 @@ from fdhom.modules import (
 from fdhom.results import AtLeastCap
 
 
-def _hom_complex_rank(prev_homs, d: ModuleMap, next_homs) -> int:
-    """Rank of Hom(d, Y): precomposition from span(prev_homs) into the space
-    spanned by next_homs (both explicit bases)."""
-    if not prev_homs or not next_homs:
-        return 0
-    f = d.source.algebra.field
-    n = next_homs[0].matrix.rows * next_homs[0].matrix.cols
-    red = _SpanReducer(f, [], n)
-    cnt = 0
-    for h in prev_homs:
-        img = h.matrix @ d.matrix
-        if red.add(img.flatten()):
-            cnt += 1
-    return cnt
+def _hom_complex_rank(homs, d: ModuleMap, y: Module) -> int:
+    """Rank of Hom(d, Y) on span(homs) ⊆ Hom(d.target, Y): the span of the
+    composites d;h."""
+    return _map_span(y.algebra.field, y.dim, d.source.dim,
+                     [h.matrix @ d.matrix for h in homs]).dim()
 
 
 def ext_dim(x: Module, y: Module, i: int, cap: Optional[int] = None) -> int:
@@ -83,15 +76,10 @@ def _ext_dim_uncached(x: Module, y: Module, i: int) -> int:
     if res.length < i:
         return 0
     homs_i = hom_basis(res.modules[i], y)
-    d_i = res.maps[i - 1]
-    homs_prev = hom_basis(res.modules[i - 1], y)
-    r_in = _hom_complex_rank(homs_prev, d_i, homs_i)
-    if res.length > i:
-        d_next = res.maps[i]
-        homs_next = hom_basis(res.modules[i + 1], y)
-        r_out = _hom_complex_rank(homs_i, d_next, homs_next)
-    else:
-        r_out = 0
+    if not homs_i:
+        return 0
+    r_in = _hom_complex_rank(hom_basis(res.modules[i - 1], y), res.maps[i - 1], y)
+    r_out = _hom_complex_rank(homs_i, res.maps[i], y) if res.length > i else 0
     return len(homs_i) - r_in - r_out
 
 
@@ -189,12 +177,7 @@ def domdim_report(a: FDAlgebra, cap: int):
         if cur.dim == 0:
             return AtLeastCap(cap), True  # ended all-projective
         env, mono = injective_envelope(cur)
-        if env.inj_summands is not None:
-            projective = all(v in pinj for v in env.inj_summands)
-        else:
-            core, _ = strip_projectives(env)
-            projective = core.dim == 0
-        if not projective:
+        if not all(v in pinj for v in env.inj_summands):
             return count, True
         count += 1
         cur, _ = cokernel(mono)
@@ -258,19 +241,20 @@ def grade(m: Module, cap: int):
 def star_module(p: Module):
     """Hom(P, A) as a left module over the opposite algebra, with its basis.
 
-    P must be a (sum of) projectives so the hom basis is cheap; the action
-    of b is post-composition with right multiplication by b.
+    P must be a known sum of projectives A e_v (`proj_summands`).  Then
+    Hom(P, A) = ⊕ e_v A, the sum of the projectives of A^op at the same
+    vertices: the hom basis sends each generator e_v to the basis of e_v A
+    that `projective_module(a.op, v)` uses, and b acts on h by
+    post-composition with right multiplication by b, as b acts on e_v A
+    over A^op.
     """
+    if p.proj_summands is None:
+        raise ValueError("star_module needs a known sum of projectives")
     a = p.algebra
-    basis = hom_basis(p, regular_module(a))
-    k = len(basis)
-    if k == 0:
+    if not p.proj_summands:
         return zero_module(a.op), []
-    coords = hom_coords(basis, [a.right_mult_basis(b) @ h.matrix
-                                for b in range(a.dim) for h in basis],
-                        "star action escapes Hom(P, A)")
-    action = [coords.block(0, b * k, k, k) for b in range(a.dim)]
-    return Module(a.op, k, action, check=False), basis
+    s, _, _ = direct_sum([projective_module(a.op, v) for v, _ in p.proj_summands])
+    return s, hom_basis(p, regular_module(a))
 
 
 def star_map(d: ModuleMap) -> ModuleMap:
@@ -333,16 +317,8 @@ def stable_hom_dim(x: Module, y: Module) -> int:
     if not homs:
         return 0
     p, q = projective_cover(y)
-    lifts = hom_basis(x, p)
-    f = x.algebra.field
-    red = _SpanReducer(f, [], y.dim * x.dim)
-    for u in lifts:
-        red.add((q.matrix @ u.matrix).flatten())
-    count = 0
-    for h in homs:
-        if red.add(h.matrix.flatten()):
-            count += 1
-    return count
+    return len(homs) - _map_span(x.algebra.field, y.dim, x.dim, [
+        q.matrix @ u.matrix for u in hom_basis(x, p)]).dim()
 
 
 def costable_hom_dim(x: Module, y: Module,
@@ -360,15 +336,8 @@ def costable_hom_dim(x: Module, y: Module,
     else:
         mono, _ = left_approximation(x, list(inj_class))
         env = mono.target
-    f = x.algebra.field
-    red = _SpanReducer(f, [], y.dim * x.dim)
-    for v in hom_basis(env, y):
-        red.add((v.matrix @ mono.matrix).flatten())
-    count = 0
-    for h in homs:
-        if red.add(h.matrix.flatten()):
-            count += 1
-    return count
+    return len(homs) - _map_span(x.algebra.field, y.dim, x.dim, [
+        v.matrix @ mono.matrix for v in hom_basis(env, y)]).dim()
 
 
 @dataclass

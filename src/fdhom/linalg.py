@@ -259,13 +259,6 @@ class Matrix:
         return Matrix._of_rows(self.field, self.rows, self.cols + other.cols,
                                [ra + rb for ra, rb in zip(self.data, other.data)])
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix._of_rows(self.field, self.rows + other.rows, self.cols,
-                               [row[:] for row in self.data]
-                               + [row[:] for row in other.data])
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.field}, {self.rows}x{self.cols}: {body})"

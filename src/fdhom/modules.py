@@ -15,6 +15,12 @@ left approximations (D of a right approximation of D x).  What is kept per
 algebra (the projectives P_i, the projective-injective vertices) lives in the
 algebra's memo, `FDAlgebra.memo`; what is kept per module (generator action,
 vertex blocks, Ext values) lives on the Module and is dropped with it.
+
+Two private helpers carry the algorithms that the other layers share:
+`_map_span` is the span of flattened map matrices (the rank of a Hom complex,
+stable homs, lifting and splitting tests), and `_approximation_chain` iterates
+minimal add-approximations (cotilting, tilting, extension-pair and
+superprojectivity certificates).
 """
 
 from __future__ import annotations
@@ -322,8 +328,8 @@ def direct_sum(mods: Sequence[Module]):
 def submodule(x: Module, basis: Matrix, known_invariant: bool = False):
     """(sub, inclusion) for an action-invariant column span.
 
-    Internal callers whose spans are invariant by construction (kernels and
-    images of module maps, radical images, socles) skip the re-check."""
+    Internal callers whose spans are invariant by construction (kernels of
+    module maps, radicals, socles) skip the re-check."""
     a = x.algebra
     coords = _left_inverse(basis) if basis.cols else Matrix(a.field, 0, x.dim)
     action = []
@@ -360,11 +366,6 @@ def quotient_module(x: Module, sub_basis: Matrix):
 
 def kernel(fmap: ModuleMap):
     return submodule(fmap.source, kernel_basis(fmap.matrix),
-                     known_invariant=True)
-
-
-def image(fmap: ModuleMap):
-    return submodule(fmap.target, column_space_basis(fmap.matrix),
                      known_invariant=True)
 
 
@@ -432,11 +433,13 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
     if tot == 0:
         return []
     rows: list[list] = []
-    for (v, w, g) in homs:
+    # the arrows' actions, after the idempotents' in the generator action
+    for (v, w, _), gxa, gya in zip(homs, x.generator_action()[nv:],
+                                   y.generator_action()[nv:]):
         if xd[v] == 0 and yd[v] == 0:
             continue
-        gx = (bxi @ x.act_vec(g) @ bx)
-        gy = (byi @ y.act_vec(g) @ by)
+        gx = (bxi @ gxa @ bx)
+        gy = (byi @ gya @ by)
         # block (w,v) of each: gx_wv: xd[v] -> xd[w]; condition:
         # F_w gx_wv = gy_wv F_v  (yd[w] x xd[v] equations)
         gxb = [[gx.data[rx[w][0] + i][rx[v][0] + j] for j in range(xd[v])]
@@ -511,10 +514,17 @@ def hom_dim(x: Module, y: Module) -> int:
     return len(hom_basis(x, y))
 
 
+def _map_span(field, rows: int, cols: int, mats: Sequence[Matrix]) -> _SpanReducer:
+    """The span of rows x cols map matrices, flattened: its dim() is their
+    rank and contains() tests membership."""
+    return _SpanReducer(field, [m.flatten() for m in mats], rows * cols)
+
+
 def hom_coords(basis: Sequence[ModuleMap], mats: Sequence[Matrix],
                what: Optional[str] = None) -> Optional[Matrix]:
-    """Coordinates of the matrices in an independent hom basis, one column
-    per matrix, from one solve over all of them stacked together.
+    """Coordinates of the matrices in the span of the basis maps, one column
+    per matrix, from one solve over all of them stacked together (unique
+    when the basis is independent; free coordinates are zero otherwise).
 
     None when some matrix lies outside the span; a certified caller passes
     `what`, and then that raises CertificateFailed instead.  Either the basis
@@ -536,11 +546,12 @@ def _radical_actions(m: Module) -> list[Matrix]:
     """Actions on M of generators of J as an ideal: the arrows
     (`homogeneous_generators`), or the radical basis when there are none.
     The arrows span J modulo J^2 and J is nilpotent, so J is spanned by
-    words in them: JM = sum_g g M and soc M = the common kernel."""
+    words in them: JM = sum_g g M and soc M = the common kernel.  The
+    arrows' actions are the cached tail of `Module.generator_action`."""
     a = m.algebra
-    homs = a.homogeneous_generators()
-    gens = a.radical_basis() if homs is None else [g for _, _, g in homs]
-    return [m.act_vec(g) for g in gens]
+    if a.homogeneous_generators() is None:
+        return [m.act_vec(g) for g in a.radical_basis()]
+    return m.generator_action()[len(a.idempotents):]
 
 
 def _radical_span(m: Module) -> Matrix:
@@ -644,13 +655,12 @@ class Resolution:
     """
 
     def __init__(self, flavor: str, target: Module, modules, maps, aug,
-                 minimal=True, truncated_at=None):
+                 truncated_at=None):
         self.flavor = flavor
         self.target = target
         self.modules = modules
         self.maps = maps
         self.aug = aug
-        self.minimal = minimal
         self.truncated_at = truncated_at
         self._check_exact()
 
@@ -1021,9 +1031,9 @@ def right_approximation(gens: Sequence[Module], x: Module):
 
     def through(gi, kept):
         """Span of the maps gens[gi] -> x that factor through kept copies."""
-        span = [(copies[q][1].matrix @ u.matrix).flatten()
-                for q in kept for u in pair_homs[(gi, copies[q][0])]]
-        return _SpanReducer(f, span, x.dim * gens[gi].dim)
+        return _map_span(f, x.dim, gens[gi].dim,
+                         [copies[q][1].matrix @ u.matrix
+                          for q in kept for u in pair_homs[(gi, copies[q][0])]])
 
     # greedy removal: drop a copy when its map factors through the others
     keep = list(range(len(copies)))
@@ -1063,6 +1073,34 @@ def left_approximation(x: Module, gens: Sequence[Module]):
         return zero_map(x, zero_module(x.algebra)), []
     msum, _, _ = direct_sum([gens[i] for i in kept])
     return ModuleMap(x, msum, g.matrix.transpose(), check=False), kept
+
+
+def _approximation_chain(x: Module, gens: Sequence[Module], steps: int,
+                         left: bool = False):
+    """(maps, rest): at most `steps` minimal add(⊕gens)-approximations,
+    right ones through kernels (... -> M_1 -> M_0 -> x) or left ones
+    through cokernels (x -> M^0 -> M^1 -> ...), stopping at zero.
+
+    rest is the module left after the last map, zero when the chain ended,
+    or None when a right approximation was not onto its module or a left
+    one not into it; maps then stops before that approximation."""
+    maps = []
+    cur = x
+    for _ in range(steps):
+        if cur.dim == 0:
+            break
+        if left:
+            fmap, _ = left_approximation(cur, gens)
+            if not fmap.is_injective():
+                return maps, None
+            cur, _ = cokernel(fmap)
+        else:
+            fmap, _ = right_approximation(gens, cur)
+            if not fmap.is_surjective():
+                return maps, None
+            cur, _ = kernel(fmap)
+        maps.append(fmap)
+    return maps, cur
 
 
 def resolution_dim(c_list: Sequence[Module], x: Module, cap: int):

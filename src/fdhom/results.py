@@ -13,28 +13,3 @@ class AtLeastCap:
 
     def __repr__(self):
         return f">= {self.cap} (capped)"
-
-
-def is_finite(value) -> bool:
-    return not isinstance(value, AtLeastCap)
-
-
-def le(value, bound: int) -> bool:
-    """value <= bound, where AtLeastCap(cap) with cap > bound refutes it.
-
-    An AtLeastCap with cap <= bound is indeterminate; callers that need a
-    three-valued verdict should test is_finite first.  Here it raises.
-    """
-    if isinstance(value, AtLeastCap):
-        if value.cap > bound:
-            return False
-        raise ValueError("indeterminate comparison at cap")
-    return value <= bound
-
-
-def ge(value, bound: int) -> bool:
-    if isinstance(value, AtLeastCap):
-        if value.cap >= bound:
-            return True
-        raise ValueError("indeterminate comparison at cap")
-    return value >= bound

@@ -35,22 +35,23 @@ from fdhom.linalg import Matrix, invert, kernel_basis, offsets, solve, vstack_al
 from fdhom.modules import (
     Module,
     ModuleMap,
+    _approximation_chain,
+    _map_span,
     _rad_end_basis,
     cokernel,
     decompose,
     direct_sum,
     dual,
     hom_basis,
+    hom_coords,
     hom_dim,
     injective_module,
     iso,
     kernel,
-    left_approximation,
     min_proj_resolution,
     projective_cover,
     projective_module,
     regular_module,
-    right_approximation,
     simple_module,
     strip_injectives,
     strip_projectives,
@@ -105,22 +106,8 @@ def is_cotilting(t: Module, m: int, cap: int, seed: int = 0) -> CotiltingCert:
     self_ok = all(ext_dim(t, t, i) == 0 for i in range(1, m + 1)) if id_ok \
         else all(ext_dim(t, t, i) == 0 for i in range(1, cap + 1))
     summands = [x for x, _ in decompose(t, seed=seed).summands]
-    dla = dual(regular_module(a.op))
-    chain = []
-    cur = dla
-    ok = True
-    for _ in range(m + 1):
-        if cur.dim == 0:
-            break
-        fmap, _ = right_approximation(summands, cur)
-        if not fmap.is_surjective():
-            ok = False
-            break
-        chain.append(fmap)
-        cur, _ = kernel(fmap)
-    else:
-        if cur.dim != 0:
-            ok = False
+    chain, rest = _approximation_chain(dual(regular_module(a.op)), summands, m + 1)
+    ok = rest is not None and rest.dim == 0
     return CotiltingCert(t, m, self_ok, id_ok, ok, chain)
 
 
@@ -205,16 +192,6 @@ class AlmostSplitSeq:
     maps: list[ModuleMap]     # composable left to right
     radical_flags: list[bool]
 
-    def end_terms(self):
-        return self.terms[0], self.terms[-1]
-
-
-def _hom_span_reducer(maps, rows, cols, field):
-    red = _SpanReducer(field, [], rows * cols)
-    for m in maps:
-        red.add(m.flatten())
-    return red
-
 
 def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     """The sequence 0 -> tau Z -> E -> Z -> 0 for indecomposable
@@ -233,10 +210,9 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
         raise NoSocleElement("Hom(syzygy, translate) vanished")
     # Ext^1(Z, tau Z) = Hom(ΩZ, tau Z) modulo maps extending along ΩZ ↪ P(Z)
     proj_sub = [u.matrix @ om_incl.matrix for u in hom_basis(p, tz)]
-    proj_red = _hom_span_reducer(proj_sub, tz.dim, om.dim, f)
+    proj_red = _map_span(f, tz.dim, om.dim, proj_sub)
     # conditions: h ∘ Ω(phi) and psi ∘ h factor through projectives for all
     # radical endomorphisms phi of Z, psi of tau Z
-    conds: list[list] = []
     omega_phis = []
     for phi in _rad_end_basis(hom_basis(z, z)):
         # lift phi through the cover, then restrict to the kernel
@@ -244,14 +220,9 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
         om_phi = solve(om_incl.matrix, lift @ om_incl.matrix)
         omega_phis.append(om_phi)
     psis = _rad_end_basis(hom_basis(tz, tz))
-    dim_flat = tz.dim * om.dim
     # express the two families of linear conditions in terms of the quotient
     # by proj_red: build the quotient coordinates once
-    quot_coords = _quotient_coords(proj_red, dim_flat, f)
-
-    def to_quot(vec):
-        return quot_coords(vec)
-
+    to_quot = _quotient_coords(proj_red)
     cond_rows = []
     for om_phi in omega_phis:
         mats = [to_quot((h.matrix @ om_phi).flatten()) for h in homs]
@@ -281,24 +252,25 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     incl_tz, from_p = maps_in
     # E -> Z: q on the P component, 0 on tz
     e_to_z = _induced_out(mid, maps_out, q)
+    epi_splits = _splits(e_to_z, False)
     seq = AlmostSplitSeq(
         1,
         [tz, mid, z],
         [incl_tz, e_to_z],
-        [not _splits_mono(incl_tz), not _splits_epi(e_to_z)],
+        [not _splits(incl_tz, True), not epi_splits],
     )
     if not incl_tz.is_injective() or not e_to_z.is_surjective():
         raise CertificateFailed("pushout sequence not exact at the ends")
     if incl_tz.rank() + e_to_z.rank() != mid.dim:
         raise CertificateFailed("pushout sequence not exact in the middle")
-    if _splits_epi(e_to_z):
+    if epi_splits:
         raise CertificateFailed("almost split sequence splits")
     return seq
 
 
-def _quotient_coords(red: _SpanReducer, dim_flat: int, f):
+def _quotient_coords(red: _SpanReducer):
     pivots = set(red.pivots())
-    free = [k for k in range(dim_flat) if k not in pivots]
+    free = [k for k in range(red.n) if k not in pivots]
 
     def coords(vec):
         w = red.reduce(vec)
@@ -310,16 +282,10 @@ def _quotient_coords(red: _SpanReducer, dim_flat: int, f):
 def _lift_through(q: ModuleMap, phi: Matrix) -> Matrix:
     """Some module endo of the cover with q ∘ lift = phi ∘ q."""
     p = q.source
-    f = p.algebra.field
     endos = hom_basis(p, p)
-    n = q.target.dim * p.dim
-    cols = Matrix.from_columns(f, n, [(q.matrix @ e.matrix).flatten()
-                                      for e in endos])
-    rhs = Matrix.column(f, (phi @ q.matrix).flatten())
-    sol = solve(cols, rhs)
-    if sol is None:
-        raise CertificateFailed("projective lifting failed")
-    return _linear_combination(f, p.dim, p.dim, sol.col(0),
+    sol = hom_coords([e.then(q) for e in endos], [phi @ q.matrix],
+                     "projective lifting failed")
+    return _linear_combination(p.algebra.field, p.dim, p.dim, sol.col(0),
                                [e.matrix for e in endos].__getitem__)
 
 
@@ -352,30 +318,16 @@ def _induced_out(mid: Module, out_data, q: ModuleMap) -> ModuleMap:
     return ModuleMap(mid, z, sol.transpose(), check=False)
 
 
-def _splits_mono(fmap: ModuleMap) -> bool:
-    """Does the mono f: A -> B admit a retraction r with f;r = id?"""
+def _splits(fmap: ModuleMap, mono: bool) -> bool:
+    """Does f: A -> B split: a retraction r with f;r = id_A (mono), or a
+    section s with s;f = id_B (not mono)?  The identity must lie in the span
+    of the composites with Hom(B, A); an empty span holds only id_0."""
     a, b = fmap.source, fmap.target
     f = a.algebra.field
-    homs = hom_basis(b, a)
-    if not homs:
-        return a.dim == 0
-    cols = Matrix.from_columns(f, a.dim * a.dim, [
-        (h.matrix @ fmap.matrix).flatten() for h in homs])
-    rhs = Matrix.column(f, (Matrix.identity(f, a.dim)).flatten())
-    return solve(cols, rhs) is not None
-
-
-def _splits_epi(fmap: ModuleMap) -> bool:
-    """Does the epi f: A -> B admit a section s with s;f = id?"""
-    a, b = fmap.source, fmap.target
-    f = a.algebra.field
-    homs = hom_basis(b, a)
-    if not homs:
-        return b.dim == 0
-    cols = Matrix.from_columns(f, b.dim * b.dim, [
-        (fmap.matrix @ h.matrix).flatten() for h in homs])
-    rhs = Matrix.column(f, (Matrix.identity(f, b.dim)).flatten())
-    return solve(cols, rhs) is not None
+    d = a.dim if mono else b.dim
+    comps = [h.matrix @ fmap.matrix if mono else fmap.matrix @ h.matrix
+             for h in hom_basis(b, a)]
+    return _map_span(f, d, d, comps).contains(Matrix.identity(f, d).flatten())
 
 
 def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
@@ -388,18 +340,16 @@ def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
     f = x.algebra.field
     for w in test_objects:
         homs = hom_basis(w, x)
-        lifts = hom_basis(w, g.source)
-        red = _hom_span_reducer([g.matrix @ u.matrix for u in lifts],
-                                x.dim, w.dim, f)
+        red = _map_span(f, x.dim, w.dim, [g.matrix @ u.matrix
+                                          for u in hom_basis(w, g.source)])
         for h in homs:
             if _is_retraction(h):
                 continue
             if not red.contains(h.matrix.flatten()):
                 raise CertificateFailed("lifting property fails on the right")
         homs2 = hom_basis(y, w)
-        drops = hom_basis(fmap.target, w)
-        red2 = _hom_span_reducer([u.matrix @ fmap.matrix for u in drops],
-                                 w.dim, y.dim, f)
+        red2 = _map_span(f, w.dim, y.dim, [u.matrix @ fmap.matrix
+                                           for u in hom_basis(fmap.target, w)])
         for h in homs2:
             if _is_section(h):
                 continue
@@ -409,11 +359,11 @@ def verify_almost_split(seq: AlmostSplitSeq, test_objects: Sequence[Module]):
 
 def _is_retraction(h: ModuleMap) -> bool:
     """Split epi onto its target."""
-    return h.is_surjective() and _splits_epi(h)
+    return h.is_surjective() and _splits(h, False)
 
 
 def _is_section(h: ModuleMap) -> bool:
-    return h.is_injective() and _splits_mono(h)
+    return h.is_injective() and _splits(h, True)
 
 
 # -- n-almost split sequences --------------------------------------------------
@@ -523,15 +473,9 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
     y, x = seq.terms[0], seq.terms[-1]
     for w in gens:
         dims = [hom_dim(w, t) for t in seq.terms]
-        ranks = []
-        for k, mp in enumerate(seq.maps):
-            maps_prev = hom_basis(w, mp.source)
-            red = _SpanReducer(f, [], mp.target.dim * w.dim)
-            cnt = 0
-            for u in maps_prev:
-                if red.add((mp.matrix @ u.matrix).flatten()):
-                    cnt += 1
-            ranks.append(cnt)
+        ranks = [_map_span(f, mp.target.dim, w.dim, [
+            mp.matrix @ u.matrix for u in hom_basis(w, mp.source)]).dim()
+            for mp in seq.maps]
         # injectivity at Y, exactness in the middle, image = J(W, X) at the end
         if ranks[0] != dims[0]:
             return False
@@ -543,16 +487,9 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
             return False
     for w in gens:
         dims = [hom_dim(t, w) for t in seq.terms]
-        ranks = []
-        for mp in seq.maps:
-            maps_prev = hom_basis(mp.target, w)
-            red = _SpanReducer(f, [], w.dim * mp.source.dim)
-            cnt = 0
-            for u in maps_prev:
-                if red.add((u.matrix @ mp.matrix).flatten()):
-                    cnt += 1
-            ranks.append(cnt)
-        ranks = list(reversed(ranks))
+        ranks = [_map_span(f, w.dim, mp.source.dim, [
+            u.matrix @ mp.matrix for u in hom_basis(mp.target, w)]).dim()
+            for mp in reversed(seq.maps)]
         dims_rev = list(reversed(dims))
         if ranks[0] != dims_rev[0]:
             return False
@@ -817,12 +754,5 @@ def tilting_check(gamma: FDAlgebra, u: Module, t: int, cap: int,
     if any(ext_dim(u, u, i) for i in range(1, max(t, 1) + 1)):
         return False
     summands = [x for x, _ in decompose(u, seed=seed).summands]
-    cur = regular_module(gamma)
-    for step in range(t + 1):
-        if cur.dim == 0:
-            return True
-        fmap, _ = left_approximation(cur, summands)
-        if not fmap.is_injective():
-            return False
-        cur, _ = cokernel(fmap)
-    return cur.dim == 0
+    _, rest = _approximation_chain(regular_module(gamma), summands, t + 1, left=True)
+    return rest is not None and rest.dim == 0

@@ -1,11 +1,12 @@
 """Static checks on the package source, with the standard library's ast.
 
-They keep one definition of each helper, no dead private helpers, every
-attribute of FDAlgebra declared in algebra.py itself, no assertions in the
-package, and sympy imported in one place only.
+They keep one definition of each helper, no dead functions or methods,
+every attribute of FDAlgebra declared in algebra.py itself, no assertions in
+the package, and sympy imported in one place only.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fdhom
@@ -13,11 +14,48 @@ import fdhom
 SRC = Path(fdhom.__file__).resolve().parent
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
          for p in sorted(SRC.glob("*.py"))}
+# the tests and the benchmark, which may be the only callers of public API
+ROOT = Path(__file__).resolve().parent.parent
+OTHER_TREES = [ast.parse(p.read_text(), filename=str(p))
+               for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def _module_functions(tree):
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _definitions(tree):
+    """(name, node) for every module-level function and every method of a
+    module-level class."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield item.name, item
+
+
+def _references(trees) -> Counter:
+    # a reference is a use as a name or an attribute; an import alone is not
+    counts: Counter = Counter()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+    return counts
+
+
+def _unreferenced(private: bool, trees) -> list[str]:
+    """Functions and methods of the package, private or public ones, with
+    no reference in trees outside their own body (so recursion alone does
+    not count); dunder methods are called by the language."""
+    counts = _references(trees)
+    return [f"{name}:{fn}" for name, tree in TREES.items()
+            for fn, node in _definitions(tree)
+            if not fn.startswith("__") and fn.startswith("_") == private
+            and counts[fn] == _references([node])[fn]]
 
 
 def test_no_function_name_defined_in_two_modules():
@@ -29,18 +67,11 @@ def test_no_function_name_defined_in_two_modules():
 
 
 def test_every_private_function_is_referenced():
-    # a reference is a use as a name or an attribute; an import alone is not
-    used = set()
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unused = [f"{name}:{fn}" for name, tree in TREES.items()
-              for fn in _module_functions(tree)
-              if fn.startswith("_") and fn not in used]
-    assert unused == []
+    assert _unreferenced(True, TREES.values()) == []
+
+
+def test_every_public_function_is_referenced_in_the_package_tests_or_benchmark():
+    assert _unreferenced(False, list(TREES.values()) + OTHER_TREES) == []
 
 
 def test_fdalgebra_attributes_are_set_only_in_algebra_py():
