@@ -353,8 +353,16 @@ class _SpanReducer:
     def dim(self) -> int:
         return len(self.rows)
 
-    def pivots(self) -> list[int]:
-        return list(self.pivot_of_row)
+    def free(self) -> list[int]:
+        """The non-pivot positions, in order: coordinates modulo the span."""
+        pivots = set(self.pivot_of_row)
+        return [k for k in range(self.n) if k not in pivots]
+
+    def quotient_coords(self, v: Vec) -> Vec:
+        """Coordinates of v modulo the span, at the positions of `free`
+        (after `reduce`, every pivot position is zero)."""
+        w = self.reduce(v)
+        return [w[k] for k in self.free()]
 
 
 def _idempotent_radical(a: FDAlgebra) -> Optional[list[Vec]]:
@@ -610,19 +618,8 @@ def build_path_algebra(
         for pi, c in elt.items():
             v[pos_of[pi]] = c
         span.add(v)
-    pivot_set = set(span.pivots())
-    basis_positions = [k for k in range(nshort) if k not in pivot_set]
-    basis_paths = [short[k] for k in basis_positions]
+    basis_paths = [short[k] for k in span.free()]
     dim = len(basis_paths)
-    col_of = {k: c for c, k in enumerate(basis_positions)}
-
-    def reduce_to_basis(vec_short: Vec) -> Vec:
-        w = span.reduce(vec_short)
-        out = [field.zero] * dim
-        for k, x in enumerate(w):
-            if x:
-                out[col_of[k]] = x
-        return out
 
     def label(p: _Path) -> str:
         if not p.arrows:
@@ -639,18 +636,14 @@ def build_path_algebra(
             if r.target != p.source or len(r.arrows) + len(p.arrows) >= found_n:
                 mult[i][j] = [field.zero] * dim
                 continue
-            key = (r.source, r.arrows + p.arrows)
-            pi2 = path_index[key]
-            v = [field.zero] * nshort
-            v[pos_of[pi2]] = field.one
-            mult[i][j] = reduce_to_basis(v)
+            pi2 = path_index[(r.source, r.arrows + p.arrows)]
+            mult[i][j] = span.quotient_coords(_unit_vec(field, nshort, pos_of[pi2]))
 
     unit = [field.zero] * dim
     idempotents = []
     for v in range(nv):
         pi = path_index[(v, ())]
-        vec = [field.zero] * dim
-        vec[col_of[pos_of[pi]]] = field.one
+        vec = span.quotient_coords(_unit_vec(field, nshort, pos_of[pi]))
         idempotents.append(vec)
         unit = [field.add(a, b) for a, b in zip(unit, vec)]
 
@@ -718,14 +711,9 @@ def quotient_by_idempotent_ideal(a: FDAlgebra, e_indices: Sequence[int]):
 def _quotient_algebra(a: FDAlgebra, ideal_vecs: list[Vec], origin: str):
     f = a.field
     red = _SpanReducer(f, ideal_vecs, a.dim)
-    pivots = set(red.pivots())
-    free = [k for k in range(a.dim) if k not in pivots]
+    free = red.free()
     dim = len(free)
-    col_of = {k: c for c, k in enumerate(free)}
-
-    def proj(v: Vec) -> Vec:
-        w = red.reduce(v)
-        return [w[k] for k in free]
+    proj = red.quotient_coords
 
     def sect(c: int) -> Vec:
         return a.basis_vec(free[c])

@@ -162,7 +162,7 @@ def nu_inverse(gamma: FDAlgebra, i_mod: Module) -> Module:
     """ν⁻ I = (D I)^*: dual then Hom(-, Γ) into a left Γ-module.
 
     D I must be a projective right module; it is rebuilt as a genuine sum of
-    opposite-side projectives so the star construction can use fast homs."""
+    opposite-side projectives, whose star module is a sum of projectives."""
     di = dual(i_mod)  # over Γ^op
     dec = decompose(di)
     parts = []
@@ -172,8 +172,7 @@ def nu_inverse(gamma: FDAlgebra, i_mod: Module) -> Module:
             raise PreconditionFailed("D I is not projective on the right")
         parts.append(projective_module(gamma.op, v))
     disum, _, _ = direct_sum(parts)
-    q, _ = star_module(disum)
-    return q
+    return star_module(disum)
 
 
 def _projective_vertex_of(a: FDAlgebra, m: Module) -> Optional[int]:
@@ -229,9 +228,8 @@ def check_extension_pair(gamma: FDAlgebra, f_idems: Sequence[int],
     p_parts = [projective_module(gamma, v) for v in f_idems]
     i_parts = [injective_module(gamma, v) for v in e_idems]
     p_sum, _, _ = direct_sum(p_parts)
-    if isinstance(injective_dim(p_sum, max(cap, m + 1)), AtLeastCap):
-        return False
-    if injective_dim(p_sum, max(cap, m + 1)) > m:
+    idp = injective_dim(p_sum, max(cap, m + 1))
+    if isinstance(idp, AtLeastCap) or idp > m:
         return False
     # id of D I = eΓ as a right module
     ei_parts = [projective_module(gamma.op, v) for v in e_idems]

@@ -86,7 +86,11 @@ def load_module(path: str, algebra: FDAlgebra):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"{path}: {e}")
-    return _module_from_doc(doc, algebra, path)
+    try:
+        return _module_from_doc(doc, algebra, path)
+    except (KeyError, TypeError, ValueError) as e:
+        # a missing key, a value of the wrong JSON type, ragged matrix rows
+        raise InputError(f"{path}: {e}")
 
 
 def _module_from_doc(doc, algebra, path):
@@ -128,10 +132,7 @@ def _module_from_doc(doc, algebra, path):
             action.append(Matrix(algebra.field, len(rows),
                                  len(rows[0]) if rows else 0, rows))
             dims = len(rows)
-        try:
-            return Module(algebra, dims or 0, action, check=True)
-        except ValueError as e:
-            raise InputError(f"{path}: {e}")
+        return Module(algebra, dims or 0, action, check=True)
     raise InputError(f"{path}: unknown module build {build}")
 
 
@@ -143,9 +144,10 @@ def load_character_table(path: str):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"{path}: {e}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: the document must be a JSON object")
     if doc.get("version") != 1:
         raise InputError(f"{path}: unsupported version")
-    conductor = int(doc.get("conductor", 1))
 
     def entry(x):
         if isinstance(x, dict):
@@ -154,6 +156,7 @@ def load_character_table(path: str):
         return CyclotomicNumber.rational(_scalar(x))
 
     try:
+        conductor = int(doc.get("conductor", 1))
         classes = [ConjClass(c["label"], int(c["size"]),
                              {int(k): int(v)
                               for k, v in c.get("power_maps", {}).items()})
@@ -164,7 +167,10 @@ def load_character_table(path: str):
         chi_v = [entry(x) for x in doc["chi_v"]] if "chi_v" in doc else None
         chi_s = [entry(x) for x in doc["chi_s"]] if "chi_s" in doc else None
         return table, chi_v, chi_s
-    except (KeyError, ValueError, FdhomError) as e:
+    except CertificateFailed:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, FdhomError) as e:
+        # a value of the wrong JSON type, e.g. "order": null, "power_maps": []
         raise InputError(f"{path}: {e}")
 
 

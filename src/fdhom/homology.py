@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fdhom.algebra import FDAlgebra
-from fdhom.errors import ResolutionTruncated
+from fdhom.errors import CertificateFailed, ResolutionTruncated
+from fdhom.linalg import Matrix
 from fdhom.modules import (
     Module,
     ModuleMap,
+    _from_generators,
     _map_span,
+    _summand_element,
     cokernel,
     direct_sum,
     dual,
     hom_basis,
-    hom_coords,
     hom_dim,
     injective_envelope,
     left_approximation,
@@ -48,7 +50,7 @@ def _hom_complex_rank(homs, d: ModuleMap, y: Module) -> int:
                      [h.matrix @ d.matrix for h in homs]).dim()
 
 
-def ext_dim(x: Module, y: Module, i: int, cap: Optional[int] = None) -> int:
+def ext_dim(x: Module, y: Module, i: int) -> int:
     """dim Ext^i(x, y), computed from a minimal projective resolution of x.
 
     Exact for every finite i: the resolution is extended to degree i+1.
@@ -238,33 +240,52 @@ def grade(m: Module, cap: int):
 # -- transpose and AR translates -------------------------------------------------
 
 
-def star_module(p: Module):
-    """Hom(P, A) as a left module over the opposite algebra, with its basis.
+def star_module(p: Module) -> Module:
+    """Hom(P, A) as a left module over the opposite algebra.
 
-    P must be a known sum of projectives A e_v (`proj_summands`).  Then
-    Hom(P, A) = ⊕ e_v A, the sum of the projectives of A^op at the same
-    vertices: the hom basis sends each generator e_v to the basis of e_v A
-    that `projective_module(a.op, v)` uses, and b acts on h by
-    post-composition with right multiplication by b, as b acts on e_v A
-    over A^op.
+    P must be a known sum of projectives ⊕_c A e_{v_c} (`proj_summands`).
+    Then Hom(P, A) = ⊕_c e_{v_c} A, the sum of the projectives of A^op at the
+    same vertices: a map h corresponds to the images h(e_{v_c}) of the
+    generators, and b acts on h by post-composition with right
+    multiplication by b, as b acts on e_{v_c} A over A^op.
     """
     if p.proj_summands is None:
         raise ValueError("star_module needs a known sum of projectives")
     a = p.algebra
     if not p.proj_summands:
-        return zero_module(a.op), []
-    s, _, _ = direct_sum([projective_module(a.op, v) for v, _ in p.proj_summands])
-    return s, hom_basis(p, regular_module(a))
+        return zero_module(a.op)
+    return direct_sum([projective_module(a.op, v) for v, _ in p.proj_summands])[0]
 
 
 def star_map(d: ModuleMap) -> ModuleMap:
     """Hom(d, A): Hom(P_0, A) -> Hom(P_1, A), h -> d;h, for a map d: P_1 -> P_0
-    of projectives, between the star modules over the opposite algebra."""
-    s0, basis0 = star_module(d.target)
-    s1, basis1 = star_module(d.source)
-    dm = hom_coords(basis1, [h.matrix @ d.matrix for h in basis0],
-                    "starred differential escapes Hom(P, A)")
-    return ModuleMap(s0, s1, dm, check=False)
+    of known sums of projectives, between the star modules over A^op.
+
+    d sends the generator of summand c' of P_1 to elements x_{cc'} of
+    e_{v'} A e_{v_c} in the summands c of P_0, so Hom(d, A) sends the
+    generator e_{v_c} of summand c of P_0^* to x_{cc'} in each summand c' of
+    P_1^*, where its coordinates are those of x_{cc'} acting on that summand's
+    generator e_{v'} over A^op.  No hom basis and no solve: the map is
+    certified by checking that it intertwines the generators' actions."""
+    p0, p1 = d.target, d.source
+    s0, s1 = star_module(p0), star_module(p1)
+    f = p0.algebra.field
+    gens1 = [Matrix.column(f, g) for _, g in s1.proj_summands]
+    imgs = [(d.matrix @ Matrix.column(f, g)).col(0) for _, g in p1.proj_summands]
+    images = []
+    for c in range(len(p0.proj_summands)):
+        col = Matrix(f, s1.dim, 1)
+        for img, gen in zip(imgs, gens1):
+            x = _summand_element(p0, img, c)
+            if any(x):
+                col = col + s1.act_vec(x) @ gen
+        images.append(col)
+    star = _from_generators(s0, s1, images)[0]
+    try:
+        star._verify()
+    except ValueError:
+        raise CertificateFailed("starred differential escapes Hom(P, A)")
+    return star
 
 
 def transpose(m: Module) -> Module:

@@ -16,11 +16,16 @@ algebra (the projectives P_i, the projective-injective vertices) lives in the
 algebra's memo, `FDAlgebra.memo`; what is kept per module (generator action,
 vertex blocks, Ext values) lives on the Module and is dropped with it.
 
-Two private helpers carry the algorithms that the other layers share:
+Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
 stable homs, lifting and splitting tests), and `_approximation_chain` iterates
 minimal add-approximations (cotilting, tilting, extension-pair and
-superprojectivity certificates).
+superprojectivity certificates).  A map out of a known sum of projectives
+⊕_c A e_{v_c} is fixed by where the generators go, and `_from_generators` is
+the one place that builds it (hom bases out of projectives, projective covers,
+starred differentials); `_summand_element` reads the algebra element that a
+vector has in one summand (starred differentials, maps transported from the
+projectives of an endomorphism algebra).
 """
 
 from __future__ import annotations
@@ -348,14 +353,10 @@ def quotient_module(x: Module, sub_basis: Matrix):
     a = x.algebra
     f = a.field
     red = _SpanReducer(f, [sub_basis.col(k) for k in range(sub_basis.cols)], x.dim)
-    pivots = set(red.pivots())
-    free = [k for k in range(x.dim) if k not in pivots]
+    free = red.free()
     dim = len(free)
-    proj = Matrix(f, dim, x.dim)
-    for j in range(x.dim):
-        w = red.reduce(_unit_vec(f, x.dim, j))
-        for i, c in enumerate(free):
-            proj.data[i][j] = w[c]
+    proj = Matrix.from_columns(f, dim, [red.quotient_coords(_unit_vec(f, x.dim, j))
+                                        for j in range(x.dim)])
     sect = Matrix(f, x.dim, dim)
     for i, c in enumerate(free):
         sect.data[c][i] = f.one
@@ -392,30 +393,39 @@ def hom_basis(x: Module, y: Module) -> list[ModuleMap]:
 
 
 def _hom_from_projective(p: Module, y: Module) -> list[ModuleMap]:
-    """Hom(⊕_c A e_{v_c}, Y) ≅ ⊕_c e_{v_c} Y, written as explicit matrices."""
-    a = p.algebra
-    f = a.field
-    out = []
-    act_cache = {}
-    for j in range(p.dim):
-        act_cache[j] = y.act_vec(p.basis_elements[j])
-    for c, (v, _gen) in enumerate(p.proj_summands):
-        ey = column_space_basis(y.act_vec(a.idempotents[v]))
-        for k in range(ey.cols):
-            w = ey.col(k)
-            m = Matrix(f, y.dim, p.dim)
-            for j in range(p.dim):
-                if p.coord_summand[j] != c:
-                    continue
-                mat = act_cache[j]
-                for i in range(y.dim):
-                    acc = f.zero
-                    row = mat.data[i]
-                    for t in range(y.dim):
-                        if row[t] and w[t]:
-                            acc = f.add(acc, f.mul(row[t], w[t]))
-                    m.data[i][j] = acc
-            out.append(ModuleMap(p, y, m, check=False))
+    """Hom(⊕_c A e_{v_c}, Y) ≅ ⊕_c e_{v_c} Y: one map per basis vector of each
+    e_{v_c} Y, sending the generator of summand c there and the others to 0."""
+    f = p.algebra.field
+    tops = [column_space_basis(y.act_vec(p.algebra.idempotents[v]))
+            for v, _ in p.proj_summands]
+    offs = offsets(t.cols for t in tops)
+    return _from_generators(p, y, [Matrix(f, y.dim, offs[-1]).put(0, off, t)
+                                   for off, t in zip(offs, tops)])
+
+
+def _from_generators(p: Module, y: Module, images: Sequence[Matrix]) -> list[ModuleMap]:
+    """The maps p -> y out of a known sum of projectives ⊕_c A e_{v_c}, one
+    per column k of the images: the generator of summand c goes to column k
+    of images[c] (an element of e_{v_c} Y), so coordinate j, the element b_j
+    of summand c, goes to b_j times it."""
+    f = p.algebra.field
+    cols = [y.act_vec(b) @ images[c]
+            for b, c in zip(p.basis_elements, p.coord_summand)]
+    return [ModuleMap(p, y, Matrix.from_columns(f, y.dim, [m.col(k) for m in cols]),
+                      check=False)
+            for k in range(images[0].cols)]
+
+
+def _summand_element(p: Module, vec, c: int) -> list:
+    """The algebra element Σ vec_j b_j over the coordinates j of summand c of
+    a known sum of projectives p (vec is a vector of p)."""
+    f = p.algebra.field
+    out = [f.zero] * p.algebra.dim
+    for x, s, b in zip(vec, p.coord_summand, p.basis_elements):
+        if x and s == c:
+            for r, y in enumerate(b):
+                if y:
+                    out[r] = f.add(out[r], f.mul(x, y))
     return out
 
 
@@ -614,16 +624,9 @@ def projective_cover(m: Module):
             break
     if covered.dim() != m.dim:
         raise CertificateFailed("top not covered: missing generators")
-    parts = [projective_module(a, v) for v, _ in chosen]
-    p, _, _ = direct_sum(parts) if parts else (zero_module(a), [], [])
-    cols = []
-    for (v, w), part in zip(chosen, parts):
-        wm = Matrix.column(f, w)
-        for j in range(part.dim):
-            el = part.basis_elements[j]
-            cols.append((m.act_vec(el) @ wm).col(0))
-    mat = Matrix.from_columns(f, m.dim, cols)
-    epi = ModuleMap(p, m, mat, check=False)
+    p, _, _ = direct_sum([projective_module(a, v) for v, _ in chosen])
+    epi = _from_generators(p, m, [Matrix.column(f, w) for _, w in chosen])[0]
+    mat = epi.matrix
     if rank(mat) != m.dim:
         raise CertificateFailed("cover map is not surjective")
     # minimality: kernel inside rad P
@@ -758,7 +761,7 @@ def strip_projectives(m: Module):
             p = projective_module(a, v)
             if p.dim > cur.dim:
                 continue
-            into = _hom_from_projective(p, cur) if cur.dim else []
+            into = hom_basis(p, cur)
             if not into:
                 continue
             back = hom_basis(cur, p)

@@ -38,13 +38,13 @@ from fdhom.modules import (
     _approximation_chain,
     _map_span,
     _rad_end_basis,
+    _summand_element,
     cokernel,
     decompose,
     direct_sum,
     dual,
     hom_basis,
     hom_coords,
-    hom_dim,
     injective_module,
     iso,
     kernel,
@@ -222,7 +222,7 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     psis = _rad_end_basis(hom_basis(tz, tz))
     # express the two families of linear conditions in terms of the quotient
     # by proj_red: build the quotient coordinates once
-    to_quot = _quotient_coords(proj_red)
+    to_quot = proj_red.quotient_coords
     cond_rows = []
     for om_phi in omega_phis:
         mats = [to_quot((h.matrix @ om_phi).flatten()) for h in homs]
@@ -266,17 +266,6 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     if epi_splits:
         raise CertificateFailed("almost split sequence splits")
     return seq
-
-
-def _quotient_coords(red: _SpanReducer):
-    pivots = set(red.pivots())
-    free = [k for k in range(red.n) if k not in pivots]
-
-    def coords(vec):
-        w = red.reduce(vec)
-        return [w[k] for k in free]
-
-    return coords
 
 
 def _lift_through(q: ModuleMap, phi: Matrix) -> Matrix:
@@ -423,32 +412,18 @@ def n_almost_split(gens: Sequence[Module], x_index: int, n: int,
 def _transport_map(data: EndData, q_src, q_tgt, src_verts, tgt_verts,
                    m_src: Module, m_tgt: Module, d: ModuleMap) -> ModuleMap:
     """Turn a map of End-projectives into the corresponding map of modules."""
-    gamma = data.algebra
-    f = gamma.field
+    f = data.algebra.field
     # generator images: d(gen of copy c) decomposed per target copy as an
     # element of the endomorphism algebra, then into a Λ-map block
     src_offs = offsets(data.gens[v].dim for v in src_verts)
     tgt_offs = offsets(data.gens[v].dim for v in tgt_verts)
     big = Matrix(f, m_tgt.dim, m_src.dim)
     for c, (v, gen) in enumerate(q_src.proj_summands):
-        img = d.matrix @ Matrix.column(f, gen)
-        # split img across target copies and read off algebra elements
+        img = (d.matrix @ Matrix.column(f, gen)).col(0)
         for c2, v2 in enumerate(tgt_verts):
-            elt = [f.zero] * gamma.dim
-            any_nz = False
-            for coord in range(q_tgt.dim):
-                if q_tgt.coord_summand[coord] != c2:
-                    continue
-                cval = img.data[coord][0]
-                if cval:
-                    any_nz = True
-                    be = q_tgt.basis_elements[coord]
-                    for r in range(gamma.dim):
-                        if be[r]:
-                            elt[r] = f.add(elt[r], f.mul(cval, be[r]))
-            if not any_nz:
-                continue
-            big.put(tgt_offs[c2], src_offs[c], data.element_block(elt, v, v2))
+            elt = _summand_element(q_tgt, img, c2)
+            if any(elt):
+                big.put(tgt_offs[c2], src_offs[c], data.element_block(elt, v, v2))
     return ModuleMap(m_src, m_tgt, big, check=True)
 
 
@@ -472,40 +447,39 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
     f = seq.terms[0].algebra.field
     y, x = seq.terms[0], seq.terms[-1]
     for w in gens:
-        dims = [hom_dim(w, t) for t in seq.terms]
+        homs = [hom_basis(w, t) for t in seq.terms]
         ranks = [_map_span(f, mp.target.dim, w.dim, [
-            mp.matrix @ u.matrix for u in hom_basis(w, mp.source)]).dim()
-            for mp in seq.maps]
-        # injectivity at Y, exactness in the middle, image = J(W, X) at the end
-        if ranks[0] != dims[0]:
-            return False
-        for k in range(1, len(seq.maps)):
-            if ranks[k] != dims[k] - ranks[k - 1]:
-                return False
-        jdim = _radical_hom_dim(w, x)
-        if ranks[-1] != jdim:
+            mp.matrix @ u.matrix for u in hs]).dim()
+            for mp, hs in zip(seq.maps, homs)]
+        if not (_exact_from_left(homs, ranks)
+                and ranks[-1] == _radical_hom_dim(w, x, len(homs[-1]))):
             return False
     for w in gens:
-        dims = [hom_dim(t, w) for t in seq.terms]
+        homs = [hom_basis(t, w) for t in reversed(seq.terms)]
         ranks = [_map_span(f, w.dim, mp.source.dim, [
-            u.matrix @ mp.matrix for u in hom_basis(mp.target, w)]).dim()
-            for mp in reversed(seq.maps)]
-        dims_rev = list(reversed(dims))
-        if ranks[0] != dims_rev[0]:
-            return False
-        for k in range(1, len(seq.maps)):
-            if ranks[k] != dims_rev[k] - ranks[k - 1]:
-                return False
-        jdim = _radical_hom_dim(y, w)
-        if ranks[-1] != jdim:
+            u.matrix @ mp.matrix for u in hs]).dim()
+            for mp, hs in zip(reversed(seq.maps), homs)]
+        if not (_exact_from_left(homs, ranks)
+                and ranks[-1] == _radical_hom_dim(y, w, len(homs[-1]))):
             return False
     return True
 
 
-def _radical_hom_dim(w: Module, x: Module) -> int:
-    """dim J(W, X) for indecomposables: all of Hom unless W ≅ X, where the
-    radical of the (local) endomorphism ring is what remains."""
-    d = hom_dim(w, x)
+def _exact_from_left(homs, ranks) -> bool:
+    """Is 0 -> H_0 -> H_1 -> ... -> H_last exact at every term but the last,
+    with homs[k] a basis of H_k and ranks[k] the rank of the map out of it?"""
+    prev = 0
+    for hs, r in zip(homs, ranks):
+        if r != len(hs) - prev:
+            return False
+        prev = r
+    return True
+
+
+def _radical_hom_dim(w: Module, x: Module, d: int) -> int:
+    """dim J(W, X) for indecomposables with d = dim Hom(W, X): all of Hom
+    unless W ≅ X, where the radical of the (local) endomorphism ring is what
+    remains."""
     if w.dim == x.dim and iso(w, x) is not None:
         endos = hom_basis(w, w)
         return d - (len(endos) - len(_rad_end_basis(endos)))

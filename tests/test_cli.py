@@ -336,6 +336,34 @@ def test_module_file_bad_action_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("table", [
+    [C2_TABLE],                              # not an object
+    dict(C2_TABLE, order=None),              # order of the wrong JSON type
+    dict(C2_TABLE, classes=[{"label": "1", "size": 1, "power_maps": []}]),
+])
+def test_mckay_malformed_table_is_input_error(tmp_path, capsys, table):
+    path = write(tmp_path, "table.json", table)
+    assert main(["mckay", path, "--d", "2"]) == 2
+
+
+def test_sum_module_without_parts_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "ka2.json", KA2)
+    m_file = write(tmp_path, "sum.json", {"version": 1, "build": "sum"})
+    assert main(["orthogonal", path, "--n", "1", "--mode", "verify",
+                 "--members", m_file]) == 2
+    assert main(["orthogonal", path, "--n", "1", "--cotilting", m_file]) == 2
+
+
+def test_module_file_with_ragged_action_rows_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "ka2.json", KA2)
+    mod = {"version": 1, "build": "action",
+           "matrices": {"e(1)": [[1, 0], [0]], "e(2)": [[0, 0], [0, 1]],
+                        "a1": [[0, 0], [1, 0]]}}
+    m_file = write(tmp_path, "ragged.json", mod)
+    assert main(["orthogonal", path, "--n", "1", "--mode", "verify",
+                 "--members", m_file]) == 2
+
+
 def test_mckay_with_supplied_determinant(tmp_path, capsys):
     table = dict(C2_TABLE)
     table["classes"] = [{"label": "1", "size": 1},

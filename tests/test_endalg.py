@@ -112,7 +112,7 @@ def test_star_of_projective_is_opposite_projective():
     # Hom(A e_i, A) ≅ e_i A, the projective at i over A^op
     for a in (preprojective_a_n(2), path_algebra_a_n(3), loop_algebra(2)):
         for i in range(len(a.idempotents)):
-            sm, _ = star_module(projective_module(a, i))
+            sm = star_module(projective_module(a, i))
             assert sm.action == projective_module(a.op, i).action
 
 

@@ -6,21 +6,26 @@ built on it (`subcats._splits`) against an explicit `solve` for a retraction
 or a section.  `modules._approximation_chain` iterates minimal
 add-approximations; its refusals are checked on approximations that are
 provably not onto or not into their module.  `homology.star_module` is the sum
-of the opposite projectives; it is checked entry by entry against the action
-solved from the hom basis, the route it replaced.
+of the opposite projectives, and `homology.star_map` is read off the
+generators' images; both are checked entry by entry against the routes they
+replaced, which solve in the hom bases of Hom(P, A), and so is `transpose`.
 """
 
 import random
 
 import pytest
 
-from fdhom.errors import PreconditionFailed
-from fdhom.homology import star_map, star_module
+import fdhom.homology
+from fdhom.endalg import end_algebra
+from fdhom.errors import CertificateFailed, PreconditionFailed
+from fdhom.homology import star_map, star_module, transpose
 from fdhom.linalg import GF, QQ, Matrix, rank, solve
 from fdhom.modules import (
     Module,
+    ModuleMap,
     _approximation_chain,
     _map_span,
+    cokernel,
     direct_sum,
     hom_basis,
     hom_coords,
@@ -160,10 +165,11 @@ def test_star_module_is_the_sum_of_opposite_projectives(name):
     for v in range(len(a.idempotents)):
         terms += min_proj_resolution(simple_module(a, v), 3).modules
     for p in terms:
-        s, basis = star_module(p)
+        s = star_module(p)
         opp, _, _ = direct_sum([projective_module(a.op, v)
                                 for v, _ in p.proj_summands])
-        assert s.algebra is a.op and s.dim == opp.dim == len(basis)
+        assert s.algebra is a.op
+        assert s.dim == opp.dim == len(hom_basis(p, regular_module(a)))
         assert s.action == opp.action == _star_by_solve(p)
     # the starred differentials are module maps between the star modules
     for v in range(len(a.idempotents)):
@@ -177,4 +183,67 @@ def test_star_module_needs_known_projective_summands():
     bare = Module(a, p.dim, p.action, check=False)
     with pytest.raises(ValueError):
         star_module(bare)
-    assert star_module(zero_module(a))[0].dim == 0
+    assert star_module(zero_module(a)).dim == 0
+
+
+def _star_map_by_solve(d):
+    """The route `star_map` replaced: the composites d;h for h in the hom
+    basis of Hom(P_0, A), solved in the hom basis of Hom(P_1, A)."""
+    reg = regular_module(d.source.algebra)
+    return hom_coords(hom_basis(d.source, reg),
+                      [h.matrix @ d.matrix for h in hom_basis(d.target, reg)],
+                      "starred differential escapes Hom(P, A)")
+
+
+def _auslander_algebra_of_ka3():
+    """Γ(kA_3), given by structure constants: it has no path presentation."""
+    inds, _ = knit_indecomposables(path_algebra_a_n(3))
+    return end_algebra(inds).algebra
+
+
+TRANSPOSE_ALGEBRAS = {
+    "kA3": lambda: path_algebra_a_n(3),
+    "preprojective-A2": lambda: preprojective_a_n(2),
+    "preprojective-A2 GF(3)": lambda: preprojective_a_n(2, GF(3)),
+    "D4": d4_subspace_algebra,
+    "Gamma(kA3)": _auslander_algebra_of_ka3,
+}
+
+
+def _entries(mat):
+    return [(x, type(x)) for row in mat.data for x in row]
+
+
+@pytest.mark.parametrize("name", TRANSPOSE_ALGEBRAS)
+def test_star_map_and_transpose_agree_with_the_solved_route(name):
+    a = TRANSPOSE_ALGEBRAS[name]()
+    inds, complete = knit_indecomposables(a)
+    assert complete
+    transposes = 0
+    for m in inds:
+        for k, d in enumerate(min_proj_resolution(m, 3).maps):
+            star, solved = star_map(d), _star_map_by_solve(d)
+            assert _entries(star.matrix) == _entries(solved)
+            if k == 0:  # Tr m = coker(P_0^* -> P_1^*)
+                solved = ModuleMap(star.source, star.target, solved, check=False)
+                assert transpose(m).action == cokernel(solved)[0].action
+                transposes += 1
+    assert transposes
+
+
+def test_star_map_certificate_catches_inconsistent_bookkeeping(monkeypatch):
+    # with the basis elements of the star modules out of step with their
+    # actions the generators' images give no module map: an internal fault
+    a = preprojective_a_n(2)
+    d = min_proj_resolution(simple_module(a, 0), 1).maps[0]
+    star_map(d)
+
+    def scrambled(p):
+        s = star_module(p)
+        return Module(s.algebra, s.dim, s.action, check=False,
+                      proj_summands=s.proj_summands, coord_summand=s.coord_summand,
+                      basis_elements=s.basis_elements[::-1])
+
+    monkeypatch.setattr(fdhom.homology, "star_module", scrambled)
+    with pytest.raises(CertificateFailed):
+        star_map(d)

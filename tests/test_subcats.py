@@ -13,6 +13,7 @@ from fdhom.modules import (
     regular_module,
     resolution_dim,
     simple_module,
+    strip_projectives,
 )
 from fdhom.presets import (
     loop_algebra,
@@ -188,6 +189,32 @@ def test_n_almost_split_preprojective():
     assert hom_sequences_exact(seq, gens)
     # middle terms are projective with total dimension 4
     assert seq.terms[1].dim + seq.terms[2].dim == 4
+
+
+def test_hom_sequences_exact_builds_each_hom_basis_once(monkeypatch):
+    # one basis per (W, term) in each direction; the W isomorphic to an end
+    # term X adds three more per direction (Hom(W, X) and Hom(X, W) inside
+    # iso, then End(W) for the radical of Hom(W, X))
+    import fdhom.modules
+    import fdhom.subcats
+
+    a = path_algebra_a_n(4)
+    inds, complete = knit_indecomposables(a)
+    assert complete and len(inds) == 10
+    seqs = [almost_split_sequence(z) for z in inds
+            if not strip_projectives(z)[1]]
+    assert len(seqs) == 6
+    calls = []
+    counted = fdhom.modules.hom_basis
+
+    def counting(x, y):
+        calls.append((x, y))
+        return counted(x, y)
+
+    monkeypatch.setattr(fdhom.modules, "hom_basis", counting)
+    monkeypatch.setattr(fdhom.subcats, "hom_basis", counting)
+    assert all(hom_sequences_exact(seq, inds) for seq in seqs)
+    assert len(calls) == sum(2 * (len(seq.terms) * len(inds) + 3) for seq in seqs)
 
 
 def test_n_almost_split_reproduces_classical():
