@@ -5,6 +5,13 @@ superprojective certificates, and the two exhaustive searches
 
 Equivalence of triples is certified through the explicit evaluation
 functors, never by a general algebra-isomorphism search.
+
+α⁻¹ rebuilds Λ as End(Q) for Q = ν⁻I.  On add(DΓ) the inverse Nakayama
+functor sends the injective D(e_vΓ) to the projective Γe_v at the same
+vertex, so Q is read off the bookkeeping: `projective_vertices` gives the
+vertices of D I from its minimal projective cover over Γ^op, and Q is the
+sum of the projectives Γe_v at those vertices.  The same test certifies that
+P is projective and finds the projective generators in α.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from fdhom.homology import (
     grade,
     injective_dim,
     star_map,
-    star_module,
     two_sided_mn,
 )
 from fdhom.linalg import Matrix, offsets
@@ -45,9 +51,9 @@ from fdhom.modules import (
     iso,
     min_proj_resolution,
     projective_module,
+    projective_vertices,
     regular_module,
     simple_module,
-    strip_projectives,
     zero_module,
 )
 from fdhom.results import AtLeastCap
@@ -138,8 +144,7 @@ def alpha(triple: AuslanderTriple, seed: int = 0) -> GammaPresentation:
     data = end_algebra(gens, check_indec=False)
     p_mod = module_over_end(data, triple.t)
     i_mod = dual(_right_module_over_end(data))
-    e = [i for i, g in enumerate(gens)
-         if strip_projectives(g)[0].dim == 0]
+    e = [i for i, g in enumerate(gens) if projective_vertices(g) is not None]
     t_summands = [s for s, _ in decompose(triple.t, seed=seed).summands]
     f_idx = [i for i, g in enumerate(gens)
              if any(iso(g, s) is not None for s in t_summands)]
@@ -158,61 +163,27 @@ def _right_module_over_end(data: EndData) -> Module:
     return Module(aop, tot, action, check=False)
 
 
-def nu_inverse(gamma: FDAlgebra, i_mod: Module) -> Module:
-    """ν⁻ I = (D I)^*: dual then Hom(-, Γ) into a left Γ-module.
-
-    D I must be a projective right module; it is rebuilt as a genuine sum of
-    opposite-side projectives, whose star module is a sum of projectives."""
-    di = dual(i_mod)  # over Γ^op
-    dec = decompose(di)
-    parts = []
-    for leaf in dec.leaves:
-        v = _projective_vertex_of(gamma.op, leaf)
-        if v is None:
-            raise PreconditionFailed("D I is not projective on the right")
-        parts.append(projective_module(gamma.op, v))
-    disum, _, _ = direct_sum(parts)
-    return star_module(disum)
-
-
-def _projective_vertex_of(a: FDAlgebra, m: Module) -> Optional[int]:
-    for v in range(len(a.idempotents)):
-        p = projective_module(a, v)
-        if p.dim == m.dim and iso(p, m) is not None:
-            return v
-    return None
-
-
 def alpha_inv(gamma: FDAlgebra, p_mod: Module, i_mod: Module, m: int, n: int,
               cap: int = 16, seed: int = 0):
     """(Γ, P, I) -> (End(Q), Hom(Q, Γ), Hom(Q, P)) for Q = ν⁻I.
 
     Preconditions (extension pair, superprojective) are certified first;
     returns (triple data, Λ-EndData) with the triple re-verified as quasi."""
-    f_idx = []
-    dec_p = decompose(p_mod, seed=seed)
-    for leaf in dec_p.leaves:
-        v = _projective_vertex_of(gamma, leaf)
-        if v is None:
-            raise PreconditionFailed("P is not a projective Γ-module")
-        f_idx.append(v)
-    dec_i = decompose(dual(i_mod), seed=seed)
-    e_idx = []
-    for leaf in dec_i.leaves:
-        v = _projective_vertex_of(gamma.op, leaf)
-        if v is None:
-            raise PreconditionFailed("D I is not projective over Γ^op")
-        e_idx.append(v)
-    if not check_extension_pair(gamma, sorted(set(f_idx)), sorted(set(e_idx)),
-                                m, cap):
+    f_idx = projective_vertices(p_mod)
+    if f_idx is None:
+        raise PreconditionFailed("P is not a projective Γ-module")
+    e_idx = projective_vertices(dual(i_mod))
+    if e_idx is None:
+        raise PreconditionFailed("D I is not projective over Γ^op")
+    e_idems = sorted(set(e_idx))
+    if not check_extension_pair(gamma, sorted(set(f_idx)), e_idems, m, cap):
         raise PreconditionFailed("(P, I) is not an m-extension pair")
-    sp, _ = check_superprojective(gamma, sorted(set(e_idx)), n, cap)
+    sp, _ = check_superprojective(gamma, e_idems, n, cap)
     if not sp:
         raise PreconditionFailed("Q is not n-superprojective")
-    q = nu_inverse(gamma, i_mod)
-    dec_q = decompose(q, seed=seed)
-    q_parts = [leaf for leaf, _ in dec_q.summands]
-    lam_data = end_algebra(q_parts, check_indec=False)
+    # ν⁻ D(e_vΓ) = Γe_v: one projective per distinct vertex of D I
+    lam_data = end_algebra([projective_module(gamma, v) for v in e_idems],
+                           check_indec=False)
     m_mod = module_over_end(lam_data, regular_module(gamma))
     t_mod = module_over_end(lam_data, p_mod)
     return lam_data, m_mod, t_mod

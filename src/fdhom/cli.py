@@ -17,7 +17,7 @@ from fractions import Fraction
 from fdhom.algebra import FDAlgebra, PathExpr, Quiver, build_path_algebra
 from fdhom.errors import CertificateFailed, FdhomError
 from fdhom.linalg import GF, QQ
-from fdhom.results import AtLeastCap
+from fdhom.results import AtLeastCap, QuiverGraph
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -28,12 +28,6 @@ EXIT_CERTIFICATE = 4
 
 class InputError(Exception):
     pass
-
-
-def _scalar(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def load_algebra(path: str) -> FDAlgebra:
@@ -59,16 +53,16 @@ def load_algebra(path: str) -> FDAlgebra:
         if "quiver" in doc:
             qd = doc["quiver"]
             q = Quiver.make(qd["vertices"], [tuple(a) for a in qd["arrows"]])
-            rels = [PathExpr.make([(_scalar(c), names) for c, names in rel])
+            rels = [PathExpr.make([(Fraction(c), names) for c, names in rel])
                     for rel in doc.get("relations", [])]
             return build_path_algebra(q, rels, doc.get("length_cap", 30),
                                       field=field)
         if "mult" in doc:
             labels = doc["basis"]
-            mult = [[[field.of(_scalar(c)) for c in vec] for vec in row]
+            mult = [[[field.of(Fraction(c)) for c in vec] for vec in row]
                     for row in doc["mult"]]
-            unit = [field.of(_scalar(c)) for c in doc["unit"]]
-            idems = [[field.of(_scalar(c)) for c in e]
+            unit = [field.of(Fraction(c)) for c in doc["unit"]]
+            idems = [[field.of(Fraction(c)) for c in e]
                      for e in doc["idempotents"]]
             return FDAlgebra(field, labels, mult, unit, idems,
                              origin="structure-constants")
@@ -152,8 +146,8 @@ def load_character_table(path: str):
     def entry(x):
         if isinstance(x, dict):
             return CyclotomicNumber(int(x.get("conductor", conductor)),
-                                    [_scalar(c) for c in x["coeffs"]])
-        return CyclotomicNumber.rational(_scalar(x))
+                                    [Fraction(c) for c in x["coeffs"]])
+        return CyclotomicNumber.rational(Fraction(x))
 
     try:
         conductor = int(doc.get("conductor", 1))
@@ -195,15 +189,16 @@ def emit_report(report: dict, args) -> None:
     print(text)
 
 
-def _dot(labels, mult, dotted) -> str:
+def _dot(q: QuiverGraph) -> str:
+    labels = q.labels
     lines = ["digraph ar {"]
     for lbl in labels:
         lines.append(f'  "{lbl}";')
-    for i, row in enumerate(mult):
+    for i, row in enumerate(q.arrow_mult):
         for j, k in enumerate(row):
             for _ in range(k):
                 lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
-    for i, j in sorted(dotted.items()):
+    for i, j in sorted(q.dotted.items()):
         lines.append(f'  "{labels[i]}" -> "{labels[j]}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -240,6 +235,18 @@ def cmd_invariants(args) -> int:
     return EXIT_INDETERMINATE if rep.indeterminate else EXIT_OK
 
 
+def _knit_or_capped(a: FDAlgebra, command: str, args):
+    """The knitted indecomposables of a, or None once a capped enumeration
+    is reported (the command then exits 3)."""
+    from fdhom.subcats import knit_indecomposables
+
+    inds, complete = knit_indecomposables(a)
+    if complete:
+        return inds
+    emit_report(_base_report(command, args, {"error": "enumeration capped"}), args)
+    return None
+
+
 def _base_report(command, args, verdicts, witnesses=None):
     return {
         "version": 1,
@@ -270,8 +277,7 @@ def cmd_indecs(args) -> int:
 
 def cmd_orthogonal(args) -> int:
     from fdhom.modules import dual, regular_module
-    from fdhom.subcats import (knit_indecomposables,
-                               maximal_ortho_enumerative,
+    from fdhom.subcats import (maximal_ortho_enumerative,
                                maximal_ortho_homological)
     import itertools
 
@@ -279,10 +285,8 @@ def cmd_orthogonal(args) -> int:
     t = load_module(args.cotilting, a) if args.cotilting else \
         dual(regular_module(a.op))
     m_bound = args.m
-    inds, complete = knit_indecomposables(a)
-    if not complete:
-        emit_report(_base_report("orthogonal", args,
-                                 {"error": "enumeration capped"}), args)
+    inds = _knit_or_capped(a, "orthogonal", args)
+    if inds is None:
         return EXIT_INDETERMINATE
     from fdhom.homology import ext_dim
 
@@ -328,14 +332,11 @@ def cmd_auslander(args) -> int:
     from fdhom.auslander import (algebra_tables_match, alpha, alpha_inv,
                                  roundtrip_equivalence, verify_triple)
     from fdhom.modules import dual, regular_module
-    from fdhom.subcats import knit_indecomposables
 
     a = load_algebra(args.algebra)
     if args.action == "verify":
-        inds, complete = knit_indecomposables(a)
-        if not complete:
-            emit_report(_base_report("auslander", args,
-                                     {"error": "enumeration capped"}), args)
+        inds = _knit_or_capped(a, "auslander", args)
+        if inds is None:
             return EXIT_INDETERMINATE
         if args.modules:
             gens = [load_module(p, a) for p in args.modules]
@@ -393,13 +394,10 @@ def cmd_auslander(args) -> int:
 
 def cmd_repdim(args) -> int:
     from fdhom.auslander import repdim_search
-    from fdhom.subcats import knit_indecomposables
 
     a = load_algebra(args.algebra)
-    inds, complete = knit_indecomposables(a)
-    if not complete:
-        emit_report(_base_report("repdim", args,
-                                 {"error": "enumeration capped"}), args)
+    inds = _knit_or_capped(a, "repdim", args)
+    if inds is None:
         return EXIT_INDETERMINATE
     rep = repdim_search(a, args.n, inds, cap=args.cap)
     verdicts = {"repdim": rep.value, "witness": rep.witness,
@@ -411,13 +409,10 @@ def cmd_repdim(args) -> int:
 
 def cmd_obound(args) -> int:
     from fdhom.auslander import o_bound
-    from fdhom.subcats import knit_indecomposables
 
     a = load_algebra(args.algebra)
-    inds, complete = knit_indecomposables(a)
-    if not complete:
-        emit_report(_base_report("obound", args,
-                                 {"error": "enumeration capped"}), args)
+    inds = _knit_or_capped(a, "obound", args)
+    if inds is None:
         return EXIT_INDETERMINATE
     rep = o_bound(inds)
     verdicts = {"o_bound": rep.value, "witness": rep.witness}
@@ -436,26 +431,24 @@ def cmd_mckay(args) -> int:
                 "dotted": {q.labels[i]: q.labels[j]
                            for i, j in sorted(q.dotted.items())}}
     emit_report(_base_report("mckay", args, verdicts), args)
-    _write_out(_dot(q.labels, q.arrow_mult, q.dotted), args)
+    _write_out(_dot(q), args)
     return EXIT_OK
 
 
 def cmd_arquiver(args) -> int:
-    from fdhom.subcats import ar_quiver, knit_indecomposables
+    from fdhom.subcats import ar_quiver
 
     a = load_algebra(args.algebra)
-    inds, complete = knit_indecomposables(a)
-    if not complete:
-        emit_report(_base_report("arquiver", args,
-                                 {"error": "enumeration capped"}), args)
+    inds = _knit_or_capped(a, "arquiver", args)
+    if inds is None:
         return EXIT_INDETERMINATE
-    labels = [f"X{i}(dim{m.dim})" for i, m in enumerate(inds)]
-    q = ar_quiver(inds, args.n, labels=labels)
+    q = ar_quiver(inds, args.n,
+                  labels=[f"X{i}(dim{m.dim})" for i, m in enumerate(inds)])
     verdicts = {"vertices": len(inds), "arrow_mult": q.arrow_mult,
-                "dotted": {labels[i]: labels[j]
+                "dotted": {q.labels[i]: q.labels[j]
                            for i, j in sorted(q.dotted.items())}}
     emit_report(_base_report("arquiver", args, verdicts), args)
-    _write_out(_dot(labels, q.arrow_mult, q.dotted), args)
+    _write_out(_dot(q), args)
     return EXIT_OK
 
 

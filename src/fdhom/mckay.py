@@ -15,6 +15,7 @@ from math import gcd
 from typing import Sequence
 
 from fdhom.errors import MissingPowerMaps, NonIntegerMultiplicity
+from fdhom.results import QuiverGraph
 
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
@@ -255,13 +256,6 @@ def determinant_character(table: CharacterTable, chi_v, d: int):
                 Fraction(1, 6))
         out.append(val)
     return out
-
-
-@dataclass
-class QuiverGraph:
-    labels: list[str]
-    arrow_mult: list[list[int]]  # arrows X -> Y
-    dotted: dict  # vertex -> vertex
 
 
 def mckay_quiver(table: CharacterTable, chi_v, d: int,

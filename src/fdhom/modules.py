@@ -11,7 +11,10 @@ radical generators contribute equations.
 
 The injective side is the dual D of the projective side over the opposite
 algebra `FDAlgebra.op`: injective modules, envelopes and coresolutions, and
-left approximations (D of a right approximation of D x).  What is kept per
+left approximations (D of a right approximation of D x).  A module is
+projective exactly when its minimal projective cover has its dimension, and
+`projective_vertices` reads the vertices of its summands off that cover;
+`projective_vertices(dual(m))` is the injectivity test.  What is kept per
 algebra (the projectives P_i, the projective-injective vertices) lives in the
 algebra's memo, `FDAlgebra.memo`; what is kept per module (generator action,
 vertex blocks, Ext values) lives on the Module and is dropped with it.
@@ -725,14 +728,23 @@ def min_inj_coresolution(m: Module, cap: int) -> Resolution:
                       truncated_at=res.truncated_at)
 
 
-# -- stripping projective / injective summands -----------------------------------
+# -- projectivity, stripping projective / injective summands ---------------------
+
+
+def projective_vertices(m: Module) -> Optional[list[int]]:
+    """The vertices of m's minimal projective cover when m is projective,
+    else None.  The cover is onto, so it is an isomorphism exactly when it
+    has m's dimension; then m ≅ ⊕ P_v over the returned vertices (the zero
+    module gives [])."""
+    p, _ = projective_cover(m)
+    return [v for v, _ in p.proj_summands] if p.dim == m.dim else None
 
 
 def projective_injective_vertices(a: FDAlgebra) -> set:
     """Vertices whose indecomposable injective is projective (cached)."""
     return a.memo("projective_injective_vertices", lambda: {
         v for v in range(len(a.idempotents))
-        if strip_projectives(injective_module(a, v))[0].dim == 0})
+        if projective_vertices(injective_module(a, v)) is not None})
 
 
 def _top_dims(m: Module) -> list[int]:

@@ -26,9 +26,8 @@ from fdhom.homology import (
     ext_dim,
     gldim,
     injective_dim,
-    tau,
-    tau_inv,
     tau_n,
+    transpose,
     two_sided_mn,
 )
 from fdhom.linalg import Matrix, invert, kernel_basis, offsets, solve, vstack_all
@@ -51,12 +50,12 @@ from fdhom.modules import (
     min_proj_resolution,
     projective_cover,
     projective_module,
+    projective_vertices,
     regular_module,
     simple_module,
-    strip_injectives,
     strip_projectives,
 )
-from fdhom.results import AtLeastCap
+from fdhom.results import AtLeastCap, QuiverGraph
 
 
 # -- orthogonality -----------------------------------------------------------
@@ -202,7 +201,7 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     core, removed = strip_projectives(z)
     if removed or core.dim == 0:
         raise PreconditionFailed("Z must be non-projective")
-    tz = tau(z)
+    tz = dual(transpose(core))
     p, q = projective_cover(z)
     om, om_incl = kernel(q)
     homs = hom_basis(om, tz)
@@ -530,19 +529,15 @@ def knit_indecomposables(a: FDAlgebra, cap_count: int = 64,
         if len(found) > cap_count:
             return found, False
         m = queue.pop(0)
-        core, _ = strip_projectives(m)
-        if core.dim:
-            t = tau(m)
-            if register(t):
-                queue.append(t)
+        if projective_vertices(m) is None:
             seq = almost_split_sequence(m)
             dec = decompose(seq.terms[1], seed=seed)
-            for s, _ in dec.summands:
+            # tau m first: the registration order is the listing order
+            for s in [seq.terms[0]] + [s for s, _ in dec.summands]:
                 if register(s):
                     queue.append(s)
-        core_i, _ = strip_injectives(m)
-        if core_i.dim:
-            ti = tau_inv(m)
+        if projective_vertices(dual(m)) is None:
+            ti = transpose(dual(m))  # tau^- m
             if register(ti):
                 queue.append(ti)
     return found, True
@@ -648,16 +643,9 @@ def _module_from_rep(a: FDAlgebra, dims, mats, arrow_ends) -> Module:
 # -- AR quiver -----------------------------------------------------------------
 
 
-@dataclass
-class ARQuiver:
-    labels: list[str]
-    arrow_mult: list[list[int]]
-    dotted: dict  # vertex index -> vertex index (tau_n)
-
-
 def ar_quiver(gens: Sequence[Module], n: int,
               data: Optional[EndData] = None,
-              labels: Optional[list[str]] = None) -> ARQuiver:
+              labels: Optional[list[str]] = None) -> QuiverGraph:
     """Arrow multiplicities d_XY = dim J/J^2 (X, Y) inside End(⊕gens), plus
     dotted tau_n arrows on non-projective vertices."""
     if data is None:
@@ -693,8 +681,7 @@ def ar_quiver(gens: Sequence[Module], n: int,
             mult[i][j] = d_full - d_sq
     dotted = {}
     for i, g in enumerate(gens):
-        core, _ = strip_projectives(g)
-        if core.dim == 0:
+        if projective_vertices(g) is not None:
             continue
         t = tau_n(g, n)
         j = member_of(gens, t)
@@ -702,7 +689,7 @@ def ar_quiver(gens: Sequence[Module], n: int,
             dotted[i] = j
     if labels is None:
         labels = [f"X{i}" for i in range(r)]
-    return ARQuiver(labels, mult, dotted)
+    return QuiverGraph(labels, mult, dotted)
 
 
 # -- connecting tilting modules --------------------------------------------------

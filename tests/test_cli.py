@@ -438,3 +438,26 @@ def test_seed_flag_threads_through(tmp_path, capsys):
     assert code == 0
     assert doc["seed"] == 5
     assert doc["verdicts"]["repdim"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthogonal", "--n", "1"],
+    ["auslander", "verify", "--m", "0", "--n", "1"],
+    ["repdim"],
+    ["obound"],
+    ["arquiver"],
+], ids=lambda argv: argv[0])
+def test_capped_knitting_reports_and_exits_3(tmp_path, capsys, monkeypatch, argv):
+    import fdhom.subcats
+
+    path = write(tmp_path, "ka2.json", KA2)
+    knit = fdhom.subcats.knit_indecomposables
+    monkeypatch.setattr(fdhom.subcats, "knit_indecomposables",
+                        lambda a, **kw: (knit(a, **kw)[0], False))
+    # the algebra path follows the subcommand (and the action of auslander)
+    pos = 2 if argv[0] == "auslander" else 1
+    code, doc, out = run(capsys, argv[:pos] + [path] + argv[pos:])
+    assert code == 3
+    assert doc["command"] == argv[0]
+    assert doc["verdicts"] == {"error": "enumeration capped"}
+    assert "digraph" not in out

@@ -2,7 +2,8 @@
 
 They keep one definition of each helper, no dead functions or methods,
 every attribute of FDAlgebra declared in algebra.py itself, no assertions in
-the package, and sympy imported in one place only.
+the package, sympy imported in one place only, and no imported name left
+unused.
 """
 
 import ast
@@ -132,3 +133,30 @@ def test_sympy_is_imported_only_by_crt_idempotent():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if _imports_sympy(node)]
     assert found == ["algebra.py:_crt_idempotent"]
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names that an import binds and its scope never reads: the function
+    the import sits in, or the whole module for a top-level import.  A read
+    is a use as a name; `fdhom.homology.tau` reads `fdhom`."""
+    found = []
+
+    def visit(scope, node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and \
+                    getattr(child, "module", None) != "__future__":
+                read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+                bound = [alias.asname or alias.name.split(".")[0]
+                         for alias in child.names]
+                found.extend(f"{b}:{child.lineno}" for b in bound if b not in read)
+            is_fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child if is_fn else scope, child)
+
+    visit(tree, tree)
+    return found
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports only to re-export the public API
+    assert {name: _unused_imports(tree) for name, tree in TREES.items()
+            if name != "__init__.py" and _unused_imports(tree)} == {}

@@ -18,7 +18,7 @@ import pytest
 import fdhom.homology
 from fdhom.endalg import end_algebra
 from fdhom.errors import CertificateFailed, PreconditionFailed
-from fdhom.homology import star_map, star_module, transpose
+from fdhom.homology import ext_dim, star_map, star_module, transpose
 from fdhom.linalg import GF, QQ, Matrix, rank, solve
 from fdhom.modules import (
     Module,
@@ -247,3 +247,28 @@ def test_star_map_certificate_catches_inconsistent_bookkeeping(monkeypatch):
     monkeypatch.setattr(fdhom.homology, "star_module", scrambled)
     with pytest.raises(CertificateFailed):
         star_map(d)
+
+
+@pytest.mark.parametrize("name", TRANSPOSE_ALGEBRAS)
+def test_starred_resolution_is_a_complex_computing_ext_into_the_algebra(name):
+    # independent of the bookkeeping that star_map reads: Hom(P_•, A) is a
+    # complex, and its cohomology in degree i >= 1 is Ext^i(M, A), which
+    # ext_dim computes from hom bases
+    a = TRANSPOSE_ALGEBRAS[name]()
+    reg = regular_module(a)
+    inds, complete = knit_indecomposables(a)
+    assert complete
+    checked = nonzero = 0
+    for m in inds:
+        res = min_proj_resolution(m, 4)
+        stars = [star_map(d) for d in res.maps]
+        for first, second in zip(stars, stars[1:]):
+            assert first.then(second).is_zero()
+        ranks = [s.rank() for s in stars] + [0]
+        for i in range(1, min(res.length, 3) + 1):
+            h = star_module(res.modules[i]).dim - ranks[i] - ranks[i - 1]
+            assert h == ext_dim(m, reg, i)
+            checked += 1
+            nonzero += h > 0
+    # preprojective A_2 is selfinjective: there Ext^{>0}(M, A) = 0
+    assert checked and (nonzero > 0) == (not name.startswith("preprojective"))
