@@ -52,6 +52,7 @@ from fdhom.modules import (
     min_proj_resolution,
     projective_module,
     projective_vertices,
+    projective_vertices_among,
     regular_module,
     simple_module,
     zero_module,
@@ -97,8 +98,9 @@ def verify_triple(lam: FDAlgebra, gens: Sequence[Module], t: Module,
     if not ok:
         return AuslanderTriple(lam, gens, t, m, n, quasi, cert, None, False,
                                f"generators not (n-1)-orthogonal: {wit}")
+    present = projective_vertices_among(gens)
     for v in range(len(lam.idempotents)):
-        if member_of(gens, projective_module(lam, v)) is None:
+        if v not in present:
             return AuslanderTriple(lam, gens, t, m, n, quasi, cert, None,
                                    False, f"projective {v} not in add M")
     for s, _ in decompose(t, seed=seed).summands:

@@ -212,6 +212,18 @@ def _write_out(text: str, args) -> None:
         print(text, end="")
 
 
+# the least value of each integer option; anything below is an input error
+_OPTION_MINIMA = {"cap": 0, "n": 1, "mn_bound": 1, "m": 0}
+
+
+def _check_option_ranges(args) -> None:
+    for name, low in _OPTION_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be at least {low}, got {value}")
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -527,6 +539,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._t0 = time.monotonic()
     try:
+        _check_option_ranges(args)
         return args.fn(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

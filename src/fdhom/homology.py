@@ -192,13 +192,20 @@ def domdim(a: FDAlgebra, cap: int):
     return domdim_report(a, cap)[0]
 
 
-def mn_condition(a: FDAlgebra, m: int, n: int, cap: int) -> bool:
-    """pd I_i < m for the first n coresolution terms of the regular module."""
+def _check_mn(m: int, n: int, cap: int) -> None:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if cap < m:
         raise ResolutionTruncated("cap below the pd threshold m")
-    for term in injective_coresolution_terms(a, n):
+
+
+def mn_condition(terms: Sequence[Module], m: int, n: int, cap: int) -> bool:
+    """pd I_i < m for the first n of the coresolution terms `terms` (from
+    `injective_coresolution_terms`, at least n of them)."""
+    _check_mn(m, n, cap)
+    if len(terms) < n:
+        raise ValueError("fewer coresolution terms than n")
+    for term in terms[:n]:
         if term.dim == 0:
             continue
         p = pd(term, cap)
@@ -210,14 +217,19 @@ def mn_condition(a: FDAlgebra, m: int, n: int, cap: int) -> bool:
 
 
 def two_sided_mn(a: FDAlgebra, m: int, n: int, cap: int) -> bool:
-    return mn_condition(a, m, n, cap) and mn_condition(a.op, m, n, cap)
+    _check_mn(m, n, cap)
+    return (mn_condition(injective_coresolution_terms(a, n), m, n, cap)
+            and mn_condition(injective_coresolution_terms(a.op, n), m, n, cap))
 
 
-def n_gorenstein(a: FDAlgebra, n: int, cap: int) -> bool:
-    """pd I_i <= i for i < n along the coresolution of the regular module."""
+def n_gorenstein(terms: Sequence[Module], n: int, cap: int) -> bool:
+    """pd I_i <= i for i < n along the coresolution terms `terms` (from
+    `injective_coresolution_terms`, at least n of them)."""
     if cap < n:
         raise ResolutionTruncated("cap below the requested Gorenstein degree")
-    for i, term in enumerate(injective_coresolution_terms(a, n)):
+    if len(terms) < n:
+        raise ValueError("fewer coresolution terms than n")
+    for i, term in enumerate(terms[:n]):
         if term.dim == 0:
             continue
         p = pd(term, cap)
@@ -373,19 +385,32 @@ class DimReport:
 
 
 def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
-    """Collect the headline invariants for reports and the CLI."""
+    """Collect the headline invariants for reports and the CLI.
+
+    The coresolution terms of A are built once, up to mn_bound, and those of
+    A^op once, as far as the pairs that hold on A's side reach (the other
+    pairs fail on A and never read A^op).  The (m, n) table and the
+    Gorenstein profile up to mn_bound read these terms; past mn_bound each
+    Gorenstein degree builds its own."""
     indet = False
-    table = {}
-    for m in range(1, mn_bound + 1):
-        for n in range(1, mn_bound + 1):
-            try:
-                table[(m, n)] = two_sided_mn(a, m, n, cap)
-            except ResolutionTruncated:
-                table[(m, n)] = None
-                indet = True
+    table = dict.fromkeys((m, n) for m in range(1, mn_bound + 1)
+                          for n in range(1, mn_bound + 1))  # None: cap < m
+    terms = injective_coresolution_terms(a, mn_bound) \
+        if min(cap, mn_bound) >= 1 else []
+    for m, n in table:
+        if cap < m:
+            indet = True
+        else:
+            table[(m, n)] = mn_condition(terms, m, n, cap)
+    reach = max((n for (_, n), ok in table.items() if ok), default=0)
+    terms_op = injective_coresolution_terms(a.op, reach) if reach else []
+    for (m, n), ok in table.items():
+        if ok:
+            table[(m, n)] = mn_condition(terms_op, m, n, cap)
     profile: object = 0
     for n in range(1, cap + 1):
-        if not n_gorenstein(a, n, cap):
+        cores = terms if n <= mn_bound else injective_coresolution_terms(a, n)
+        if not n_gorenstein(cores, n, cap):
             profile = n - 1
             break
     else:

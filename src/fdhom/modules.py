@@ -740,6 +740,13 @@ def projective_vertices(m: Module) -> Optional[list[int]]:
     return [v for v, _ in p.proj_summands] if p.dim == m.dim else None
 
 
+def projective_vertices_among(mods: Sequence[Module]) -> set:
+    """The vertices v with some module in mods isomorphic to P_v: those whose
+    minimal cover is the one projective P_v."""
+    return {vs[0] for vs in map(projective_vertices, mods)
+            if vs is not None and len(vs) == 1}
+
+
 def projective_injective_vertices(a: FDAlgebra) -> set:
     """Vertices whose indecomposable injective is projective (cached)."""
     return a.memo("projective_injective_vertices", lambda: {

@@ -51,6 +51,7 @@ from fdhom.modules import (
     projective_cover,
     projective_module,
     projective_vertices,
+    projective_vertices_among,
     regular_module,
     simple_module,
     strip_projectives,
@@ -162,8 +163,9 @@ def maximal_ortho_homological(lam: FDAlgebra, gens: Sequence[Module],
     if not ok:
         return HomologicalVerdict(False, "iff" if m <= n else "necessary-only",
                                   f"not (n-1)-orthogonal: {wit}")
+    present = projective_vertices_among(gens)
     for v in range(len(lam.idempotents)):
-        if member_of(gens, projective_module(lam, v)) is None:
+        if v not in present:
             return HomologicalVerdict(False, "iff" if m <= n else "necessary-only",
                                       f"projective {v} missing")
     for s, _ in decompose(t, seed=seed).summands:

@@ -461,3 +461,40 @@ def test_capped_knitting_reports_and_exits_3(tmp_path, capsys, monkeypatch, argv
     assert doc["command"] == argv[0]
     assert doc["verdicts"] == {"error": "enumeration capped"}
     assert "digraph" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--cap", "-1"],
+    ["invariants", "--mn-bound", "0"],
+    ["invariants", "--mn-bound", "-2"],
+    ["arquiver", "--n", "0"],
+    ["auslander", "reconstruct", "--m", "0", "--n", "-1"],
+    ["auslander", "verify", "--n", "1", "--m", "-1"],
+    ["repdim", "--cap", "-3"],
+    ["indecs", "--cap", "-1"],
+    ["orthogonal", "--n", "0"],
+    ["orthogonal", "--n", "1", "--m", "-1"],
+], ids=" ".join)
+def test_integer_option_out_of_range_is_input_error(tmp_path, capsys, argv):
+    # checked before any work: no report, exit 2, and the last flag given
+    # (the one out of range) is named
+    path = write(tmp_path, "ka2.json", KA2)
+    pos = 2 if argv[0] == "auslander" else 1
+    assert main(argv[:pos] + [path] + argv[pos:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{argv[-2]} must be at least" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["invariants", "--cap", "0"], 3),
+    (["invariants", "--mn-bound", "1"], 0),
+    (["indecs", "--cap", "0"], 3),
+    (["orthogonal", "--n", "1", "--m", "0", "--cap", "0"], 0),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_integer_options_at_their_least_values_still_run(tmp_path, capsys,
+                                                         argv, code):
+    path = write(tmp_path, "ka2.json", KA2)
+    got, doc, _ = run(capsys, argv[:1] + [path] + argv[1:])
+    assert got == code
+    assert doc["command"] == argv[0]

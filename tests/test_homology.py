@@ -2,13 +2,18 @@ import random
 
 import pytest
 
+from fdhom.algebra import PathExpr, Quiver, build_path_algebra
+from fdhom.errors import ResolutionTruncated
 from fdhom.homology import (
     costable_hom_dim,
+    dim_report,
     domdim,
+    domdim_report,
     ext_dim,
     ext_dim_via_injectives,
     gldim,
     grade,
+    injective_coresolution_terms,
     injective_dim,
     mn_condition,
     n_gorenstein,
@@ -20,18 +25,21 @@ from fdhom.homology import (
     transpose,
     two_sided_mn,
 )
+from fdhom.linalg import GF
 from fdhom.modules import (
     direct_sum,
     dual,
     hom_dim,
     injective_module,
     iso,
+    min_inj_coresolution,
     projective_module,
     regular_module,
     simple_module,
     syzygy,
 )
 from fdhom.presets import (
+    linear_quiver,
     loop_algebra,
     path_algebra_a_n,
     preprojective_a_n,
@@ -129,20 +137,21 @@ def test_mn_condition_definitional_identity():
         dd = domdim(a, 8)
         for n in range(1, 5):
             want = (dd.cap >= n) if isinstance(dd, AtLeastCap) else (dd >= n)
-            assert mn_condition(a, 1, n, 8) == want
+            assert mn_condition(injective_coresolution_terms(a, n), 1, n, 8) == want
 
 
 def test_mn_a2_fails_12():
-    assert not mn_condition(path_algebra_a_n(2), 1, 2, 8)
+    a = path_algebra_a_n(2)
+    assert not mn_condition(injective_coresolution_terms(a, 2), 1, 2, 8)
 
 
 def test_gorenstein():
     a = preprojective_a_n(2)
     for n in range(1, 5):
-        assert n_gorenstein(a, n, 8)
+        assert n_gorenstein(injective_coresolution_terms(a, n), n, 8)
     b = path_algebra_a_n(2)
-    assert n_gorenstein(b, 1, 8)
-    assert n_gorenstein(b, 2, 8)
+    assert n_gorenstein(injective_coresolution_terms(b, 1), 1, 8)
+    assert n_gorenstein(injective_coresolution_terms(b, 2), 2, 8)
 
 
 def test_gorenstein_follows_domdim():
@@ -150,7 +159,7 @@ def test_gorenstein_follows_domdim():
         dd = domdim(a, 6)
         bound = dd.cap if isinstance(dd, AtLeastCap) else dd
         for n in range(1, min(bound, 4) + 1):
-            assert n_gorenstein(a, n, 6)
+            assert n_gorenstein(injective_coresolution_terms(a, n), n, 6)
 
 
 def test_grade():
@@ -246,3 +255,162 @@ def test_costable_custom_class():
     t_class = [projective_module(a, 0), projective_module(a, 1)]
     # injectives = projectives here, so both routes agree
     assert costable_hom_dim(s1, s1, t_class) == costable_hom_dim(s1, s1)
+
+
+# -- dim_report against the per-pair route ------------------------------------------
+
+
+def _nakayama_a_n(n, rad):
+    """1 -> 2 -> ... -> n with every path of length rad zero."""
+    rels = [PathExpr.make([(1, [f"a{j + 1}" for j in range(i, i + rad)])])
+            for i in range(n - rad)]
+    return build_path_algebra(linear_quiver(n), rels)
+
+
+DIM_REPORT_ALGEBRAS = {
+    "kA2": lambda: path_algebra_a_n(2),
+    "kA3": lambda: path_algebra_a_n(3),
+    "kA4": lambda: path_algebra_a_n(4),
+    "kA5": lambda: path_algebra_a_n(5),
+    "nakayama_A5_rad2": lambda: _nakayama_a_n(5, 2),
+    "nakayama_A6_rad3": lambda: _nakayama_a_n(6, 3),
+    "preprojective_A2": lambda: preprojective_a_n(2),
+    "preprojective_A2_GF3": lambda: preprojective_a_n(2, field=GF(3)),
+    "preprojective_A3": lambda: preprojective_a_n(3),
+    "k[x]/x^2": lambda: loop_algebra(2),
+    "k^2": lambda: semisimple_k_n(2),
+}
+
+
+def _dim_report_by_pairs(a, cap, mn_bound=4):
+    """The per-pair route: `two_sided_mn` for every (m, n), and a Gorenstein
+    loop that builds the coresolution afresh for every degree."""
+    indet = False
+    table = {}
+    for m in range(1, mn_bound + 1):
+        for n in range(1, mn_bound + 1):
+            try:
+                table[(m, n)] = two_sided_mn(a, m, n, cap)
+            except ResolutionTruncated:
+                table[(m, n)] = None
+                indet = True
+    for n in range(1, cap + 1):
+        if not n_gorenstein(injective_coresolution_terms(a, n), n, cap):
+            profile = n - 1
+            break
+    else:
+        profile = AtLeastCap(cap)
+        if min_inj_coresolution(regular_module(a), cap).truncated_at is not None:
+            indet = True
+    if isinstance(gldim(a, cap), AtLeastCap):
+        indet = True
+    if not domdim_report(a, cap)[1] or not domdim_report(a.op, cap)[1]:
+        indet = True
+    return table, profile, indet
+
+
+def _counting_envelopes(monkeypatch):
+    import fdhom.homology
+    import fdhom.modules
+
+    calls = []
+    counted = fdhom.modules.injective_envelope
+
+    def counting(m):
+        calls.append(m)
+        return counted(m)
+
+    monkeypatch.setattr(fdhom.modules, "injective_envelope", counting)
+    monkeypatch.setattr(fdhom.homology, "injective_envelope", counting)
+    return calls
+
+
+def _recording_reach(monkeypatch, a):
+    """How far each side's coresolution is built: {is_opposite: max terms}."""
+    import fdhom.homology
+
+    reach = {False: 0, True: 0}
+    counted = fdhom.homology.injective_coresolution_terms
+
+    def recording(alg, n_terms):
+        side = alg is a.op
+        reach[side] = max(reach[side], n_terms)
+        return counted(alg, n_terms)
+
+    monkeypatch.setattr(fdhom.homology, "injective_coresolution_terms",
+                        recording)
+    # the per-pair route's Gorenstein loop calls the name imported here
+    monkeypatch.setitem(globals(), "injective_coresolution_terms", recording)
+    return reach
+
+
+def _check_against_the_per_pair_route(a, cap, mn_bound, monkeypatch):
+    """dim_report gives the per-pair verdicts, builds each side's
+    coresolution exactly as far, and makes no more envelopes."""
+    calls = _counting_envelopes(monkeypatch)
+    reach = _recording_reach(monkeypatch, a)
+    want = _dim_report_by_pairs(a, cap, mn_bound)
+    per_pair, per_pair_reach = len(calls), dict(reach)
+    calls.clear()
+    reach.update({False: 0, True: 0})
+    rep = dim_report(a, cap, mn_bound)
+    assert (rep.mn_table, rep.gorenstein_profile, rep.indeterminate) == want
+    assert list(rep.mn_table) == list(want[0])
+    assert reach == per_pair_reach
+    assert len(calls) <= per_pair
+    return rep
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", DIM_REPORT_ALGEBRAS)
+def test_dim_report_agrees_with_the_per_pair_route(name, cap, monkeypatch):
+    a = DIM_REPORT_ALGEBRAS[name]()
+    _check_against_the_per_pair_route(a, cap, 4, monkeypatch)
+
+
+def test_dim_report_builds_each_side_once(monkeypatch):
+    # kA_5 is hereditary: the coresolution of either side has two nonzero
+    # terms, so each build makes two envelopes.  One build per side for the
+    # (m, n) table, one per Gorenstein degree 5..8 past mn_bound = 4, and one
+    # per side in domdim_report: 2 + 2 + 4 * 2 + 2 + 2.  The per-pair route
+    # makes 69.
+    calls = _counting_envelopes(monkeypatch)
+    rep = dim_report(path_algebra_a_n(5), 8)
+    assert rep.gorenstein_profile == AtLeastCap(8)
+    assert len(calls) <= 16
+
+
+def test_dim_report_reads_the_opposite_side_where_a_holds(monkeypatch):
+    # every algebra above is isomorphic to its opposite, so equal tables do
+    # not show that A^op is consulted: record which side each check reads
+    import fdhom.homology
+
+    a = path_algebra_a_n(5)
+    checked = []
+    counted = fdhom.homology.mn_condition
+
+    def recording(terms, m, n, cap):
+        ok = counted(terms, m, n, cap)
+        checked.append((terms[0].algebra is a.op, (m, n), ok))
+        return ok
+
+    monkeypatch.setattr(fdhom.homology, "mn_condition", recording)
+    rep = dim_report(a, 3)
+    held = {p for is_op, p, ok in checked if not is_op and ok}
+    assert {p for is_op, p, _ in checked if is_op} == held
+    assert {p for p, v in rep.mn_table.items() if v} == held
+    assert {p for p, v in rep.mn_table.items() if v is None} == \
+        {(4, n) for n in range(1, 5)}
+
+
+@pytest.mark.parametrize("mn_bound", [1, 2, 4])
+def test_dim_report_builds_no_term_past_the_per_pair_route(mn_bound,
+                                                           monkeypatch):
+    # k<x, y>/(x, y)^2 is not Gorenstein: its cosyzygies double in size,
+    # and its profile fails at degree 1, so terms past mn_bound would be
+    # built for nothing
+    q = Quiver.make(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    a = build_path_algebra(q, [PathExpr.make([(1, p)]) for p in
+                               (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"])])
+    rep = _check_against_the_per_pair_route(a, 3, mn_bound, monkeypatch)
+    assert (rep.gorenstein_profile, rep.indeterminate) == (0, True)

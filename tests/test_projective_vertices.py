@@ -22,12 +22,17 @@ from fdhom.modules import (
     projective_injective_vertices,
     projective_module,
     projective_vertices,
+    projective_vertices_among,
     regular_module,
     strip_projectives,
     zero_module,
 )
 from fdhom.presets import loop_algebra, path_algebra_a_n, preprojective_a_n
-from fdhom.subcats import knit_indecomposables
+from fdhom.subcats import (
+    knit_indecomposables,
+    maximal_ortho_homological,
+    member_of,
+)
 from test_instances import d4_subspace_algebra
 from test_span_chain import TRANSPOSE_ALGEBRAS
 
@@ -153,3 +158,35 @@ def test_nu_inverse_is_the_sum_of_projectives_at_the_vertices_of_d_i(name):
     # the projective generators that α finds are those the strip oracle finds
     assert pres.e == [i for i, g in enumerate(tri.gens)
                       if _stripped_away(g)]
+
+
+def _projective_vertices_by_scan(lam, gens):
+    """The member_of oracle: the v with P_v isomorphic to some generator."""
+    return {v for v in range(len(lam.idempotents))
+            if member_of(gens, projective_module(lam, v)) is not None}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIPS)
+def test_projective_vertices_among_agrees_with_the_member_of_scan(name):
+    tri = ROUNDTRIPS[name]()
+    lam, gens = tri.lam, tri.gens
+    everything = direct_sum(gens)[0]
+    assert projective_vertices_among(gens) == \
+        _projective_vertices_by_scan(lam, gens) == \
+        set(range(len(lam.idempotents)))
+    assert projective_vertices_among([everything]) == \
+        _projective_vertices_by_scan(lam, [everything])
+    for i in range(len(gens)):
+        rest = gens[:i] + gens[i + 1:]
+        present = projective_vertices_among(rest)
+        assert present == _projective_vertices_by_scan(lam, rest)
+        missing = sorted(set(range(len(lam.idempotents))) - present)
+        if not missing:
+            continue
+        # both checks name the first missing projective, as the scan did
+        sub = verify_triple(lam, rest, tri.t, tri.m, tri.n, cap=8)
+        assert (sub.valid, sub.reason) == \
+            (False, f"projective {missing[0]} not in add M")
+        hv = maximal_ortho_homological(lam, rest, tri.t, tri.m, tri.n, 8)
+        assert (hv.verdict, hv.reason) == \
+            (False, f"projective {missing[0]} missing")
