@@ -144,13 +144,22 @@ class FDAlgebra:
 
     def left_mult_basis(self, i: int) -> Matrix:
         """Matrix of m -> b_i * m on coefficient vectors."""
-        return self.memo(("left_mult_basis", i), lambda: Matrix.from_columns(
-            self.field, self.dim, self.mult[i]))
+        return self.memo(("left_mult_basis", i), lambda: self._product_matrix(
+            self.mult_nonzeros()[i]))
 
     def right_mult_basis(self, j: int) -> Matrix:
         """Matrix of m -> m * b_j on coefficient vectors."""
-        return self.memo(("right_mult_basis", j), lambda: Matrix.from_columns(
-            self.field, self.dim, [row[j] for row in self.mult]))
+        return self.memo(("right_mult_basis", j), lambda: self._product_matrix(
+            [row[j] for row in self.mult_nonzeros()]))
+
+    def _product_matrix(self, products) -> Matrix:
+        """The matrix whose column k is the product whose nonzero (r, c)
+        pairs `products[k]` lists."""
+        nz = [{} for _ in range(self.dim)]
+        for k, pairs in enumerate(products):
+            for r, c in pairs:
+                nz[r][k] = c
+        return Matrix._of_nz(self.field, self.dim, self.dim, nz)
 
     def right_mult(self, x: Vec) -> Matrix:
         """Matrix of m -> m * x on coefficient vectors."""
@@ -295,18 +304,22 @@ def _linear_combination(f: FieldSpec, rows: int, cols: int, coeffs,
                         mat_of) -> Matrix:
     """sum_i coeffs[i] * mat_of(i) for rows x cols matrices, skipping zeros;
     mat_of is called only at nonzero coefficients.  A single coefficient 1
-    (a basis vector, such as a vertex or an arrow of a path algebra) gives a
-    copy of its matrix."""
+    (a basis vector, such as a vertex or an arrow of a path algebra) gives
+    its matrix itself, not a copy: matrices are not changed after build."""
     nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
     if len(nonzero) == 1 and nonzero[0][1] == f.one:
-        return mat_of(nonzero[0][0]).copy()
-    out = Matrix(f, rows, cols)
+        return mat_of(nonzero[0][0])
+    zero = f.zero
+    out = [{} for _ in range(rows)]
     for i, c in nonzero:
-        for row, mrow in zip(out.data, mat_of(i).data):
-            for s, v in enumerate(mrow):
-                if v:
-                    row[s] = f.add(row[s], f.mul(c, v))
-    return out
+        for row, mrow in zip(out, mat_of(i).nz):
+            for s, v in mrow.items():
+                x = f.add(row.get(s, zero), f.mul(c, v))
+                if x:
+                    row[s] = x
+                else:
+                    del row[s]
+    return Matrix._of_nz(f, rows, cols, out)
 
 
 class _SpanReducer:

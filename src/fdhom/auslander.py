@@ -465,14 +465,15 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
         c = hom_coords(data2.hom[(i, j)], [hh.matrix])
         if c is None:
             return False
-        cols.append([c.data[t][0] if (ti, tj) == (i, j) else f.zero
+        col = c.col(0)
+        cols.append([col[t] if (ti, tj) == (i, j) else f.zero
                      for ti, tj, t in data2.basis_tags])
     phi = Matrix.from_columns(f, gamma2.dim, cols)
     from fdhom.linalg import invert
 
     if invert(phi) is None:
         return False
-    # multiplicativity on all basis pairs
+    # multiplicativity on all basis pairs; cols[k] is column k of phi
     for k1 in range(gamma.dim):
         for k2 in range(gamma.dim):
             prod = gamma.mult[k1][k2]
@@ -480,8 +481,8 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
             for k, c in enumerate(prod):
                 if c:
                     for r in range(gamma2.dim):
-                        lhs[r] = f.add(lhs[r], f.mul(c, phi.data[r][k]))
-            rhs = gamma2.multiply(phi.col(k1), phi.col(k2))
+                        lhs[r] = f.add(lhs[r], f.mul(c, cols[k][r]))
+            rhs = gamma2.multiply(cols[k1], cols[k2])
             if lhs != rhs:
                 return False
     return True

@@ -92,7 +92,8 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
                 continue
             coords = hom_coords(hom[(i, l)], mats,
                                 "composite escapes the hom space")
-            vecs = [[coords.data[idx][c] if (ti, tj) == (i, l) else f.zero
+            rows = coords.data
+            vecs = [[rows[idx][c] if (ti, tj) == (i, l) else f.zero
                      for ti, tj, idx in tags] for c in range(len(mats))]
             for (k1, k2), vec in zip(pairs, vecs):
                 mult[k1][k2] = vec

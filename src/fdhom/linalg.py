@@ -1,11 +1,11 @@
-"""Exact dense linear algebra over QQ and prime fields.
+"""Exact sparse linear algebra over QQ and prime fields.
 
 Scalars are `fractions.Fraction` over QQ and canonical residues (ints in
-[0, p)) over F_p.  Storage is dense (a list of rows), but the hot loops of
-`Matrix.__matmul__` and `rref` skip zeros: each row is reduced once to its
-nonzero (column, value) pairs and only those are multiplied.  Pivoting is
-deterministic (first nonzero entry in column order) so every basis produced
-downstream is reproducible.
+[0, p)) over F_p.  A `Matrix` stores only its nonzero entries, one
+{column: value} dict per row, so products, elimination and every other
+operation loop over stored entries only.  Pivoting is deterministic (first
+nonzero entry in column order) so every basis produced downstream is
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return 0 if self.kind == "Fp" else Fraction(0)
+        return 0 if self.kind == "Fp" else _Q_ZERO
 
     @property
     def one(self):
-        return 1 if self.kind == "Fp" else Fraction(1)
+        return 1 if self.kind == "Fp" else _Q_ONE
 
     def of(self, x):
         """Coerce an int / Fraction / 'a/b' string to a canonical scalar."""
@@ -101,35 +104,36 @@ def GF(p: int) -> FieldSpec:
 
 
 class Matrix:
-    """Dense matrix with exact entries, immutable by convention after build.
+    """Sparse matrix with exact entries, immutable by convention after build.
 
-    `data` holds every entry, zeros included; products and elimination
-    iterate only over the nonzero ones.
+    `nz[i]` maps each column j with a nonzero entry in row i to that entry.
+    No zero is ever stored and F_p entries are stored reduced, so equal
+    matrices have equal `nz`.  `data` is a dense copy for reading; write with
+    `set` or `put`.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "nz")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries=None):
         self.field = field
         self.rows = rows
         self.cols = cols
         if entries is None:
-            z = field.zero
-            self.data = [[z] * cols for _ in range(rows)]
+            self.nz = [{} for _ in range(rows)]
         else:
-            data = [[field.of(x) for x in row] for row in entries]
-            if len(data) != rows or any(len(r) != cols for r in data):
+            entries = [list(row) for row in entries]
+            if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match the declared shape")
-            self.data = data
+            of = field.of
+            self.nz = [{j: y for j, y in enumerate(map(of, row)) if y}
+                       for row in entries]
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        m = Matrix(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        one = field.one
+        return Matrix._of_nz(field, n, n, [{i: one} for i in range(n)])
 
     @staticmethod
     def zero(field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -151,40 +155,81 @@ class Matrix:
         """The rows x len(vecs) matrix whose columns are the given canonical
         vectors (entries are taken as they are, not coerced)."""
         vecs = list(vecs)
-        data = [list(r) for r in zip(*vecs)] if vecs else [[] for _ in range(rows)]
-        if len(data) != rows:
-            raise ValueError("column length does not match the row count")
-        return Matrix._of_rows(field, rows, len(vecs), data)
+        nz = [{} for _ in range(rows)]
+        for k, vec in enumerate(vecs):
+            if len(vec) != rows:
+                raise ValueError("column length does not match the row count")
+            for i, x in enumerate(vec):
+                if x:
+                    nz[i][k] = x
+        return Matrix._of_nz(field, rows, len(vecs), nz)
 
     @staticmethod
     def _of_rows(field: FieldSpec, rows: int, cols: int, data: list) -> "Matrix":
-        """Wrap ready rows of canonical entries, without copying or coercing."""
+        """The matrix of ready dense rows of canonical entries (not coerced)."""
+        return Matrix._of_nz(field, rows, cols, [
+            {j: x for j, x in enumerate(row) if x} for row in data])
+
+    @staticmethod
+    def _of_nz(field: FieldSpec, rows: int, cols: int, nz: list) -> "Matrix":
+        """Wrap ready row dicts of nonzero canonical entries, without copying."""
         m = Matrix.__new__(Matrix)
         m.field = field
         m.rows = rows
         m.cols = cols
-        m.data = data
+        m.nz = nz
         return m
 
-    def copy(self) -> "Matrix":
-        return Matrix._of_rows(self.field, self.rows, self.cols,
-                               [row[:] for row in self.data])
+    @property
+    def data(self) -> list:
+        """A dense copy of the entries, zeros included, as a list of rows;
+        writing to it does not change the matrix."""
+        z, cols = self.field.zero, self.cols
+        out = []
+        for d in self.nz:
+            row = [z] * cols
+            for j, x in d.items():
+                row[j] = x
+            out.append(row)
+        return out
+
+    def get(self, i: int, j: int):
+        return self.nz[i].get(j, self.field.zero)
+
+    def set(self, i: int, j: int, x) -> None:
+        """Set entry (i, j) to x, coerced to a canonical scalar."""
+        x = self.field.of(x)
+        if x:
+            self.nz[i][j] = x
+        else:
+            self.nz[i].pop(j, None)
 
     def flatten(self) -> list:
         """The entries in row-major order."""
-        return [x for row in self.data for x in row]
+        cols = self.cols
+        out = [self.field.zero] * (self.rows * cols)
+        for i, d in enumerate(self.nz):
+            base = i * cols
+            for j, x in d.items():
+                out[base + j] = x
+        return out
 
     def put(self, r0: int, c0: int, block: "Matrix") -> "Matrix":
         """Copy block into self with its top-left entry at (r0, c0); returns
         self, so a block matrix is built as `Matrix(...).put(...)`."""
-        for row, brow in zip(self.data[r0: r0 + block.rows], block.data):
-            row[c0: c0 + block.cols] = brow
+        c1 = c0 + block.cols
+        for d, bd in zip(self.nz[r0: r0 + block.rows], block.nz):
+            for j in [j for j in d if c0 <= j < c1]:
+                del d[j]
+            d.update({c0 + j: x for j, x in bd.items()} if c0 else bd)
         return self
 
     def block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
         """The rows x cols submatrix whose top-left entry is (r0, c0)."""
-        return Matrix._of_rows(self.field, rows, cols, [
-            row[c0: c0 + cols] for row in self.data[r0: r0 + rows]])
+        c1 = c0 + cols
+        return Matrix._of_nz(self.field, rows, cols, [
+            {j - c0: x for j, x in d.items() if c0 <= j < c1}
+            for d in self.nz[r0: r0 + rows]])
 
     # -- basic algebra ---------------------------------------------------------
 
@@ -193,71 +238,105 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.nz == other.nz
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(d.items()) for d in self.nz)))
+
+    def _plus(self, other: "Matrix", c) -> "Matrix":
+        """self + c * other, for a nonzero scalar c."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+        p = self.field.p
+        out = []
+        for da, db in zip(self.nz, other.nz):
+            d = da.copy()
+            for j, y in db.items():
+                x = d.get(j, 0) + c * y
+                if p is not None:
+                    x %= p
+                if x:
+                    d[j] = x
+                else:
+                    del d[j]
+            out.append(d)
+        return Matrix._of_nz(self.field, self.rows, self.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix._of_rows(f, self.rows, self.cols, [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ])
+        return self._plus(other, self.field.one)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix._of_rows(f, self.rows, self.cols, [
-            [f.sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ])
+        return self._plus(other, self.field.neg(self.field.one))
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.of(c)
-        return Matrix._of_rows(f, self.rows, self.cols,
-                               [[f.mul(c, a) for a in row] for row in self.data])
+        if not c:
+            return Matrix(f, self.rows, self.cols)
+        p = f.p
+        if p is None:
+            nz = [{j: c * x for j, x in d.items()} for d in self.nz]
+        else:
+            nz = [{j: c * x % p for j, x in d.items()} for d in self.nz]
+        return Matrix._of_nz(f, self.rows, self.cols, nz)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        out = Matrix(f, self.rows, other.cols)
-        # each row of B as its nonzero (j, b) pairs; out[i] += a * B[k] per nonzero a
-        bnz = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.data]
-        p = f.p if f.kind == "Fp" else None
-        for arow, orow in zip(self.data, out.data):
-            hit = False
-            for a, brow in zip(arow, bnz):
-                if brow and a:
-                    hit = True
-                    for j, b in brow:
-                        orow[j] += a * b
-            if hit and p is not None:
-                orow[:] = [x % p for x in orow]
-        return out
+        p = self.field.p
+        bnz = other.nz
+        out = []
+        for arow in self.nz:
+            if len(arow) == 1:
+                # one term: a product of nonzeros, so nothing cancels
+                (k, a), = arow.items()
+                brow = bnz[k]
+                if a == 1:
+                    out.append(brow.copy())
+                elif p is None:
+                    out.append({j: a * b for j, b in brow.items()})
+                else:
+                    out.append({j: a * b % p for j, b in brow.items()})
+                continue
+            acc = {}
+            for k, a in arow.items():
+                for j, b in bnz[k].items():
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            if not acc:
+                out.append(acc)
+            elif p is None:
+                out.append({j: x for j, x in acc.items() if x})
+            else:
+                out.append({j: r for j, x in acc.items() if (r := x % p)})
+        return Matrix._of_nz(self.field, self.rows, other.cols, out)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_rows(self.field, self.cols, self.rows,
-                               [[self.data[i][j] for i in range(self.rows)]
-                                for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, d in enumerate(self.nz):
+            for j, x in d.items():
+                out[j][i] = x
+        return Matrix._of_nz(self.field, self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self.nz)
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        z = self.field.zero
+        return [d.get(j, z) for d in self.nz]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix._of_rows(self.field, self.rows, self.cols + other.cols,
-                               [ra + rb for ra, rb in zip(self.data, other.data)])
+        return hstack_all(self.field, [self, other], self.rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -275,57 +354,68 @@ def offsets(sizes: Iterable[int]) -> list[int]:
 
 def hstack_all(field: FieldSpec, mats: list[Matrix], rows: int) -> Matrix:
     offs = offsets(m.cols for m in mats)
-    out = Matrix(field, rows, offs[-1])
+    out = [{} for _ in range(rows)]
     for m, j0 in zip(mats, offs):
-        out.put(0, j0, m)
-    return out
+        for d, md in zip(out, m.nz):
+            d.update({j0 + j: x for j, x in md.items()} if j0 else md)
+    return Matrix._of_nz(field, rows, offs[-1], out)
 
 
 def vstack_all(field: FieldSpec, mats: list[Matrix], cols: int) -> Matrix:
-    return Matrix._of_rows(field, sum(m.rows for m in mats), cols,
-                           [row[:] for m in mats for row in m.data])
+    return Matrix._of_nz(field, sum(m.rows for m in mats), cols,
+                         [d.copy() for m in mats for d in m.nz])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form; returns (R, pivot columns, rank)."""
     f = m.field
-    p = f.p if f.kind == "Fp" else None
-    r = m.copy()
-    data = r.data
+    p = f.p
+    data = [d.copy() for d in m.nz]
+    nrows = m.rows
     pivots: list[int] = []
     prow = 0
-    for col in range(r.cols):
+    # elimination only writes to columns some row already holds
+    for col in sorted(set().union(*data)):
         sel = None
-        for i in range(prow, r.rows):
-            if data[i][col]:
+        for i in range(prow, nrows):
+            if col in data[i]:
                 sel = i
                 break
         if sel is None:
             continue
         if sel != prow:
             data[sel], data[prow] = data[prow], data[sel]
-        lead = data[prow][col]
+        pivot_row = data[prow]
+        lead = pivot_row[col]
         if lead != 1:
             inv = f.inv(lead)
-            data[prow] = [f.mul(inv, x) if x else x for x in data[prow]]
-        pivot_row = data[prow]
-        targets = [row for row in data if row[col] and row is not pivot_row]
-        if targets:
-            # the pivot row is zero left of col; eliminate with its nonzero pairs
-            pnz = [(j, v) for j, v in enumerate(pivot_row[col:], col) if v]
-            for row_i in targets:
-                c = row_i[col]
-                if p is None:
-                    for j, v in pnz:
-                        row_i[j] -= c * v
+            if p is None:
+                pivot_row = {j: inv * x for j, x in pivot_row.items()}
+            else:
+                pivot_row = {j: inv * x % p for j, x in pivot_row.items()}
+            data[prow] = pivot_row
+        # the pivot row is zero left of col; clear col in every other row
+        # with the pivot row's entries right of it
+        rest = [(j, v) for j, v in pivot_row.items() if j != col]
+        for row_i in data:
+            if row_i is pivot_row:
+                continue
+            c = row_i.pop(col, None)
+            if c is None:
+                continue
+            for j, v in rest:
+                x = row_i.get(j, 0) - c * v
+                if p is not None:
+                    x %= p
+                if x:
+                    row_i[j] = x
                 else:
-                    for j, v in pnz:
-                        row_i[j] = (row_i[j] - c * v) % p
+                    del row_i[j]
         pivots.append(col)
         prow += 1
-        if prow == r.rows:
+        if prow == nrows:
             break
-    return r, pivots, len(pivots)
+    return Matrix._of_nz(f, m.rows, m.cols, data), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -337,15 +427,15 @@ def kernel_basis(m: Matrix) -> Matrix:
     f = m.field
     r, pivots, rk = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    out = Matrix(f, m.cols, len(free))
-    for k, fc in enumerate(free):
-        out.data[fc][k] = f.one
-        for prow, pc in enumerate(pivots):
-            v = r.data[prow][fc]
-            if v:
-                out.data[pc][k] = f.neg(v)
-    return out
+    free = {fc: k for k, fc in enumerate(j for j in range(m.cols)
+                                         if j not in pivot_set)}
+    out = [{} for _ in range(m.cols)]
+    for fc, k in free.items():
+        out[fc][k] = f.one
+    for row, pc in zip(r.nz, pivots):
+        # a reduced pivot row holds its pivot 1 and entries in free columns
+        out[pc] = {free[j]: f.neg(v) for j, v in row.items() if j != pc}
+    return Matrix._of_nz(f, m.cols, len(free), out)
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -356,17 +446,14 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """
     if b.rows != a.rows:
         raise ValueError("rhs row count mismatch")
-    f = a.field
-    aug = a.hstack(b)
-    r, pivots, rk = rref(aug)
-    for pc in pivots:
-        if pc >= a.cols:
-            return None  # pivot in the rhs block: inconsistent
-    x = Matrix(f, a.cols, b.cols)
-    for prow, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x.data[pc][j] = r.data[prow][a.cols + j]
-    return x
+    n = a.cols
+    r, pivots, rk = rref(a.hstack(b))
+    if pivots and pivots[-1] >= n:
+        return None  # pivot in the rhs block: inconsistent
+    x = [{} for _ in range(n)]
+    for row, pc in zip(r.nz, pivots):
+        x[pc] = {j - n: v for j, v in row.items() if j >= n}
+    return Matrix._of_nz(a.field, n, b.cols, x)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -374,29 +461,20 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise ValueError("Kronecker product needs a common field")
     f = a.field
-    out = Matrix(f, a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.data[i][j]
-            if not aij:
-                continue
-            for k in range(b.rows):
-                brow = b.data[k]
-                orow = out.data[i * b.rows + k]
-                for l in range(b.cols):
-                    if brow[l]:
-                        orow[j * b.cols + l] = f.mul(aij, brow[l])
-    return out
+    out = []
+    for arow in a.nz:
+        for brow in b.nz:
+            out.append({j * b.cols + l: f.mul(x, y)
+                        for j, x in arow.items() for l, y in brow.items()})
+    return Matrix._of_nz(f, a.rows * b.rows, a.cols * b.cols, out)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Matrix whose columns are the pivot columns of m (a column-space basis)."""
     _, pivots, _ = rref(m)
-    out = Matrix(m.field, m.rows, len(pivots))
-    for k, pc in enumerate(pivots):
-        for i in range(m.rows):
-            out.data[i][k] = m.data[i][pc]
-    return out
+    at = {pc: k for k, pc in enumerate(pivots)}
+    return Matrix._of_nz(m.field, m.rows, len(pivots), [
+        {at[j]: x for j, x in d.items() if j in at} for d in m.nz])
 
 
 def invert(m: Matrix) -> Optional[Matrix]:

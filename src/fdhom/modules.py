@@ -17,7 +17,8 @@ projective exactly when its minimal projective cover has its dimension, and
 `projective_vertices(dual(m))` is the injectivity test.  What is kept per
 algebra (the projectives P_i, the projective-injective vertices) lives in the
 algebra's memo, `FDAlgebra.memo`; what is kept per module (generator action,
-vertex blocks, Ext values) lives on the Module and is dropped with it.
+vertex blocks, minimal cover, Ext values) lives on the Module and is dropped
+with it.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -63,7 +64,7 @@ from fdhom.linalg import (
 class Module:
     __slots__ = ("algebra", "dim", "action", "proj_summands", "inj_summands",
                  "coord_summand", "basis_elements", "_gen_action", "_vblocks",
-                 "_ext_cache", "_dual")
+                 "_ext_cache", "_dual", "_cover")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action: list[Matrix],
                  check: bool = True, proj_summands=None, inj_summands=None,
@@ -83,6 +84,7 @@ class Module:
         self._vblocks = None
         self._ext_cache = None
         self._dual = None  # the module this one was built as the dual of
+        self._cover = None  # (P, epi), kept by projective_cover
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         if check:
@@ -250,15 +252,17 @@ def projective_module(a: FDAlgebra, i: int) -> Module:
         cols = [[(t, c) for t, c in enumerate(u) if c] for u in elements]
         action = []
         for b in range(a.dim):
-            m = Matrix(f, dim, dim)
+            acc = [{} for _ in range(dim)]
             for k, u in enumerate(cols):
                 for t, c in u:
                     for r, v in nz[b][t]:
                         for row, x in coords_at[r]:
-                            m.data[row][k] += c * v * x
-            if p is not None:
-                m.data = [[x % p for x in row] for row in m.data]
-            action.append(m)
+                            acc[row][k] = acc[row].get(k, 0) + c * v * x
+            if p is None:
+                acc = [{k: y for k, y in d.items() if y} for d in acc]
+            else:
+                acc = [{k: r for k, y in d.items() if (r := y % p)} for d in acc]
+            action.append(Matrix._of_nz(f, dim, dim, acc))
         gen = (coords @ Matrix.column(a.field, e)).col(0)
         return Module(a, dim, action, check=False,
                       proj_summands=[(i, gen)],
@@ -362,7 +366,7 @@ def quotient_module(x: Module, sub_basis: Matrix):
                                         for j in range(x.dim)])
     sect = Matrix(f, x.dim, dim)
     for i, c in enumerate(free):
-        sect.data[c][i] = f.one
+        sect.set(c, i, f.one)
     action = [proj @ x.action[b] @ sect for b in range(a.dim)]
     q = Module(a, dim, action, check=False)
     return q, ModuleMap(x, q, proj, check=False)
@@ -445,7 +449,7 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
     tot = off[-1]
     if tot == 0:
         return []
-    rows: list[list] = []
+    rows: list[dict] = []
     # the arrows' actions, after the idempotents' in the generator action
     for (v, w, _), gxa, gya in zip(homs, x.generator_action()[nv:],
                                    y.generator_action()[nv:]):
@@ -455,41 +459,35 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
         gy = (byi @ gya @ by)
         # block (w,v) of each: gx_wv: xd[v] -> xd[w]; condition:
         # F_w gx_wv = gy_wv F_v  (yd[w] x xd[v] equations)
-        gxb = [[gx.data[rx[w][0] + i][rx[v][0] + j] for j in range(xd[v])]
-               for i in range(xd[w])]
-        gyb = [[gy.data[ry[w][0] + i][ry[v][0] + j] for j in range(yd[v])]
-               for i in range(yd[w])]
+        gx_cols = gx.block(rx[w][0], rx[v][0], xd[w], xd[v]).transpose().nz
+        gy_rows = gy.block(ry[w][0], ry[v][0], yd[w], yd[v]).nz
         for i in range(yd[w]):
             for j in range(xd[v]):
-                row = [f.zero] * tot
                 # (F_w gx_wv)[i][j] = sum_k F_w[i][k] gx_wv[k][j]
-                for k in range(xd[w]):
-                    c = gxb[k][j]
-                    if c:
-                        row[off[w] + i * xd[w] + k] = f.add(
-                            row[off[w] + i * xd[w] + k], c)
+                row = {off[w] + i * xd[w] + k: c for k, c in gx_cols[j].items()}
                 # (gy_wv F_v)[i][j] = sum_k gy_wv[i][k] F_v[k][j]
-                for k in range(yd[v]):
-                    c = gyb[i][k]
-                    if c:
-                        idx = off[v] + k * xd[v] + j
-                        row[idx] = f.sub(row[idx], c)
-                if any(row):
+                for k, c in gy_rows[i].items():
+                    idx = off[v] + k * xd[v] + j
+                    row[idx] = f.sub(row.get(idx, f.zero), c)
+                row = {idx: c for idx, c in row.items() if c}
+                if row:
                     rows.append(row)
     if rows:
-        ker = kernel_basis(Matrix._of_rows(f, len(rows), tot, rows))
+        ker = kernel_basis(Matrix._of_nz(f, len(rows), tot, rows))
     else:
         ker = Matrix.identity(f, tot)
     out = []
     for kcol in range(ker.cols):
         col = ker.col(kcol)
-        # assemble block-diagonal map in adapted coords
-        adapted = Matrix(f, sum(yd), sum(xd))
+        # the block-diagonal map in adapted coords: row ry[v][0] + i holds
+        # row i of F_v, at columns from rx[v][0]
+        adapted = []
         for v in range(nv):
             for i in range(yd[v]):
-                for j in range(xd[v]):
-                    adapted.data[ry[v][0] + i][rx[v][0] + j] = \
-                        col[off[v] + i * xd[v] + j]
+                start = off[v] + i * xd[v]
+                adapted.append({rx[v][0] + j: c for j, c in
+                                enumerate(col[start: start + xd[v]]) if c})
+        adapted = Matrix._of_nz(f, sum(yd), sum(xd), adapted)
         fb = by @ adapted @ bxi
         out.append(ModuleMap(x, y, fb, check=False))
     return out
@@ -514,11 +512,8 @@ def _hom_generic(x: Module, y: Module) -> list[ModuleMap]:
             return []
     out = []
     for k in range(cur.cols):
-        m = Matrix(f, dy, dx)
         col = cur.col(k)
-        for j in range(dx):
-            for i in range(dy):
-                m.data[i][j] = col[j * dy + i]
+        m = Matrix._of_rows(f, dy, dx, [col[i::dy] for i in range(dy)])
         out.append(ModuleMap(x, y, m, check=False))
     return out
 
@@ -593,13 +588,20 @@ def socle(m: Module):
 
 
 def projective_cover(m: Module):
-    """(P, epi): minimal projective cover.
+    """(P, epi): minimal projective cover, built once per module and kept
+    on it.
 
     Generators w in e_v M are chosen greedily: w is kept when it lies
     outside JM plus the spans A w' of the w' kept before.  Over a basic
     algebra A = span(e_i) + J, so A w' + JM = k w' + JM and only w' joins
     the span; otherwise w' is closed under every basis element.  The choice
     depends only on the subspace JM.  Kernel inside JP is certified."""
+    if m._cover is None:
+        m._cover = _minimal_cover(m)
+    return m._cover
+
+
+def _minimal_cover(m: Module):
     a = m.algebra
     f = a.field
     if m.dim == 0:

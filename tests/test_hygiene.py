@@ -2,8 +2,9 @@
 
 They keep one definition of each helper, no dead functions or methods,
 every attribute of FDAlgebra declared in algebra.py itself, no assertions in
-the package, sympy imported in one place only, and no imported name left
-unused.
+the package, sympy imported in one place only, no imported name left
+unused, and no write through `Matrix.data` (a dense copy, so such a write is
+silently lost).
 """
 
 import ast
@@ -17,8 +18,9 @@ TREES = {p.name: ast.parse(p.read_text(), filename=str(p))
          for p in sorted(SRC.glob("*.py"))}
 # the tests and the benchmark, which may be the only callers of public API
 ROOT = Path(__file__).resolve().parent.parent
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 OTHER_TREES = [ast.parse(p.read_text(), filename=str(p))
-               for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+               for p in TEST_FILES + sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def _module_functions(tree):
@@ -160,3 +162,66 @@ def test_every_imported_name_is_used():
     # __init__.py imports only to re-export the public API
     assert {name: _unused_imports(tree) for name, tree in TREES.items()
             if name != "__init__.py" and _unused_imports(tree)} == {}
+
+
+def _store_targets(node):
+    """The expressions a statement assigns to or deletes, tuples unpacked."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    else:
+        return []
+    out = []
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            todo.extend(t.elts)
+        elif isinstance(t, ast.Starred):
+            todo.append(t.value)
+        else:
+            out.append(t)
+    return out
+
+
+def _strip_items(node):
+    """x for x[i][j:k]."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
+def _reads_data(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "data"
+               for n in ast.walk(node))
+
+
+def _writes_through_data(tree) -> list[int]:
+    """Lines that assign to `<expr>.data` or to an item of it at any depth
+    (`m.data[i][j] = x`), and lines that assign to an item of a loop
+    variable that iterates over something read from `.data`
+    (`for row in m.data: row[j] = x`)."""
+    lines = []
+    for node in ast.walk(tree):
+        for t in _store_targets(node):
+            base = _strip_items(t)
+            if isinstance(base, ast.Attribute) and base.attr == "data":
+                lines.append(node.lineno)
+        if isinstance(node, ast.For) and _reads_data(node.iter):
+            names = {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+            for stmt in node.body:
+                for sub in ast.walk(stmt):
+                    for t in _store_targets(sub):
+                        base = _strip_items(t)
+                        if (t is not base and isinstance(base, ast.Name)
+                                and base.id in names):
+                            lines.append(sub.lineno)
+    return sorted(set(lines))
+
+
+def test_nothing_writes_through_matrix_data():
+    # Matrix.data is a dense copy, so a write through it would be lost
+    found = {name: _writes_through_data(tree) for name, tree in TREES.items()}
+    found.update({p.name: _writes_through_data(ast.parse(p.read_text()))
+                  for p in TEST_FILES})
+    assert {name: lines for name, lines in found.items() if lines} == {}

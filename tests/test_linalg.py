@@ -5,12 +5,15 @@ from fdhom.linalg import (
     GF,
     QQ,
     Matrix,
+    column_space_basis,
+    hstack_all,
     invert,
     kernel_basis,
     kron,
     rank,
     rref,
     solve,
+    vstack_all,
 )
 
 
@@ -154,13 +157,17 @@ def _random_matrix(rng, fld, rows, cols, density):
 
 def _with_zero_lines(rng, m):
     """Copy of m with one random row and one random column set to zero."""
-    out = m.copy()
-    if out.rows:
-        out.data[rng.randrange(out.rows)] = [out.field.zero] * out.cols
-    if out.cols:
-        j = rng.randrange(out.cols)
-        for row in out.data:
-            row[j] = out.field.zero
+    data = m.data
+    if m.rows:
+        data[rng.randrange(m.rows)] = [0] * m.cols
+    if m.cols:
+        j = rng.randrange(m.cols)
+        for row in data:
+            row[j] = 0
+    out = Matrix(m.field, m.rows, m.cols, data)
+    if out.rows and out.cols:
+        assert any(not any(row) for row in out.data)
+        assert any(not any(out.col(j)) for j in range(out.cols))
     return out
 
 
@@ -176,23 +183,35 @@ def _oracle_matrices(seed):
 
 
 def _assert_canonical(m):
+    """Dense entries are canonical scalars; stored entries are nonzero, in
+    range and canonical too."""
     for row in m.data:
         for x in row:
             if m.field.kind == "Fp":
                 assert type(x) is int and 0 <= x < m.field.p
             else:
                 assert type(x) is Fraction
+    assert len(m.nz) == m.rows
+    for d in m.nz:
+        for j, x in d.items():
+            assert 0 <= j < m.cols
+            assert x, "a zero is stored"
+            if m.field.kind == "Fp":
+                assert type(x) is int and 0 < x < m.field.p
+            else:
+                assert type(x) is Fraction
 
 
 def _reference_matmul(a, b):
     fld = a.field
+    ad, bd = a.data, b.data
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
             acc = 0
             for k in range(a.cols):
-                acc += a.data[i][k] * b.data[k][j]
+                acc += ad[i][k] * bd[k][j]
             row.append(acc % fld.p if fld.kind == "Fp" else Fraction(acc))
         out.append(row)
     return out
@@ -228,3 +247,169 @@ def test_rref_kernel_solve_identities():
         assert x is not None
         _assert_canonical(x)
         assert m @ x == b
+
+
+# -- dense references for every sparse operation --------------------------------
+
+
+def _reference_rref(fld, rows, ncols):
+    """Dense Gauss-Jordan elimination, pivoting on the first nonzero entry in
+    column order: (R as dense rows, pivot columns)."""
+    data = [row[:] for row in rows]
+    pivots, prow = [], 0
+    for col in range(ncols):
+        sel = next((i for i in range(prow, len(data)) if data[i][col]), None)
+        if sel is None:
+            continue
+        data[sel], data[prow] = data[prow], data[sel]
+        inv = fld.inv(data[prow][col])
+        data[prow] = [fld.mul(inv, x) for x in data[prow]]
+        for i, row in enumerate(data):
+            if i != prow and row[col]:
+                c = row[col]
+                data[i] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(row, data[prow])]
+        pivots.append(col)
+        prow += 1
+    return data, pivots
+
+
+def _columns_to_rows(fld, nrows, cols):
+    return [[col[i] for col in cols] for i in range(nrows)] if cols else \
+        [[] for _ in range(nrows)]
+
+
+def _check(m, ref_rows):
+    """m agrees with the dense reference, stores no zero and equals (and
+    hashes equal to) the matrix built from the reference."""
+    assert m.data == ref_rows
+    _assert_canonical(m)
+    again = Matrix(m.field, m.rows, m.cols, ref_rows)
+    assert m == again and hash(m) == hash(again)
+
+
+def _scalars(rng, fld):
+    """Scalars to scale by, the ones that give zero included."""
+    out = [0, 1, -1, _random_entry(rng, fld)]
+    return out + [fld.p, 2 * fld.p] if fld.kind == "Fp" else out
+
+
+def test_entrywise_ops_match_dense_reference():
+    for rng, fld, a in _oracle_matrices(303):
+        b = _random_matrix(rng, fld, a.rows, a.cols, 0.5)
+        ad, bd = a.data, b.data
+        _check(a + b, [[fld.add(x, y) for x, y in zip(r, s)] for r, s in zip(ad, bd)])
+        _check(a - b, [[fld.sub(x, y) for x, y in zip(r, s)] for r, s in zip(ad, bd)])
+        zero = [[fld.zero] * a.cols for _ in range(a.rows)]
+        _check(a - a, zero)
+        _check(a + a.scale(-1), zero)
+        _check((a + b) - b, ad)
+        for c in _scalars(rng, fld):
+            _check(a.scale(c), [[fld.mul(fld.of(c), x) for x in r] for r in ad])
+
+
+def test_matmul_cancellation_stores_no_zero():
+    for fld in ORACLE_FIELDS:
+        m1 = fld.neg(fld.one)
+        a = Matrix(fld, 2, 2, [[1, 1], [1, 0]])
+        b = Matrix(fld, 2, 2, [[1, 1], [m1, 0]])
+        prod = a @ b
+        _check(prod, _reference_matmul(a, b))
+        assert not prod.nz[0].get(0)  # 1*1 + 1*(-1) cancels
+    f5 = GF(5)
+    prod = Matrix(f5, 1, 2, [[2, 3]]) @ Matrix(f5, 2, 1, [[1], [1]])
+    assert prod.is_zero() and prod.nz == [{}]  # 2 + 3 = 0 mod 5
+
+
+def test_structural_ops_match_dense_reference():
+    for rng, fld, a in _oracle_matrices(404):
+        ad = a.data
+        _check(a.transpose(), [[ad[i][j] for i in range(a.rows)] for j in range(a.cols)])
+        assert a.flatten() == [x for row in ad for x in row]
+        for j in range(a.cols):
+            assert a.col(j) == [row[j] for row in ad]
+        for i in range(a.rows):
+            for j in range(a.cols):
+                assert a.get(i, j) == ad[i][j]
+        r0, c0 = rng.randint(0, a.rows), rng.randint(0, a.cols)
+        nr, nc = rng.randint(0, a.rows - r0), rng.randint(0, a.cols - c0)
+        blk = a.block(r0, c0, nr, nc)
+        _check(blk, [row[c0: c0 + nc] for row in ad[r0: r0 + nr]])
+        # put overwrites: nonzeros under a zero block are cleared
+        big = _random_matrix(rng, fld, a.rows + 2, a.cols + 3, 1.0)
+        want = big.data
+        for i, row in enumerate(ad):
+            want[1 + i][2: 2 + a.cols] = row
+        _check(big.put(1, 2, a), want)
+        b = _random_matrix(rng, fld, a.rows, rng.randint(0, 4), 0.5)
+        _check(a.hstack(b), [r + s for r, s in zip(ad, b.data)])
+        _check(hstack_all(fld, [a, b, a], a.rows),
+               [r + s + r for r, s in zip(ad, b.data)])
+        c = _random_matrix(rng, fld, rng.randint(0, 4), a.cols, 0.5)
+        _check(vstack_all(fld, [a, c], a.cols), ad + c.data)
+        d = _with_zero_lines(rng, _random_matrix(rng, fld, 2, 3, 0.5))
+        dd = d.data
+        _check(kron(a, d), [[fld.mul(ad[i][j], dd[k][l])
+                             for j in range(a.cols) for l in range(d.cols)]
+                            for i in range(a.rows) for k in range(d.rows)])
+
+
+def test_elimination_matches_dense_reference():
+    for rng, fld, m in _oracle_matrices(505):
+        md = m.data
+        ref, ref_pivots = _reference_rref(fld, md, m.cols)
+        r, pivots, rk = rref(m)
+        _check(r, ref)
+        assert pivots == ref_pivots and rk == len(ref_pivots) == rank(m)
+        free = [j for j in range(m.cols) if j not in ref_pivots]
+        kcols = []
+        for fc in free:
+            vec = [fld.zero] * m.cols
+            vec[fc] = fld.one
+            for prow, pc in enumerate(ref_pivots):
+                vec[pc] = fld.neg(ref[prow][fc])
+            kcols.append(vec)
+        _check(kernel_basis(m), _columns_to_rows(fld, m.cols, kcols))
+        _check(column_space_basis(m), [[row[pc] for pc in ref_pivots] for row in md])
+        for density in (0.5, 1.0):
+            b = _random_matrix(rng, fld, m.rows, 2, density)
+            aug, aug_pivots = _reference_rref(fld, [r + s for r, s in zip(md, b.data)],
+                                              m.cols + 2)
+            x = solve(m, b)
+            if any(pc >= m.cols for pc in aug_pivots):
+                assert x is None
+                continue
+            want = [[fld.zero] * 2 for _ in range(m.cols)]
+            for prow, pc in enumerate(aug_pivots):
+                want[pc] = aug[prow][m.cols:]
+            _check(x, want)
+
+
+def test_equal_matrices_hash_equal_whatever_the_insertion_order():
+    for rng, fld, m in _oracle_matrices(606):
+        reordered = Matrix._of_nz(fld, m.rows, m.cols,
+                                  [dict(reversed(list(d.items()))) for d in m.nz])
+        assert reordered == m and hash(reordered) == hash(m)
+        assert m.transpose().transpose() == m
+        assert hash(m.transpose().transpose()) == hash(m)
+        if m.rows and m.cols:
+            other = Matrix(fld, m.rows, m.cols, m.data)
+            other.set(0, 0, fld.one if not m.get(0, 0) else fld.zero)
+            assert other != m
+
+
+def test_set_stores_canonical_nonzeros_and_data_is_a_copy():
+    for fld in ORACLE_FIELDS:
+        m = Matrix(fld, 2, 2)
+        m.set(0, 1, 3)
+        assert m.get(0, 1) == fld.of(3)
+        m.set(0, 1, 0)
+        assert m.nz == [{}, {}] and m.is_zero()
+        if fld.kind == "Fp":
+            m.set(1, 0, fld.p)  # 0 mod p
+            assert m.nz == [{}, {}]
+            m.set(1, 0, fld.p + 1)
+            assert m.nz[1] == {0: 1}
+        m = Matrix.identity(fld, 2)
+        dense = m.data
+        dense[0][0] = fld.zero
+        assert m == Matrix.identity(fld, 2) and m.data != dense

@@ -479,7 +479,7 @@ def test_hom_coords_outside_the_span_is_none(field):
     for i in range(y.dim):
         for j in range(x.dim):
             e = Matrix(field, y.dim, x.dim)
-            e.data[i][j] = field.one
+            e.set(i, j, field.one)
             flat = Matrix.from_columns(
                 field, y.dim * x.dim, [h.matrix.flatten() for h in basis]
                 + [e.flatten()])

@@ -68,8 +68,8 @@ def trace_form_radical(f, mats):
             prod = mats[i] @ mats[j]
             acc = f.zero
             for d in range(prod.rows):
-                acc = f.add(acc, prod.data[d][d])
-            gram.data[i][j] = acc
+                acc = f.add(acc, prod.get(d, d))
+            gram.set(i, j, acc)
     ker = kernel_basis(gram)
     return [ker.col(k) for k in range(ker.cols)]
 
