@@ -10,10 +10,17 @@ Conventions, fixed once and inherited by every other module:
   projective left module at ``i``, and ``e_j A e_i`` is spanned by the
   paths from ``i`` to ``j``.
 * Modules are left modules throughout.
+* An algebra element is a dict {basis index: nonzero coefficient} (`Vec`).
+  Like a `Matrix` row it stores no zero, and F_p coefficients are stored
+  reduced, so equal elements are equal dicts.  The structure constants are
+  stored the same way, ``mult[s] = {t: b_s b_t}`` with only the nonzero
+  products, and no module but this one reads the table: the others
+  multiply with `FDAlgebra.multiply`.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
 from dataclasses import dataclass
@@ -23,7 +30,7 @@ from fdhom.errors import (BadRelation, FieldTooSmall, Inconclusive,
                           NotAdmissible)
 from fdhom.linalg import FieldSpec, Matrix, kernel_basis, solve
 
-Vec = list  # coefficient vector over the algebra basis
+Vec = dict  # an algebra element: {basis index: nonzero coefficient}
 
 
 @dataclass(frozen=True)
@@ -93,16 +100,18 @@ def _memoized(method):
 class FDAlgebra:
     """A finite-dimensional algebra given by exact structure constants.
 
-    Everything derived from the structure constants and kept for reuse (the
-    opposite algebra, multiplication matrices, the radical, projective
-    modules, ...) lives in one per-algebra memo, written only through `memo`.
+    `mult[s][t]` is the element b_s b_t, stored only when it is nonzero;
+    `unit` and each of `idempotents` are elements.  Everything derived from
+    the structure constants and kept for reuse (the opposite algebra,
+    multiplication matrices, the radical, projective modules, ...) lives in
+    one per-algebra memo, written only through `memo`.
     """
 
     def __init__(
         self,
         field: FieldSpec,
         basis_labels: list[str],
-        mult: list[list[Vec]],
+        mult: list[dict[int, Vec]],
         unit: Vec,
         idempotents: list[Vec],
         origin: str,
@@ -115,8 +124,8 @@ class FDAlgebra:
         self.dim = len(basis_labels)
         self.basis_labels = list(basis_labels)
         self.mult = mult
-        self.unit = [field.of(x) for x in unit]
-        self.idempotents = [[field.of(x) for x in e] for e in idempotents]
+        self.unit = unit
+        self.idempotents = list(idempotents)
         self.origin = origin
         self.quiver = quiver
         self.relations = relations
@@ -145,19 +154,19 @@ class FDAlgebra:
     def left_mult_basis(self, i: int) -> Matrix:
         """Matrix of m -> b_i * m on coefficient vectors."""
         return self.memo(("left_mult_basis", i), lambda: self._product_matrix(
-            self.mult_nonzeros()[i]))
+            self.mult[i].items()))
 
     def right_mult_basis(self, j: int) -> Matrix:
         """Matrix of m -> m * b_j on coefficient vectors."""
         return self.memo(("right_mult_basis", j), lambda: self._product_matrix(
-            [row[j] for row in self.mult_nonzeros()]))
+            (k, row[j]) for k, row in enumerate(self.mult) if j in row))
 
     def _product_matrix(self, products) -> Matrix:
-        """The matrix whose column k is the product whose nonzero (r, c)
-        pairs `products[k]` lists."""
+        """The matrix whose column k is the element x, for each pair (k, x)
+        of products, and whose other columns are zero."""
         nz = [{} for _ in range(self.dim)]
-        for k, pairs in enumerate(products):
-            for r, c in pairs:
+        for k, x in products:
+            for r, c in x.items():
                 nz[r][k] = c
         return Matrix._of_nz(self.field, self.dim, self.dim, nz)
 
@@ -167,17 +176,10 @@ class FDAlgebra:
                                    self.right_mult_basis)
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
-        out = self.zero_vec()
-        for k, c in _sparse_product(self.field, self.mult_nonzeros(),
-                                    _sparse(x), _sparse(y)).items():
-            out[k] = c
-        return out
-
-    def zero_vec(self) -> Vec:
-        return [self.field.zero] * self.dim
+        return _sparse_product(self.field, self.mult, x, y)
 
     def basis_vec(self, i: int) -> Vec:
-        return _unit_vec(self.field, self.dim, i)
+        return {i: self.field.one}
 
     # -- structure -------------------------------------------------------------
 
@@ -187,28 +189,22 @@ class FDAlgebra:
         f, n = self.field, self.dim
         if n == 0:
             return
-        nz = self.mult_nonzeros()
-        unit = _sparse(self.unit)
         for j in range(n):
             bj = {j: f.one}
-            if _sparse_product(f, nz, unit, bj) != bj:
+            if self.multiply(self.unit, bj) != bj:
                 raise ValueError(f"unit fails on the left of b_{j}")
-            if _sparse_product(f, nz, bj, unit) != bj:
+            if self.multiply(bj, self.unit) != bj:
                 raise ValueError(f"unit fails on the right of b_{j}")
-        bad = _first_nonassociative_triple(f, nz)
+        bad = _first_nonassociative_triple(f, self.mult)
         if bad is not None:
             raise ValueError(f"associativity fails on ({bad[0]},{bad[1]},{bad[2]})")
-        idems = [_sparse(e) for e in self.idempotents]
-        for a, e in enumerate(idems):
-            if _sparse_product(f, nz, e, e) != e:
+        for a, e in enumerate(self.idempotents):
+            if self.multiply(e, e) != e:
                 raise ValueError(f"idempotent {a} is not idempotent")
-            for b, e2 in enumerate(idems):
-                if a != b and _sparse_product(f, nz, e, e2):
+            for b, e2 in enumerate(self.idempotents):
+                if a != b and self.multiply(e, e2):
                     raise ValueError(f"idempotents {a},{b} not orthogonal")
-        tot = [f.zero] * n
-        for e in self.idempotents:
-            tot = [f.add(u, v) for u, v in zip(tot, e)]
-        if tot != self.unit:
+        if _combine(f, ((f.one, e) for e in self.idempotents)) != self.unit:
             raise ValueError("idempotents do not sum to the unit")
 
     @_memoized
@@ -235,18 +231,14 @@ class FDAlgebra:
         if f.kind == "Fp" and f.p <= n:
             raise FieldTooSmall(
                 f"the radical could not be certified over {f} (dim {n})")
-        # tr(L_i L_j) = tr(L_{b_i b_j}), and tr(L_r) sums mult[r][s][s]
-        tr_l = [f.of(sum(mk[s][s] for s in range(n))) for mk in self.mult]
-        ker = kernel_basis(Matrix._of_rows(f, n, n, [
-            [f.of(sum(c * tr_l[r] for r, c in v)) for v in row]
-            for row in self.mult_nonzeros()]))
-        return [ker.col(k) for k in range(ker.cols)]
-
-    @_memoized
-    def mult_nonzeros(self) -> list[list[list[tuple[int, object]]]]:
-        """Entry [s][t] lists (r, c), c the nonzero b_r-coefficient of b_s b_t."""
-        return [[[(r, c) for r, c in enumerate(vec) if c] for vec in row]
-                for row in self.mult]
+        # tr(L_i L_j) = tr(L_{b_i b_j}), and tr(L_r) sums the b_s-coefficients
+        # of the products b_r b_s
+        tr_l = [f.of(sum(x.get(s, 0) for s, x in row.items())) for row in self.mult]
+        ker = kernel_basis(Matrix._of_nz(f, n, n, [
+            {t: y for t, x in row.items()
+             if (y := f.of(sum(c * tr_l[r] for r, c in x.items())))}
+            for row in self.mult]))
+        return ker.transpose().nz
 
     @_memoized
     def homogeneous_generators(self) -> Optional[list[tuple[int, int, Vec]]]:
@@ -257,29 +249,22 @@ class FDAlgebra:
         split with one-dimensional blocks (then the idempotents do not span
         A/J and no such homogeneous set exists).
         """
-        f, n = self.field, self.dim
         rad = self.radical_basis()
-        if n - len(rad) != len(self.idempotents):
+        if self.dim - len(rad) != len(self.idempotents):
             return None
         pieces: list[tuple[int, int, Vec]] = []
         for g in rad:
             for w, ew in enumerate(self.idempotents):
                 wg = self.multiply(ew, g)
-                if not any(wg):
+                if not wg:
                     continue
                 for v, ev in enumerate(self.idempotents):
                     piece = self.multiply(wg, ev)
-                    if any(piece):
+                    if piece:
                         pieces.append((v, w, piece))
-        nz, srad = self.mult_nonzeros(), [_sparse(x) for x in rad]
-        sq = [_sparse_product(f, nz, x, y) for x in srad for y in srad]
-        red = _SpanReducer(f, [[xy.get(r, f.zero) for r in range(n)]
-                               for xy in sq if xy], n)
-        chosen: list[tuple[int, int, Vec]] = []
-        for v, w, g in pieces:
-            if red.add(g):
-                chosen.append((v, w, g))
-        return chosen
+        red = _SpanReducer(self.field, [self.multiply(x, y) for x in rad
+                                        for y in rad], self.dim)
+        return [(v, w, g) for v, w, g in pieces if red.add(g)]
 
     @_memoized
     def generator_vectors(self) -> list[Vec]:
@@ -300,18 +285,20 @@ class FDAlgebra:
         return f"FDAlgebra(dim={self.dim}, origin={self.origin}, field={self.field})"
 
 
-def _linear_combination(f: FieldSpec, rows: int, cols: int, coeffs,
+def _linear_combination(f: FieldSpec, rows: int, cols: int, coeffs: dict,
                         mat_of) -> Matrix:
-    """sum_i coeffs[i] * mat_of(i) for rows x cols matrices, skipping zeros;
-    mat_of is called only at nonzero coefficients.  A single coefficient 1
-    (a basis vector, such as a vertex or an arrow of a path algebra) gives
-    its matrix itself, not a copy: matrices are not changed after build."""
-    nonzero = [(i, c) for i, c in enumerate(coeffs) if c]
-    if len(nonzero) == 1 and nonzero[0][1] == f.one:
-        return mat_of(nonzero[0][0])
+    """sum_i c * mat_of(i) over the pairs (i, c) of coeffs, nonzero canonical
+    coefficients as in an element, for rows x cols matrices.  A single
+    coefficient 1 (a basis vector, such as a vertex or an arrow of a path
+    algebra) gives its matrix itself, not a copy: matrices are not changed
+    after build."""
+    if len(coeffs) == 1:
+        (i, c), = coeffs.items()
+        if c == f.one:
+            return mat_of(i)
     zero = f.zero
     out = [{} for _ in range(rows)]
-    for i, c in nonzero:
+    for i, c in coeffs.items():
         for row, mrow in zip(out, mat_of(i).nz):
             for s, v in mrow.items():
                 x = f.add(row.get(s, zero), f.mul(c, v))
@@ -322,46 +309,64 @@ def _linear_combination(f: FieldSpec, rows: int, cols: int, coeffs,
     return Matrix._of_nz(f, rows, cols, out)
 
 
-class _SpanReducer:
-    """Row-echelon store of vectors; reduces newcomers modulo the span."""
+def _combine(f: FieldSpec, terms) -> Vec:
+    """The element sum c * x over the pairs (c, x) of terms (a coefficient c
+    may be zero)."""
+    out: Vec = {}
+    for c, x in terms:
+        for r, v in x.items():
+            y = f.add(out.get(r, f.zero), f.mul(c, v))
+            if y:
+                out[r] = y
+            else:
+                out.pop(r, None)
+    return out
 
-    def __init__(self, field: FieldSpec, vecs: list[Vec], n: int):
+
+class _SpanReducer:
+    """Row-echelon store of sparse vectors {index: nonzero value}, each row
+    scaled to 1 at its pivot, its least index; reduces newcomers modulo the
+    span."""
+
+    def __init__(self, field: FieldSpec, vecs, n: int):
         self.field = field
         self.n = n
-        self.rows: list[Vec] = []
-        self.pivot_of_row: list[int] = []
+        self.rows: list[dict] = []
+        self.pivot_of_row: list[int] = []  # ascending
         for v in vecs:
             self.add(v)
 
-    def add(self, v: Vec) -> bool:
+    def add(self, v: dict) -> bool:
         """Reduce and insert; returns True if the span grew."""
         w = self.reduce(v)
+        if not w:
+            return False
         f = self.field
-        for c, x in enumerate(w):
-            if x:
-                inv = f.inv(x)
-                w = [f.mul(inv, y) for y in w]
-                self.rows.append(w)
-                self.pivot_of_row.append(c)
-                order = sorted(range(len(self.rows)), key=lambda r: self.pivot_of_row[r])
-                self.rows = [self.rows[r] for r in order]
-                self.pivot_of_row = [self.pivot_of_row[r] for r in order]
-                return True
-        return False
+        p = min(w)
+        inv = f.inv(w[p])
+        k = bisect.bisect(self.pivot_of_row, p)
+        self.rows.insert(k, {j: f.mul(inv, y) for j, y in w.items()})
+        self.pivot_of_row.insert(k, p)
+        return True
 
-    def reduce(self, v: Vec) -> Vec:
+    def reduce(self, v: dict) -> dict:
         f = self.field
-        w = list(v)
+        w = dict(v)
+        if not w:  # products offered to a span are often zero
+            return w
         for row, p in zip(self.rows, self.pivot_of_row):
-            if w[p]:
-                c = w[p]
-                for j in range(p, self.n):
-                    if row[j]:
-                        w[j] = f.sub(w[j], f.mul(c, row[j]))
+            c = w.get(p)
+            if c is not None:
+                for j, y in row.items():
+                    x = f.sub(w.get(j, 0), f.mul(c, y))
+                    if x:
+                        w[j] = x
+                    else:
+                        del w[j]
         return w
 
-    def contains(self, v: Vec) -> bool:
-        return not any(self.reduce(v))
+    def contains(self, v: dict) -> bool:
+        return not self.reduce(v)
 
     def dim(self) -> int:
         return len(self.rows)
@@ -371,11 +376,11 @@ class _SpanReducer:
         pivots = set(self.pivot_of_row)
         return [k for k in range(self.n) if k not in pivots]
 
-    def quotient_coords(self, v: Vec) -> Vec:
-        """Coordinates of v modulo the span, at the positions of `free`
-        (after `reduce`, every pivot position is zero)."""
-        w = self.reduce(v)
-        return [w[k] for k in self.free()]
+    def quotient_coords(self, v: dict) -> dict:
+        """Coordinates of v modulo the span, {position in `free`: value}
+        (after `reduce`, no pivot position is left)."""
+        at = {k: i for i, k in enumerate(self.free())}
+        return {at[k]: x for k, x in self.reduce(v).items()}
 
 
 def _idempotent_radical(a: FDAlgebra) -> Optional[list[Vec]]:
@@ -392,103 +397,102 @@ def _idempotent_radical(a: FDAlgebra) -> Optional[list[Vec]]:
     A/J = k^r semisimple (rad A lies in J), and J^L = 0 for some L (J lies in
     rad A).  This holds over every field.
     """
-    f, n, zero = a.field, a.dim, a.field.zero
-    nz = a.mult_nonzeros()
-    rows = []
-    for e in map(_sparse, a.idempotents):
-        corner = [_sparse_product(f, nz, _sparse_product(f, nz, e, {m: f.one}), e)
+    f, n = a.field, a.dim
+    rows = []  # lambda_i as {b: lambda_i(b_b)}
+    for e in a.idempotents:
+        corner = [a.multiply(a.multiply(e, {m: f.one}), e)
                   for m in range(n)]  # P_i b_m
         entries = [(m, l, v) for m, pm in enumerate(corner) for l, v in pm.items()]
         d = f.of(sum(v for m, l, v in entries if l == m))
         if d:  # tr(L_b P_i) sums the b_m-coefficients of b P_i b_m
-            rows.append([f.div(f.of(sum(v * a.mult[b][l][m] for m, l, v in entries)), d)
-                         for b in range(n)])
+            acc: dict = {}
+            for m, l, v in entries:  # row m of R_l holds those of b b_l
+                for b, x in a.right_mult_basis(l).nz[m].items():
+                    acc[b] = acc.get(b, 0) + v * x
+            rows.append({b: y for b, t in acc.items() if (y := f.div(f.of(t), d))})
         else:
-            rows.append([_residue(f, nz, e, pm) for pm in corner])
-            if None in rows[-1]:
+            res = [_residue(a, e, pm) for pm in corner]
+            if None in res:
                 return None
-    ker = kernel_basis(Matrix._of_rows(f, len(rows), n, rows))
+            rows.append({b: c for b, c in enumerate(res) if c})
+    pi = Matrix._of_nz(f, len(rows), n, rows)
+    ker = kernel_basis(pi)
     if ker.cols != n - len(rows):
         return None
-    cols = [[(i, row[m]) for i, row in enumerate(rows) if row[m]] for m in range(n)]
+    cols = pi.transpose().nz  # cols[m][i] = lambda_i(b_m)
     for k in range(n):
         for l in range(n):
-            got = {}
-            for m, c in nz[k][l]:
-                for i, v in cols[m]:
-                    got[i] = f.add(got.get(i, zero), f.mul(c, v))
-            want = {i: f.mul(v, rows[i][l]) for i, v in cols[k] if rows[i][l]}
-            if {i: v for i, v in got.items() if v} != want:
+            got = _combine(f, ((c, cols[m]) for m, c in a.mult[k].get(l, {}).items()))
+            want = {i: f.mul(v, rows[i][l]) for i, v in cols[k].items() if l in rows[i]}
+            if got != want:
                 return None
-    rad = [ker.col(k) for k in range(ker.cols)]
-    gens = power = [_sparse(v) for v in rad]
+    rad = ker.transpose().nz
+    power = rad
     while power:  # J^(k+1) = J^k J, strictly smaller while nonzero
-        red = _SpanReducer(f, [], n)
-        for xy in (_sparse_product(f, nz, x, y) for x in power for y in gens):
-            if xy:
-                red.add([xy.get(r, zero) for r in range(n)])
+        red = _SpanReducer(f, [a.multiply(x, y) for x in power for y in rad], n)
         if red.dim() >= len(power):
             return None
-        power = [_sparse(v) for v in red.rows]
+        power = red.rows
     return rad
 
 
-def _first_nonassociative_triple(f: FieldSpec, nz) -> Optional[tuple[int, int, int]]:
+def _first_nonassociative_triple(f: FieldSpec, mult) -> Optional[tuple[int, int, int]]:
     """The least (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or None, from
-    the structure constants nz of `FDAlgebra.mult_nonzeros`.
+    the structure constants mult of `FDAlgebra`.
 
     For each middle index j, (b_i b_j) b_k is summed over the pairs with
     b_i b_j != 0 and b_i (b_j b_k) over those with b_j b_k != 0; a triple
     that neither reaches is zero on both sides.
     """
-    n = len(nz)
-    right_of = [[(k, v) for k, v in enumerate(row) if v] for row in nz]
-    left_of = [[(i, nz[i][s]) for i in range(n) if nz[i][s]] for s in range(n)]
+    n = len(mult)
+    left_of = [[] for _ in range(n)]  # left_of[s]: the pairs (i, b_i b_s)
+    for i, row in enumerate(mult):
+        for s, x in row.items():
+            left_of[s].append((i, x))
     p = f.p if f.kind == "Fp" else None
     bad = []
     for j in range(n):
         assoc: dict = {}  # (i, k) -> (b_i b_j) b_k - b_i (b_j b_k)
-        for i in range(n):
-            for r, c in nz[i][j]:
-                for k, vec in right_of[r]:
+        for i, x in left_of[j]:
+            for r, c in x.items():
+                for k, vec in mult[r].items():
                     acc = assoc.setdefault((i, k), {})
-                    for t, d in vec:
+                    for t, d in vec.items():
                         acc[t] = acc.get(t, 0) + c * d
-        for k in range(n):
-            for s, c in nz[j][k]:
+        for k, x in mult[j].items():
+            for s, c in x.items():
                 for i, vec in left_of[s]:
                     acc = assoc.setdefault((i, k), {})
-                    for t, d in vec:
+                    for t, d in vec.items():
                         acc[t] = acc.get(t, 0) - c * d
         bad += [(i, j, k) for (i, k), acc in assoc.items()
                 if any(x % p if p else x for x in acc.values())]
     return min(bad, default=None)
 
 
-def _sparse(v: Vec) -> dict:
-    return {r: c for r, c in enumerate(v) if c}
-
-
-def _sparse_product(f: FieldSpec, nz, x: dict, y: dict) -> dict:
-    """x * y for vectors given as {index: nonzero coefficient}, likewise,
-    from the structure constants nz of `FDAlgebra.mult_nonzeros`."""
+def _sparse_product(f: FieldSpec, mult, x: Vec, y: Vec) -> Vec:
+    """x * y from the structure constants mult of `FDAlgebra`."""
     out: dict = {}
     for s, c in x.items():
+        row = mult[s]
         for t, d in y.items():
-            for r, v in nz[s][t]:
-                out[r] = f.add(out.get(r, 0), f.mul(f.mul(c, d), v))
+            prod = row.get(t)
+            if prod is not None:
+                cd = f.mul(c, d)
+                for r, v in prod.items():
+                    out[r] = f.add(out.get(r, 0), f.mul(cd, v))
     return {r: c for r, c in out.items() if c}
 
 
-def _residue(f: FieldSpec, nz, e: dict, x: dict):
-    """The c in F_p with x - c e nilpotent, or None when there is none
-    (sparse vectors as in `_sparse_product`).  A nilpotent y has y^dim = 0,
-    so y is squared until the exponent passes dim."""
+def _residue(a: FDAlgebra, e: Vec, x: Vec):
+    """The c in F_p with x - c e nilpotent, or None when there is none.  A
+    nilpotent y has y^dim = 0, so y is squared until the exponent passes
+    dim."""
+    f = a.field
     for c in range(f.p) if x else [f.zero]:
-        y = {r: v for r in x.keys() | e.keys()
-             if (v := f.sub(x.get(r, 0), f.mul(c, e.get(r, 0))))}
-        for _ in range(len(nz).bit_length()):
-            y = _sparse_product(f, nz, y, y)
+        y = _combine(f, [(f.one, x), (f.neg(c), e)])
+        for _ in range(a.dim.bit_length()):
+            y = a.multiply(y, y)
         if not y:
             return c
     return None
@@ -573,7 +577,8 @@ def build_path_algebra(
 
     # span_{<=N} of the ideal inside the <=N path space, grown with N
     def ideal_elements_upto(n: int) -> list[dict[int, object]]:
-        """All u*r*w (as {path index: coeff}, terms of length > n dropped)."""
+        """All u*r*w (as {path index: coeff}, terms of length > n dropped;
+        some may be zero)."""
         out = []
         for (rs, rt, terms), ml in zip(parsed, rel_minlen):
             for ui in range(len(paths)):
@@ -586,16 +591,12 @@ def build_path_algebra(
                         continue
                     if len(u.arrows) + ml + len(w.arrows) > n:
                         continue
-                    elt: dict[int, object] = {}
-                    for c, parrows in terms:
-                        full = u.arrows + parrows + w.arrows
-                        if len(full) > n:
-                            continue  # lies in J^{N}: separately in the ideal
-                        key = (u.source, full)
-                        pi = path_index[key]
-                        elt[pi] = field.add(elt.get(pi, field.zero), c)
-                    if elt:
-                        out.append(elt)
+                    # longer terms lie in J^{N}: separately in the ideal
+                    out.append(_combine(field, [
+                        (c, {path_index[(u.source, u.arrows + parrows + w.arrows)]:
+                             field.one})
+                        for c, parrows in terms
+                        if len(u.arrows) + len(parrows) + len(w.arrows) <= n]))
         return out
 
     found_n = None
@@ -605,14 +606,8 @@ def build_path_algebra(
         if not layers[n]:
             found_n = n
             break
-        npaths = len(paths)
-        span = _SpanReducer(field, [], npaths)
-        for elt in ideal_elements_upto(n):
-            v = [field.zero] * npaths
-            for pi, c in elt.items():
-                v[pi] = c
-            span.add(v)
-        if all(span.contains(_unit_vec(field, npaths, pi)) for pi in layers[n]):
+        span = _SpanReducer(field, ideal_elements_upto(n), len(paths))
+        if all(span.contains({pi: field.one}) for pi in layers[n]):
             found_n = n
             break
     if found_n is None:
@@ -624,13 +619,9 @@ def build_path_algebra(
     short = [i for ln in range(found_n) for i in layers[ln] if ln < len(layers)]
     # order: by (length, enumeration order) — already the enumeration order
     pos_of = {pi: k for k, pi in enumerate(short)}
-    nshort = len(short)
-    span = _SpanReducer(field, [], nshort)
-    for elt in ideal_elements_upto(found_n - 1):
-        v = [field.zero] * nshort
-        for pi, c in elt.items():
-            v[pos_of[pi]] = c
-        span.add(v)
+    span = _SpanReducer(field, [{pos_of[pi]: c for pi, c in elt.items()}
+                                for elt in ideal_elements_upto(found_n - 1)],
+                        len(short))
     basis_paths = [short[k] for k in span.free()]
     dim = len(basis_paths)
 
@@ -640,25 +631,23 @@ def build_path_algebra(
         return "*".join(arrows[ai][0] for ai in p.arrows)
 
     labels = [label(paths[pi]) for pi in basis_paths]
+    def element(p_source: int, p_arrows: tuple) -> Vec:
+        """The path, read modulo the ideal in the basis."""
+        return span.quotient_coords({pos_of[path_index[(p_source, p_arrows)]]:
+                                     field.one})
+
     # multiplication: product(x, y) = walk(y) followed by walk(x)
-    mult: list[list[Vec]] = [[None] * dim for _ in range(dim)]
+    mult: list[dict[int, Vec]] = [{} for _ in range(dim)]
     for i, pi in enumerate(basis_paths):
         p = paths[pi]
         for j, pj in enumerate(basis_paths):
             r = paths[pj]
-            if r.target != p.source or len(r.arrows) + len(p.arrows) >= found_n:
-                mult[i][j] = [field.zero] * dim
-                continue
-            pi2 = path_index[(r.source, r.arrows + p.arrows)]
-            mult[i][j] = span.quotient_coords(_unit_vec(field, nshort, pos_of[pi2]))
-
-    unit = [field.zero] * dim
-    idempotents = []
-    for v in range(nv):
-        pi = path_index[(v, ())]
-        vec = span.quotient_coords(_unit_vec(field, nshort, pos_of[pi]))
-        idempotents.append(vec)
-        unit = [field.add(a, b) for a, b in zip(unit, vec)]
+            if r.target == p.source and len(r.arrows) + len(p.arrows) < found_n:
+                prod = element(r.source, r.arrows + p.arrows)
+                if prod:
+                    mult[i][j] = prod
+    idempotents = [element(v, ()) for v in range(nv)]
+    unit = _combine(field, ((field.one, e) for e in idempotents))
 
     sources = [paths[pi].source for pi in basis_paths]
     walks = [paths[pi].arrows for pi in basis_paths]
@@ -675,18 +664,15 @@ def build_path_algebra(
     )
 
 
-def _unit_vec(field: FieldSpec, n: int, i: int) -> Vec:
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
-
-
 # -- derived algebras ---------------------------------------------------------
 
 
 def opposite(a: FDAlgebra) -> FDAlgebra:
     """Same space, transposed multiplication, same idempotents."""
-    mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    mult: list[dict[int, Vec]] = [{} for _ in range(a.dim)]
+    for s, row in enumerate(a.mult):
+        for t, x in row.items():
+            mult[t][s] = x
     return FDAlgebra(
         a.field,
         a.basis_labels,
@@ -706,19 +692,13 @@ def quotient_by_idempotent_ideal(a: FDAlgebra, e_indices: Sequence[int]):
     Returns (quotient algebra, projection Matrix dim_Q x dim_A).  The zero
     algebra (dim 0) is a legal result.
     """
-    f = a.field
-    cols: list[Vec] = []
+    span: list[Vec] = []
     for ei in e_indices:
-        e = a.idempotents[ei]
         for i in range(a.dim):
-            xi = a.multiply(a.basis_vec(i), e)
-            if not any(xi):
-                continue
-            for j in range(a.dim):
-                v = a.multiply(xi, a.basis_vec(j))
-                if any(v):
-                    cols.append(v)
-    return _quotient_algebra(a, cols, origin="quotient")
+            xi = a.multiply(a.basis_vec(i), a.idempotents[ei])
+            if xi:
+                span += [a.multiply(xi, a.basis_vec(j)) for j in range(a.dim)]
+    return _quotient_algebra(a, span, origin="quotient")
 
 
 def _quotient_algebra(a: FDAlgebra, ideal_vecs: list[Vec], origin: str):
@@ -727,29 +707,16 @@ def _quotient_algebra(a: FDAlgebra, ideal_vecs: list[Vec], origin: str):
     free = red.free()
     dim = len(free)
     proj = red.quotient_coords
-
-    def sect(c: int) -> Vec:
-        return a.basis_vec(free[c])
-
-    mult = [
-        [proj(a.multiply(sect(i), sect(j))) for j in range(dim)] for i in range(dim)
-    ]
-    unit = proj(a.unit)
-    idems = []
-    for e in a.idempotents:
-        pe = proj(e)
-        if any(pe):
-            idems.append(pe)
+    mult: list[dict[int, Vec]] = [{} for _ in range(dim)]
+    for i, s in enumerate(free):
+        for j, t in enumerate(free):
+            x = proj(a.mult[s].get(t, {}))
+            if x:
+                mult[i][j] = x
+    idems = [x for x in map(proj, a.idempotents) if x]
     labels = [a.basis_labels[k] for k in free]
-    quot = FDAlgebra(
-        f,
-        labels,
-        mult,
-        unit,
-        idems,
-        origin=origin,
-        check=dim > 0,
-    )
+    quot = FDAlgebra(f, labels, mult, proj(a.unit), idems, origin=origin,
+                     check=dim > 0)
     pm = Matrix.from_columns(f, dim, [proj(a.basis_vec(j)) for j in range(a.dim)])
     return quot, pm
 
@@ -757,20 +724,9 @@ def _quotient_algebra(a: FDAlgebra, ideal_vecs: list[Vec], origin: str):
 def cartan_matrix(a: FDAlgebra) -> list[list[int]]:
     """Entry (i,j) = dim e_j A e_i: the multiplicity of the simple S_j in the
     projective P_i (for a path algebra, the number of paths i -> j)."""
-    f = a.field
-    r = len(a.idempotents)
-    out = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            vecs = []
-            for k in range(a.dim):
-                v = a.multiply(
-                    a.idempotents[j], a.multiply(a.basis_vec(k), a.idempotents[i])
-                )
-                if any(v):
-                    vecs.append(v)
-            out[i][j] = _SpanReducer(f, vecs, a.dim).dim()
-    return out
+    return [[_SpanReducer(a.field, [
+        a.multiply(ej, a.multiply(a.basis_vec(k), ei)) for k in range(a.dim)],
+        a.dim).dim() for ej in a.idempotents] for ei in a.idempotents]
 
 
 # -- primitive idempotents ----------------------------------------------------
@@ -790,42 +746,31 @@ def primitive_idempotents(a: FDAlgebra, seed: int = 0, budget: int = 64) -> list
     seeded-random elements and lifted along the radical filtration.
     """
     if a.origin == "path-algebra":
-        return [list(e) for e in a.idempotents]
+        return [dict(e) for e in a.idempotents]
     if a.dim == 0:
         return []
     f = a.field
+    one, minus_one = f.one, f.neg(f.one)
     ss, pm = semisimple_quotient(a)
     rng = random.Random(seed)
     blocks = _split_semisimple_unit(ss, rng, budget)
     # lift each block idempotent from A/J to A, keeping orthogonality
-    sect = _section_for(a, pm)
     lifted: list[Vec] = []
-    done = a.zero_vec()
+    done: Vec = {}
     for k, eb in enumerate(blocks):
+        c = _combine(f, [(one, a.unit), (minus_one, done)])
         if k == len(blocks) - 1:
-            cand = [f.sub(u, v) for u, v in zip(a.unit, done)]
+            cand = c
         else:
-            raw = sect(eb)
-            c = [f.sub(u, v) for u, v in zip(a.unit, done)]
-            cand = a.multiply(a.multiply(c, raw), c)
-            cand = _newton_idempotent(a, cand)
+            raw = solve(pm, Matrix.from_columns(f, ss.dim, [eb])).transpose().nz[0]
+            cand = _newton_idempotent(a, a.multiply(a.multiply(c, raw), c))
         if a.multiply(cand, cand) != cand:
             raise Inconclusive("idempotent lift failed to converge")
         lifted.append(cand)
-        done = [f.add(u, v) for u, v in zip(done, cand)]
+        done = _combine(f, [(one, done), (one, cand)])
     if done != a.unit:
         raise Inconclusive("lifted idempotents do not sum to the unit")
     return lifted
-
-
-def _section_for(a: FDAlgebra, pm: Matrix):
-    """Right inverse of the quotient projection, as a map on coeff vectors."""
-
-    def sect(v: Vec) -> Vec:
-        sol = solve(pm, Matrix.column(a.field, v))
-        return sol.col(0)
-
-    return sect
 
 
 def _newton_idempotent(a: FDAlgebra, e: Vec, max_iter: int = 64) -> Vec:
@@ -835,14 +780,15 @@ def _newton_idempotent(a: FDAlgebra, e: Vec, max_iter: int = 64) -> Vec:
         if e2 == e:
             return e
         e3 = a.multiply(e2, e)
-        e = [f.sub(f.mul(f.of(3), x2), f.mul(f.of(2), x3)) for x2, x3 in zip(e2, e3)]
+        e = _combine(f, [(f.of(3), e2), (f.neg(f.of(2)), e3)])
     return e
 
 
 def _split_semisimple_unit(ss: FDAlgebra, rng: random.Random, budget: int) -> list[Vec]:
     """Primitive orthogonal idempotent decomposition of 1 in a semisimple
     algebra, by repeated CRT splitting; Inconclusive when the budget runs out
-    on a block that is not certifiably a division algebra."""
+    on a block that is not certifiably a division algebra.  The pieces are
+    sorted by the strings of their coefficients, zeros included."""
     work = [ss.unit]
     out: list[Vec] = []
     while work:
@@ -852,56 +798,52 @@ def _split_semisimple_unit(ss: FDAlgebra, rng: random.Random, budget: int) -> li
             out.append(e)
         else:
             work.extend(split)
-    out.sort(key=lambda v: [str(x) for x in v])
+    zero = ss.field.zero
+    out.sort(key=lambda v: [str(v.get(i, zero)) for i in range(ss.dim)])
     return out
 
 
-def _corner_dim(ss: FDAlgebra, e: Vec) -> int:
-    vecs = [ss.multiply(ss.multiply(e, ss.basis_vec(i)), e) for i in range(ss.dim)]
-    return _SpanReducer(ss.field, vecs, ss.dim).dim()
+def _corner(ss: FDAlgebra, e: Vec) -> list[Vec]:
+    """The nonzero elements e b_i e."""
+    return [x for i in range(ss.dim)
+            if (x := ss.multiply(ss.multiply(e, ss.basis_vec(i)), e))]
 
 
 def _try_split(ss: FDAlgebra, e: Vec, rng: random.Random, budget: int):
     """Split the idempotent e into two orthogonal pieces, or None if the
     corner eAe resists (certified division when its dim is 1)."""
     f = ss.field
-    if _corner_dim(ss, e) == 1:
+    corner = _corner(ss, e)
+    if _SpanReducer(f, corner, ss.dim).dim() == 1:
         return None
-    corner = [
-        ss.multiply(ss.multiply(e, ss.basis_vec(i)), e) for i in range(ss.dim)
-    ]
-    corner = [v for v in corner if any(v)]
     for trial in range(budget):
-        x = ss.zero_vec()
-        for v in corner:
-            c = f.of(rng.randint(-3, 3))
-            if c:
-                x = [f.add(u, f.mul(c, w)) for u, w in zip(x, v)]
-        e1 = _crt_idempotent(f, e, x, ss.multiply)
+        x = _combine(f, [(f.of(rng.randint(-3, 3)), v) for v in corner])
+        e1 = _crt_idempotent(f, e, x, ss.multiply, ss.dim)
         if e1 is None:
             continue
-        e2 = [f.sub(u, v) for u, v in zip(e, e1)]
-        if any(e1) and any(e2):
+        e2 = _combine(f, [(f.one, e), (f.neg(f.one), e1)])
+        if e1 and e2:
             return [e1, e2]
     raise Inconclusive("block resisted idempotent splitting within budget")
 
 
-def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul) -> Optional[Vec]:
+def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul, n: int) -> Optional[Vec]:
     """An idempotent polynomial in x, split off by the minimal polynomial.
 
-    Elements are coefficient vectors multiplied by `mul`, with unit `one`;
-    the powers of x are one, mul(one, x), mul(mul(one, x), x), ...  When
-    sympy's factor_list gives at least two factors, the result is the CRT
-    element that is 1 modulo the first factor power and 0 modulo the rest,
-    evaluated at x.  None when the minimal polynomial has degree <= 1 or a
-    single irreducible factor, or when the value fails the idempotency check.
+    Elements are sparse vectors of length n multiplied by `mul`, with unit
+    `one`; the powers of x are one, mul(one, x), mul(mul(one, x), x), ...
+    When sympy's factor_list gives at least two factors, the result is the
+    CRT element that is 1 modulo the first factor power and 0 modulo the
+    rest, evaluated at x.  None when the minimal polynomial has degree <= 1
+    or a single irreducible factor, or when the value fails the idempotency
+    check.
     """
     import warnings
 
     import sympy
 
     powers = [one]
-    red = _SpanReducer(f, [one], len(one))
+    red = _SpanReducer(f, [one], n)
     cur = one
     while True:
         cur = mul(cur, x)
@@ -909,7 +851,7 @@ def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul) -> Optional[Vec]:
             break
         powers.append(cur)
         red.add(cur)
-    sol = solve(Matrix.from_columns(f, len(one), powers), Matrix.column(f, cur))
+    sol = solve(Matrix.from_columns(f, n, powers), Matrix.from_columns(f, n, [cur]))
     coeffs = [f.neg(c) for c in sol.col(0)] + [f.one]  # monic
     if len(coeffs) <= 2:
         return None
@@ -932,13 +874,13 @@ def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul) -> Optional[Vec]:
     _, v, g = m1.gcdex(rest)
     if not g.is_one:
         return None  # factors not coprime in this domain: give up on x
-    acc = [f.zero] * len(one)
+    terms = []
     power = one
     for c in reversed((v * rest).rem(poly).all_coeffs()):
-        cval = f.of(sympy.Rational(c)) if f.kind == "Q" else f.of(int(c))
-        if cval:
-            acc = [f.add(a, f.mul(cval, w)) for a, w in zip(acc, power)]
+        terms.append((f.of(sympy.Rational(c)) if f.kind == "Q" else f.of(int(c)),
+                      power))
         power = mul(power, x)
+    acc = _combine(f, terms)
     if mul(acc, acc) != acc:
         return None
     return acc

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fdhom.algebra import FDAlgebra, quotient_by_idempotent_ideal
+from fdhom.algebra import FDAlgebra, _combine, quotient_by_idempotent_ideal
 from fdhom.endalg import (
     EndData,
     _evaluation,
@@ -248,10 +248,7 @@ def check_superprojective(gamma: FDAlgebra, e_idems: Sequence[int], n: int,
 
 def _inflate(gamma: FDAlgebra, quot: FDAlgebra, pm: Matrix, s: Module) -> Module:
     """Pull a module over Γ/ΓeΓ back to Γ through the projection."""
-    action = []
-    for k in range(gamma.dim):
-        col = pm.col(k)
-        action.append(s.act_vec(col))
+    action = [s.act_vec(col) for col in pm.transpose().nz]
     return Module(gamma, s.dim, action, check=False)
 
 
@@ -334,19 +331,32 @@ class SearchReport:
     capped: list
 
 
+def _projective_injective_indices(lam: FDAlgebra, mods: Sequence[Module]) -> set:
+    """The index in mods of the first P_v and of the first I_v, for every
+    vertex v: the first module whose minimal cover is P_v alone, and the
+    first whose dual's cover is the projective P_v of the opposite algebra
+    (I_v = D(P_v of A^op), with the same vertex numbering).
+    PreconditionFailed when one of them is missing."""
+    found = set()
+    for side in (mods, [dual(m) for m in mods]):
+        first: dict = {}
+        for idx, mod in enumerate(side):
+            verts = projective_vertices(mod)
+            if verts is not None and len(verts) == 1:
+                first.setdefault(verts[0], idx)
+        if len(first) != len(lam.idempotents):
+            raise PreconditionFailed("a projective/injective is missing")
+        found.update(first.values())
+    return found
+
+
 def repdim_search(lam: FDAlgebra, n: int, ind_list: Sequence[Module],
                   cap: int = 16, complete: bool = True) -> SearchReport:
     """min gl.dim End(⊕S) over subsets S of the indecomposables containing
     all projectives and injectives with ⊕S (n-1)-orthogonal; exhaustive."""
     if not complete:
         raise IncompleteEnumeration("representation dimension needs a full list")
-    forced = set()
-    for v in range(len(lam.idempotents)):
-        for mod in (projective_module(lam, v), injective_module(lam, v)):
-            idx = member_of(ind_list, mod)
-            if idx is None:
-                raise PreconditionFailed("a projective/injective is missing")
-            forced.add(idx)
+    forced = _projective_injective_indices(lam, ind_list)
     optional = [i for i in range(len(ind_list)) if i not in forced]
     # pairwise orthogonality table up to degree n-1
     ok_pair = {}
@@ -458,6 +468,9 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
     if gamma2.dim != gamma.dim:
         return False
     # basis map: each basis hom of Γ maps to a hom between the images
+    start = {}  # (i, j) -> the index in Γ2 of the first basis map M_i -> M_j
+    for k, (i, j, _) in enumerate(data2.basis_tags):
+        start.setdefault((i, j), k)
     cols = []
     for i, j, idx in data.basis_tags:
         hh = _induced_map(_induced_map(data.hom[(i, j)][idx], ev[i], ev[j]),
@@ -465,25 +478,19 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
         c = hom_coords(data2.hom[(i, j)], [hh.matrix])
         if c is None:
             return False
-        col = c.col(0)
-        cols.append([col[t] if (ti, tj) == (i, j) else f.zero
-                     for ti, tj, t in data2.basis_tags])
+        cols.append({start[(i, j)] + t: x for t, x in c.transpose().nz[0].items()})
     phi = Matrix.from_columns(f, gamma2.dim, cols)
     from fdhom.linalg import invert
 
     if invert(phi) is None:
         return False
-    # multiplicativity on all basis pairs; cols[k] is column k of phi
-    for k1 in range(gamma.dim):
-        for k2 in range(gamma.dim):
-            prod = gamma.mult[k1][k2]
-            lhs = [f.zero] * gamma2.dim
-            for k, c in enumerate(prod):
-                if c:
-                    for r in range(gamma2.dim):
-                        lhs[r] = f.add(lhs[r], f.mul(c, cols[k][r]))
-            rhs = gamma2.multiply(cols[k1], cols[k2])
-            if lhs != rhs:
+    # multiplicativity on all basis pairs, those with product zero included;
+    # cols[k] is column k of phi
+    basis = [gamma.basis_vec(k) for k in range(gamma.dim)]
+    for k1, b1 in enumerate(basis):
+        for k2, b2 in enumerate(basis):
+            lhs = _combine(f, [(c, cols[k]) for k, c in gamma.multiply(b1, b2).items()])
+            if lhs != gamma2.multiply(cols[k1], cols[k2]):
                 return False
     return True
 

@@ -59,11 +59,25 @@ def load_algebra(path: str) -> FDAlgebra:
                                       field=field)
         if "mult" in doc:
             labels = doc["basis"]
-            mult = [[[field.of(Fraction(c)) for c in vec] for vec in row]
-                    for row in doc["mult"]]
-            unit = [field.of(Fraction(c)) for c in doc["unit"]]
-            idems = [[field.of(Fraction(c)) for c in e]
-                     for e in doc["idempotents"]]
+            dim = len(labels)
+
+            def element(vec, what):
+                """The dense coefficient list vec as an algebra element."""
+                if not isinstance(vec, list) or len(vec) != dim:
+                    raise InputError(f"{path}: {what} must have {dim} coefficients")
+                return {r: x for r, c in enumerate(vec)
+                        if (x := field.of(Fraction(c)))}
+
+            rows = doc["mult"]
+            if not isinstance(rows, list) or len(rows) != dim or any(
+                    not isinstance(row, list) or len(row) != dim for row in rows):
+                raise InputError(f"{path}: mult must be {dim} x {dim} products")
+            mult = [{t: x for t, vec in enumerate(row)
+                     if (x := element(vec, f"mult[{s}][{t}]"))}
+                    for s, row in enumerate(rows)]
+            unit = element(doc["unit"], "unit")
+            idems = [element(e, f"idempotent {k}")
+                     for k, e in enumerate(doc["idempotents"])]
             return FDAlgebra(field, labels, mult, unit, idems,
                              origin="structure-constants")
         raise InputError(f"{path}: needs a quiver or raw structure constants")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from fdhom.algebra import FDAlgebra
+from fdhom.algebra import FDAlgebra, _combine, _linear_combination
 from fdhom.errors import PreconditionFailed
 from fdhom.linalg import Matrix, offsets
 from fdhom.modules import (
@@ -38,18 +38,13 @@ class EndData:
     hom: dict  # (i, j) -> list[ModuleMap]
     basis_tags: list[tuple[int, int, int]]  # algebra basis k -> (i, j, index)
 
-    def element_block(self, coeffs, i: int, j: int) -> Matrix:
+    def element_block(self, coeffs: dict, i: int, j: int) -> Matrix:
         """The M_i -> M_j component of an algebra element, as a Λ-map matrix."""
-        f = self.algebra.field
-        out = Matrix(f, self.gens[j].dim, self.gens[i].dim)
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            ti, tj, idx = self.basis_tags[k]
-            if (ti, tj) != (i, j):
-                continue
-            out = out + self.hom[(i, j)][idx].matrix.scale(c)
-        return out
+        tags, maps = self.basis_tags, self.hom[(i, j)]
+        return _linear_combination(
+            self.algebra.field, self.gens[j].dim, self.gens[i].dim,
+            {k: c for k, c in coeffs.items() if tags[k][:2] == (i, j)},
+            lambda k: maps[tags[k][2]].matrix)
 
 
 def end_algebra(gens: Sequence[Module], check_indec: bool = True,
@@ -77,7 +72,10 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
     tags = [(i, j, idx) for i in r for j in r for idx in range(len(hom[(i, j)]))]
     dim = len(tags)
     maps = [hom[(i, j)][idx].matrix for i, j, idx in tags]
-    mult = [[[f.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    start = {}  # (i, j) -> the algebra index of the first basis map M_i -> M_j
+    for k, (i, j, _) in enumerate(tags):
+        start.setdefault((i, j), k)
+    mult: list[dict] = [{} for _ in range(dim)]
     idems = []
     for i in r:
         for l in r:
@@ -92,16 +90,18 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
                 continue
             coords = hom_coords(hom[(i, l)], mats,
                                 "composite escapes the hom space")
-            rows = coords.data
-            vecs = [[rows[idx][c] if (ti, tj) == (i, l) else f.zero
-                     for ti, tj, idx in tags] for c in range(len(mats))]
+            # row idx of coords: the coefficients of basis map idx of
+            # Hom(M_i, M_l), which is algebra basis element start + idx
+            vecs = [{} for _ in mats]
+            for idx, row in enumerate(coords.nz):
+                for c, x in row.items():
+                    vecs[c][start[(i, l)] + idx] = x
             for (k1, k2), vec in zip(pairs, vecs):
-                mult[k1][k2] = vec
+                if vec:
+                    mult[k1][k2] = vec
             if i == l:
                 idems.append(vecs[-1])
-    unit = [f.zero] * dim
-    for e in idems:
-        unit = [f.add(u, v) for u, v in zip(unit, e)]
+    unit = _combine(f, ((f.one, e) for e in idems))
     labels = [f"[{i}->{j}#{idx}]" for (i, j, idx) in tags]
     alg = FDAlgebra(f, labels, mult, unit, idems, origin="endomorphism")
     return EndData(alg, gens, hom, tags)

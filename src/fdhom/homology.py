@@ -289,7 +289,7 @@ def star_map(d: ModuleMap) -> ModuleMap:
         col = Matrix(f, s1.dim, 1)
         for img, gen in zip(imgs, gens1):
             x = _summand_element(p0, img, c)
-            if any(x):
+            if x:
                 col = col + s1.act_vec(x) @ gen
         images.append(col)
     star = _from_generators(s0, s1, images)[0]

@@ -152,16 +152,16 @@ class Matrix:
 
     @staticmethod
     def from_columns(field: FieldSpec, rows: int, vecs: Iterable) -> "Matrix":
-        """The rows x len(vecs) matrix whose columns are the given canonical
-        vectors (entries are taken as they are, not coerced)."""
+        """The rows x len(vecs) matrix whose columns are the given sparse
+        vectors {row: nonzero canonical value} (taken as they are, not
+        coerced)."""
         vecs = list(vecs)
         nz = [{} for _ in range(rows)]
         for k, vec in enumerate(vecs):
-            if len(vec) != rows:
-                raise ValueError("column length does not match the row count")
-            for i, x in enumerate(vec):
-                if x:
-                    nz[i][k] = x
+            for i, x in vec.items():
+                if not 0 <= i < rows:
+                    raise ValueError("column entry outside the row count")
+                nz[i][k] = x
         return Matrix._of_nz(field, rows, len(vecs), nz)
 
     @staticmethod
@@ -204,15 +204,12 @@ class Matrix:
         else:
             self.nz[i].pop(j, None)
 
-    def flatten(self) -> list:
-        """The entries in row-major order."""
+    def flatten(self) -> dict:
+        """The nonzero entries in row-major order, as the sparse vector
+        {i * cols + j: entry (i, j)}."""
         cols = self.cols
-        out = [self.field.zero] * (self.rows * cols)
-        for i, d in enumerate(self.nz):
-            base = i * cols
-            for j, x in d.items():
-                out[base + j] = x
-        return out
+        return {i * cols + j: x for i, d in enumerate(self.nz)
+                for j, x in d.items()}
 
     def put(self, r0: int, c0: int, block: "Matrix") -> "Matrix":
         """Copy block into self with its top-left entry at (r0, c0); returns

@@ -41,11 +41,9 @@ from typing import Optional, Sequence
 from fdhom.algebra import (
     FDAlgebra,
     _SpanReducer,
+    _combine,
     _crt_idempotent,
     _linear_combination,
-    _sparse,
-    _sparse_product,
-    _unit_vec,
 )
 from fdhom.errors import CertificateFailed, FieldTooSmall, Inconclusive
 from fdhom.linalg import (
@@ -75,7 +73,7 @@ class Module:
         # bookkeeping for known sums of projectives: proj_summands is a list
         # of (vertex, generator column vector); coord_summand says which
         # summand each coordinate belongs to; basis_elements gives each
-        # coordinate as an algebra coefficient vector
+        # coordinate as an algebra element
         self.proj_summands = proj_summands
         self.inj_summands = inj_summands
         self.coord_summand = coord_summand
@@ -94,12 +92,14 @@ class Module:
         a = self.algebra
         if self.act_vec(a.unit) != Matrix.identity(a.field, self.dim):
             raise ValueError("unit does not act as the identity")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if self.action[i] @ self.action[j] != self.act_vec(a.mult[i][j]):
+        basis = [a.basis_vec(i) for i in range(a.dim)]
+        for i, bi in enumerate(basis):
+            for j, bj in enumerate(basis):
+                if self.action[i] @ self.action[j] != self.act_vec(a.multiply(bi, bj)):
                     raise ValueError(f"action violates structure constants ({i},{j})")
 
-    def act_vec(self, coeffs) -> Matrix:
+    def act_vec(self, coeffs: dict) -> Matrix:
+        """The action of the algebra element coeffs."""
         return _linear_combination(self.algebra.field, self.dim, self.dim,
                                    coeffs, self.action.__getitem__)
 
@@ -200,11 +200,9 @@ def identity_map(x: Module) -> ModuleMap:
 
 def _coord_summands_from_elements(a: FDAlgebra, elements) -> Optional[list[int]]:
     """Unique vertex v with b*e_v = b, per element; None if not homogeneous."""
-    f, nz = a.field, a.mult_nonzeros()
-    idems = [_sparse(e) for e in a.idempotents]
     out = []
-    for b in map(_sparse, elements):
-        hits = [v for v, e in enumerate(idems) if _sparse_product(f, nz, b, e) == b]
+    for b in elements:
+        hits = [v for v, e in enumerate(a.idempotents) if a.multiply(b, e) == b]
         if len(hits) != 1:
             return None
         out.append(hits[0])
@@ -219,7 +217,9 @@ def regular_module(a: FDAlgebra) -> Module:
     proj_summands = None
     coord_summand = None
     if verts is not None:
-        proj_summands = [(v, e[:]) for v, e in enumerate(a.idempotents)]
+        # the generator of A e_v is e_v, as a vector of A
+        proj_summands = [(v, Matrix.from_columns(a.field, a.dim, [e]).col(0))
+                         for v, e in enumerate(a.idempotents)]
         coord_summand = verts
     return Module(a, a.dim, action, check=False,
                   proj_summands=proj_summands,
@@ -240,30 +240,21 @@ def projective_module(a: FDAlgebra, i: int) -> Module:
     """P_i = A e_i with the left action (built once per algebra)."""
 
     def build():
-        e = a.idempotents[i]
+        f, e = a.field, a.idempotents[i]
         basis = column_space_basis(a.right_mult(e))
         dim = basis.cols
         coords = _left_inverse(basis)
-        elements = [basis.col(k) for k in range(dim)]
-        # column k of the action of b: the coordinates of b * elements[k]
-        f, nz, p = a.field, a.mult_nonzeros(), a.field.p
-        coords_at = [[(row, x) for row, x in enumerate(col) if x]
-                     for col in map(coords.col, range(a.dim))]
-        cols = [[(t, c) for t, c in enumerate(u) if c] for u in elements]
-        action = []
-        for b in range(a.dim):
-            acc = [{} for _ in range(dim)]
-            for k, u in enumerate(cols):
-                for t, c in u:
-                    for r, v in nz[b][t]:
-                        for row, x in coords_at[r]:
-                            acc[row][k] = acc[row].get(k, 0) + c * v * x
-            if p is None:
-                acc = [{k: y for k, y in d.items() if y} for d in acc]
-            else:
-                acc = [{k: r for k, y in d.items() if (r := y % p)} for d in acc]
-            action.append(Matrix._of_nz(f, dim, dim, acc))
-        gen = (coords @ Matrix.column(a.field, e)).col(0)
+        elements = basis.transpose().nz
+        # column k of the action of b: the coordinates of b * elements[k],
+        # which is column b of the right multiplication by elements[k]
+        products = [(coords @ a.right_mult(u)).transpose().nz for u in elements]
+        rows = [[{} for _ in range(dim)] for _ in range(a.dim)]
+        for k, cols in enumerate(products):
+            for nz, col in zip(rows, cols):
+                for row, x in col.items():
+                    nz[row][k] = x
+        action = [Matrix._of_nz(f, dim, dim, nz) for nz in rows]
+        gen = (coords @ Matrix.from_columns(f, a.dim, [e])).col(0)
         return Module(a, dim, action, check=False,
                       proj_summands=[(i, gen)],
                       coord_summand=[0] * dim,
@@ -359,10 +350,10 @@ def quotient_module(x: Module, sub_basis: Matrix):
     """(quotient, projection) by an action-invariant column span."""
     a = x.algebra
     f = a.field
-    red = _SpanReducer(f, [sub_basis.col(k) for k in range(sub_basis.cols)], x.dim)
+    red = _SpanReducer(f, sub_basis.transpose().nz, x.dim)
     free = red.free()
     dim = len(free)
-    proj = Matrix.from_columns(f, dim, [red.quotient_coords(_unit_vec(f, x.dim, j))
+    proj = Matrix.from_columns(f, dim, [red.quotient_coords({j: f.one})
                                         for j in range(x.dim)])
     sect = Matrix(f, x.dim, dim)
     for i, c in enumerate(free):
@@ -416,24 +407,19 @@ def _from_generators(p: Module, y: Module, images: Sequence[Matrix]) -> list[Mod
     of images[c] (an element of e_{v_c} Y), so coordinate j, the element b_j
     of summand c, goes to b_j times it."""
     f = p.algebra.field
-    cols = [y.act_vec(b) @ images[c]
+    cols = [(y.act_vec(b) @ images[c]).transpose().nz
             for b, c in zip(p.basis_elements, p.coord_summand)]
-    return [ModuleMap(p, y, Matrix.from_columns(f, y.dim, [m.col(k) for m in cols]),
+    return [ModuleMap(p, y, Matrix.from_columns(f, y.dim, [m[k] for m in cols]),
                       check=False)
             for k in range(images[0].cols)]
 
 
-def _summand_element(p: Module, vec, c: int) -> list:
+def _summand_element(p: Module, vec, c: int) -> dict:
     """The algebra element Σ vec_j b_j over the coordinates j of summand c of
     a known sum of projectives p (vec is a vector of p)."""
-    f = p.algebra.field
-    out = [f.zero] * p.algebra.dim
-    for x, s, b in zip(vec, p.coord_summand, p.basis_elements):
-        if x and s == c:
-            for r, y in enumerate(b):
-                if y:
-                    out[r] = f.add(out[r], f.mul(x, y))
-    return out
+    return _combine(p.algebra.field, [
+        (x, b) for x, s, b in zip(vec, p.coord_summand, p.basis_elements)
+        if s == c])
 
 
 def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
@@ -608,21 +594,20 @@ def _minimal_cover(m: Module):
         z = zero_module(a)
         return z, zero_map(z, m)
     jm = _radical_span(m)
-    covered = _SpanReducer(f, [jm.col(k) for k in range(jm.cols)], m.dim)
+    covered = _SpanReducer(f, jm.transpose().nz, m.dim)
     basic = a.homogeneous_generators() is not None
-    chosen: list[tuple[int, list]] = []  # (vertex, generator vector in M)
+    chosen: list[tuple[int, Matrix]] = []  # (vertex, generator column in M)
     for v, e in enumerate(a.idempotents):
-        comp = column_space_basis(m.act_vec(e))
-        for k in range(comp.cols):
-            w = comp.col(k)
+        for w in column_space_basis(m.act_vec(e)).transpose().nz:
             if covered.contains(w):
                 continue
-            chosen.append((v, w))
+            wm = Matrix.from_columns(f, m.dim, [w])
+            chosen.append((v, wm))
             if basic:
                 covered.add(w)
             else:
                 for x in m.action:
-                    covered.add((x @ Matrix.column(f, w)).col(0))
+                    covered.add((x @ wm).transpose().nz[0])
             if covered.dim() == m.dim:
                 break
         if covered.dim() == m.dim:
@@ -630,7 +615,7 @@ def _minimal_cover(m: Module):
     if covered.dim() != m.dim:
         raise CertificateFailed("top not covered: missing generators")
     p, _, _ = direct_sum([projective_module(a, v) for v, _ in chosen])
-    epi = _from_generators(p, m, [Matrix.column(f, w) for _, w in chosen])[0]
+    epi = _from_generators(p, m, [wm for _, wm in chosen])[0]
     mat = epi.matrix
     if rank(mat) != m.dim:
         raise CertificateFailed("cover map is not surjective")
@@ -882,8 +867,8 @@ def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
                 return ModuleMap(x, y, m, check=False)
         return None
     for _ in range(budget):
-        m = _linear_combination(f, y.dim, x.dim,
-                                [rng.randint(-4, 4) for _ in mats], mats.__getitem__)
+        m = _linear_combination(f, y.dim, x.dim, _random_coeffs(f, rng, len(mats), 4),
+                                mats.__getitem__)
         if invert(m) is not None:
             return ModuleMap(x, y, m, check=False)
     raise Inconclusive("no invertible combination found within budget")
@@ -894,7 +879,15 @@ def _fp_combinations(f, mats: list[Matrix]):
     itertools.product order."""
     rows, cols = mats[0].shape
     for coeffs in itertools.product(range(f.p), repeat=len(mats)):
-        yield _linear_combination(f, rows, cols, coeffs, mats.__getitem__)
+        yield _linear_combination(f, rows, cols,
+                                  {i: c for i, c in enumerate(coeffs) if c},
+                                  mats.__getitem__)
+
+
+def _random_coeffs(f, rng: random.Random, n: int, bound: int) -> dict:
+    """Coefficients for n matrices drawn from [-bound, bound], one draw each,
+    as the nonzero pairs {i: c} that `_linear_combination` takes."""
+    return {i: c for i in range(n) if (c := f.of(rng.randint(-bound, bound)))}
 
 
 class Decomposition:
@@ -983,7 +976,7 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
             if trial == len(cands) and _end_is_local(endos):
                 return None  # a local End(x) has no idempotent but 0 and 1
             h = _linear_combination(f, x.dim, x.dim,
-                                    [rng.randint(-3, 3) for _ in cands],
+                                    _random_coeffs(f, rng, len(cands), 3),
                                     cands.__getitem__)
         eps = _idempotent_from_matrix(f, h, idm)
         if eps is not None and not eps.is_zero() and eps != idm:
@@ -1001,10 +994,13 @@ def _idempotent_from_matrix(f, h: Matrix, idm: Matrix):
     n = h.rows
 
     def square(v):
-        return Matrix._of_rows(f, n, n, [v[i * n:(i + 1) * n] for i in range(n)])
+        nz = [{} for _ in range(n)]
+        for k, x in v.items():
+            nz[k // n][k % n] = x
+        return Matrix._of_nz(f, n, n, nz)
 
     eps = _crt_idempotent(f, idm.flatten(), h.flatten(),
-                          lambda u, v: (square(u) @ square(v)).flatten())
+                          lambda u, v: (square(u) @ square(v)).flatten(), n * n)
     return None if eps is None else square(eps)
 
 
@@ -1015,9 +1011,10 @@ def _rad_end_basis(endos: Sequence[ModuleMap]) -> list[Matrix]:
     mats = [h.matrix for h in endos]
     coords = hom_coords(endos, [u @ v for u in mats for v in mats]
                         + [Matrix.identity(f, dim)], "composite escapes End(x)")
-    cols = [coords.col(k) for k in range(n * n + 1)]
+    cols = coords.transpose().nz
     end = FDAlgebra(f, [f"h{k}" for k in range(n)],
-                    [cols[k * n:(k + 1) * n] for k in range(n)], cols[-1],
+                    [{l: x for l, x in enumerate(cols[k * n:(k + 1) * n]) if x}
+                     for k in range(n)], cols[-1],
                     [cols[-1]], origin="endomorphism", check=False)
     return [_linear_combination(f, dim, dim, v, mats.__getitem__)
             for v in end.radical_basis()]

@@ -222,28 +222,20 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
         omega_phis.append(om_phi)
     psis = _rad_end_basis(hom_basis(tz, tz))
     # express the two families of linear conditions in terms of the quotient
-    # by proj_red: build the quotient coordinates once
+    # by proj_red: one block of condition rows per phi and per psi, row r
+    # holding quotient coordinate r of each h's composite
     to_quot = proj_red.quotient_coords
-    cond_rows = []
-    for om_phi in omega_phis:
-        mats = [to_quot((h.matrix @ om_phi).flatten()) for h in homs]
-        for r in range(len(mats[0]) if mats else 0):
-            cond_rows.append([mats[k][r] for k in range(len(homs))])
-    for psi in psis:
-        mats = [to_quot((psi @ h.matrix).flatten()) for h in homs]
-        for r in range(len(mats[0]) if mats else 0):
-            cond_rows.append([mats[k][r] for k in range(len(homs))])
-    if cond_rows:
-        sol = kernel_basis(Matrix._of_rows(f, len(cond_rows), len(homs), cond_rows))
-        candidates = [sol.col(k) for k in range(sol.cols)]
-    else:
-        candidates = [[f.one if i == k else f.zero for i in range(len(homs))]
-                      for k in range(len(homs))]
+    nfree = len(proj_red.free())
+    composites = ([[h.matrix @ g for h in homs] for g in omega_phis]
+                  + [[g @ h.matrix for h in homs] for g in psis])
+    conds = [Matrix.from_columns(f, nfree, [to_quot(m.flatten()) for m in mats])
+             for mats in composites]
+    sol = kernel_basis(vstack_all(f, conds, len(homs)))
     h_elt = None
     hom_mats = [h.matrix for h in homs]
-    for cand in candidates:
+    for cand in sol.transpose().nz:
         m = _linear_combination(f, tz.dim, om.dim, cand, hom_mats.__getitem__)
-        if any(to_quot(m.flatten())):
+        if to_quot(m.flatten()):
             h_elt = m
             break
     if h_elt is None:
@@ -275,7 +267,7 @@ def _lift_through(q: ModuleMap, phi: Matrix) -> Matrix:
     endos = hom_basis(p, p)
     sol = hom_coords([e.then(q) for e in endos], [phi @ q.matrix],
                      "projective lifting failed")
-    return _linear_combination(p.algebra.field, p.dim, p.dim, sol.col(0),
+    return _linear_combination(p.algebra.field, p.dim, p.dim, sol.transpose().nz[0],
                                [e.matrix for e in endos].__getitem__)
 
 
@@ -423,7 +415,7 @@ def _transport_map(data: EndData, q_src, q_tgt, src_verts, tgt_verts,
         img = (d.matrix @ Matrix.column(f, gen)).col(0)
         for c2, v2 in enumerate(tgt_verts):
             elt = _summand_element(q_tgt, img, c2)
-            if any(elt):
+            if elt:
                 big.put(tgt_offs[c2], src_offs[c], data.element_block(elt, v, v2))
     return ModuleMap(m_src, m_tgt, big, check=True)
 
@@ -655,32 +647,17 @@ def ar_quiver(gens: Sequence[Module], n: int,
     gamma = data.algebra
     f = gamma.field
     rad = gamma.radical_basis()
-    rad2 = []
-    for u in rad:
-        for v in rad:
-            w = gamma.multiply(u, v)
-            if any(w):
-                rad2.append(w)
-    r = len(gens)
-    mult = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            sand = []
-            sand2 = []
-            for u in rad:
-                w = gamma.multiply(gamma.multiply(gamma.idempotents[i], u),
-                                   gamma.idempotents[j])
-                # note: maps X_i -> X_j live in e_i Γ e_j under this product
-                if any(w):
-                    sand.append(w)
-            for u in rad2:
-                w = gamma.multiply(gamma.multiply(gamma.idempotents[i], u),
-                                   gamma.idempotents[j])
-                if any(w):
-                    sand2.append(w)
-            d_full = _SpanReducer(f, sand, gamma.dim).dim()
-            d_sq = _SpanReducer(f, sand2, gamma.dim).dim()
-            mult[i][j] = d_full - d_sq
+    rad2 = [w for u in rad for v in rad if (w := gamma.multiply(u, v))]
+
+    def sandwich_dim(ei, vecs, ej):
+        """dim of the span of the e_i u e_j, u in vecs; maps X_i -> X_j live
+        in e_i Γ e_j under this product."""
+        return _SpanReducer(f, [gamma.multiply(gamma.multiply(ei, u), ej)
+                                for u in vecs], gamma.dim).dim()
+
+    idems = gamma.idempotents
+    mult = [[sandwich_dim(ei, rad, ej) - sandwich_dim(ei, rad2, ej) for ej in idems]
+            for ei in idems]
     dotted = {}
     for i, g in enumerate(gens):
         if projective_vertices(g) is not None:
@@ -690,7 +667,7 @@ def ar_quiver(gens: Sequence[Module], n: int,
         if j is not None:
             dotted[i] = j
     if labels is None:
-        labels = [f"X{i}" for i in range(r)]
+        labels = [f"X{i}" for i in range(len(gens))]
     return QuiverGraph(labels, mult, dotted)
 
 

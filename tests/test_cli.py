@@ -195,6 +195,24 @@ def test_raw_structure_constants_invalid(tmp_path, capsys):
     assert main(["invariants", str(path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    # a product vector shorter than the basis
+    dict(DUAL_NUMBERS, mult=[[[1, 0], [0, 1]], [[0, 1], [0]]]),
+    # a ragged mult row
+    dict(DUAL_NUMBERS, mult=[[[1, 0], [0, 1]], [[0, 1]]]),
+    # a unit and an idempotent shorter than the basis
+    dict(DUAL_NUMBERS, unit=[1], idempotents=[[1]]),
+    # a product vector longer than the basis
+    dict(DUAL_NUMBERS, mult=[[[1, 0], [0, 1]], [[0, 1], [0, 0, 1]]]),
+], ids=["short product", "ragged row", "short unit", "long product"])
+def test_malformed_structure_constants_are_input_errors(tmp_path, capsys, doc):
+    # mult must be dim x dim x dim and the unit and each idempotent of length
+    # dim; anything else is bad input (2), not a traceback (1) or a verdict
+    path = write(tmp_path, "malformed.json", doc)
+    assert main(["invariants", path, "--cap", "6"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_indecs_knit_and_brute(tmp_path, capsys):
     path = write(tmp_path, "ka2.json", KA2)
     code, doc, _ = run(capsys, ["indecs", path, "--method", "knit"])

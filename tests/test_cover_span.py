@@ -82,12 +82,12 @@ def old_projective_cover(m):
         comp = column_space_basis(m.act_vec(e))
         for k in range(comp.cols):
             w = comp.col(k)
-            tw = (pi.matrix @ Matrix.column(f, w)).col(0)
-            if not any(covered.reduce(tw)):
+            tw = pi.matrix @ Matrix.column(f, w)
+            if not covered.reduce(tw.transpose().nz[0]):
                 continue
             chosen.append((v, w))
             for b in range(a.dim):
-                covered.add((t.action[b] @ Matrix.column(f, tw)).col(0))
+                covered.add((t.action[b] @ tw).transpose().nz[0])
             if covered.dim() == t.dim:
                 break
         if covered.dim() == t.dim:
@@ -100,7 +100,7 @@ def old_projective_cover(m):
     for (v, w), part in zip(chosen, parts):
         wm = Matrix.column(f, w)
         for j in range(part.dim):
-            cols.append((m.act_vec(part.basis_elements[j]) @ wm).col(0))
+            cols.append((m.act_vec(part.basis_elements[j]) @ wm).transpose().nz[0])
     mat = Matrix.from_columns(f, m.dim, cols)
     if rank(mat) != m.dim:
         raise CertificateFailed("cover map is not surjective")
@@ -158,9 +158,9 @@ def test_radical_socle_and_top_dims_match_the_radical_basis(name):
 def gaussian_rationals():
     """QQ(i) by structure constants: basis 1, i; the one idempotent 1; J = 0
     and no homogeneous generators, as A/J is not k^r."""
-    mult = [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]
-    mult = [[[QQ.of(x) for x in v] for v in row] for row in mult]
-    return FDAlgebra(QQ, ["1", "i"], mult, [1, 0], [[1, 0]],
+    one = QQ.one
+    mult = [{0: {0: one}, 1: {1: one}}, {0: {1: one}, 1: {0: -one}}]
+    return FDAlgebra(QQ, ["1", "i"], mult, {0: one}, [{0: one}],
                      origin="structure-constants")
 
 

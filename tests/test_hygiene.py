@@ -1,10 +1,11 @@
 """Static checks on the package source, with the standard library's ast.
 
 They keep one definition of each helper, no dead functions or methods,
-every attribute of FDAlgebra declared in algebra.py itself, no assertions in
-the package, sympy imported in one place only, no imported name left
-unused, and no write through `Matrix.data` (a dense copy, so such a write is
-silently lost).
+every attribute of FDAlgebra declared in algebra.py itself, the structure
+constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
+package, sympy imported in one place only, no imported name left unused, and
+no write through `Matrix.data` (a dense copy, so such a write is silently
+lost).
 """
 
 import ast
@@ -98,6 +99,15 @@ def test_fdalgebra_attributes_are_set_only_in_algebra_py():
             for t in targets:
                 if isinstance(t, ast.Attribute) and is_fdalgebra(t.value):
                     found.append(f"{name}:{t.lineno}")
+    assert found == []
+
+
+def test_structure_constants_are_read_only_in_algebra_py():
+    # one module knows the layout of the table, mult[s] = {t: b_s b_t}; every
+    # other module multiplies elements with FDAlgebra.multiply
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+             if name != "algebra.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "mult"]
     assert found == []
 
 

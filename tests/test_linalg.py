@@ -324,7 +324,11 @@ def test_structural_ops_match_dense_reference():
     for rng, fld, a in _oracle_matrices(404):
         ad = a.data
         _check(a.transpose(), [[ad[i][j] for i in range(a.rows)] for j in range(a.cols)])
-        assert a.flatten() == [x for row in ad for x in row]
+        assert a.flatten() == {i * a.cols + j: x for i, row in enumerate(ad)
+                               for j, x in enumerate(row) if x}
+        cols = [{i: row[j] for i, row in enumerate(ad) if row[j]}
+                for j in range(a.cols)]
+        _check(Matrix.from_columns(fld, a.rows, cols), ad)
         for j in range(a.cols):
             assert a.col(j) == [row[j] for row in ad]
         for i in range(a.rows):

@@ -430,7 +430,8 @@ def test_hom_blockwise_matches_generic():
                 # same span: each fast basis map solves against the slow one
                 from fdhom.algebra import _SpanReducer
 
-                flat = lambda m: [v for row in m.data for v in row]
+                flat = lambda m: {k: v for k, v in enumerate(
+                    x for row in m.data for x in row) if v}
                 red = _SpanReducer(a.field, [flat(h.matrix) for h in slow],
                                    x.dim * y.dim)
                 for h in fast:

@@ -5,12 +5,23 @@ dimension, and the cover's summands then name its vertices.  The oracles
 are the two older tests: splitting off projective summands until nothing is
 left (`strip_projectives`), and an isomorphism scan over the indecomposable
 projectives.  ν⁻ on add(DΓ) is checked against the route through the star
-module of the decomposed D I.
+module of the decomposed D I.  The projectives and injectives that
+`repdim_search` must keep are checked against the `member_of` scans it used
+before.
 """
+
+import random
 
 import pytest
 
-from fdhom.auslander import alpha, verify_triple
+import fdhom.auslander
+from fdhom.auslander import (
+    _projective_injective_indices,
+    alpha,
+    repdim_search,
+    verify_triple,
+)
+from fdhom.errors import PreconditionFailed
 from fdhom.homology import star_module
 from fdhom.linalg import GF
 from fdhom.modules import (
@@ -28,6 +39,7 @@ from fdhom.modules import (
     zero_module,
 )
 from fdhom.presets import loop_algebra, path_algebra_a_n, preprojective_a_n
+from fdhom.results import AtLeastCap
 from fdhom.subcats import (
     knit_indecomposables,
     maximal_ortho_homological,
@@ -190,3 +202,47 @@ def test_projective_vertices_among_agrees_with_the_member_of_scan(name):
         hv = maximal_ortho_homological(lam, rest, tri.t, tri.m, tri.n, 8)
         assert (hv.verdict, hv.reason) == \
             (False, f"projective {missing[0]} missing")
+
+
+def _forced_by_scan(a, mods):
+    """The member_of oracle for repdim_search: the first index of P_v and of
+    I_v in mods, for every vertex v, or None when one is missing."""
+    found = [member_of(mods, m) for v in range(len(a.idempotents))
+             for m in (projective_module(a, v), injective_module(a, v))]
+    return None if None in found else set(found)
+
+
+@pytest.mark.parametrize("name", TRANSPOSE_ALGEBRAS)
+def test_repdim_indices_agree_with_the_member_of_scan(name):
+    a = TRANSPOSE_ALGEBRAS[name]()
+    inds, complete = knit_indecomposables(a)
+    assert complete
+    shuffled = inds[:]
+    random.Random(4).shuffle(shuffled)
+    # repeated modules: the first index of each is kept, as the scan kept it
+    for mods in (inds, inds[::-1], shuffled, inds + inds, shuffled + inds):
+        want = _forced_by_scan(a, mods)
+        assert want is not None
+        assert _projective_injective_indices(a, mods) == want
+    for v in range(len(a.idempotents)):
+        for gone in (projective_module(a, v), injective_module(a, v)):
+            rest = [m for m in inds if iso(m, gone) is None]
+            assert _forced_by_scan(a, rest) is None
+            with pytest.raises(PreconditionFailed):
+                _projective_injective_indices(a, rest)
+
+
+def test_repdim_search_makes_no_iso_scan(monkeypatch):
+    # kA_4 with n = 1: the search used to find its projectives and
+    # injectives by 8 member_of scans
+    a = path_algebra_a_n(4)
+    inds, complete = knit_indecomposables(a)
+    assert complete
+
+    def refuse(*args):
+        raise AssertionError("member_of called")
+
+    monkeypatch.setattr(fdhom.auslander, "member_of", refuse)
+    rep = repdim_search(a, 1, inds, cap=8)
+    assert not isinstance(rep.value, AtLeastCap)
+    assert set(rep.witness) >= _forced_by_scan(a, inds)

@@ -192,7 +192,8 @@ def test_left_approximation_by_injectives_is_the_envelope():
                     (u.matrix @ fmap.matrix).flatten()
                     for u in hom_basis(fmap.target, g)])
                 for h in hom_basis(x, g):
-                    rhs = Matrix.column(f, h.matrix.flatten())
+                    rhs = Matrix.from_columns(f, g.dim * x.dim,
+                                              [h.matrix.flatten()])
                     assert solve(through, rhs) is not None
                     checked += 1
     assert checked >= 40

@@ -29,6 +29,7 @@ from fdhom.modules import (
     direct_sum,
     hom_basis,
     hom_coords,
+    identity_map,
     min_proj_resolution,
     projective_module,
     regular_module,
@@ -62,8 +63,8 @@ def test_map_span_dim_is_the_rank_of_the_stacked_matrices(field):
             assert span.contains(m.flatten())
     empty = _map_span(field, 2, 3, [])
     assert empty.dim() == 0 == rank(Matrix.from_columns(field, 6, []))
-    assert empty.contains([field.zero] * 6)
-    assert not empty.contains([field.one] + [field.zero] * 5)
+    assert empty.contains({})
+    assert not empty.contains({0: field.one})
 
 
 def _splits_by_solve(fmap, mono):
@@ -78,7 +79,8 @@ def _splits_by_solve(fmap, mono):
     cols = Matrix.from_columns(f, d * d, [
         (h.matrix @ fmap.matrix if mono else fmap.matrix @ h.matrix).flatten()
         for h in homs])
-    return solve(cols, Matrix.column(f, Matrix.identity(f, d).flatten())) is not None
+    return solve(cols, Matrix.from_columns(f, d * d, [Matrix.identity(f, d).flatten()])) \
+        is not None
 
 
 @pytest.mark.parametrize("make", [lambda: path_algebra_a_n(3), d4_subspace_algebra],
@@ -229,6 +231,11 @@ def test_star_map_and_transpose_agree_with_the_solved_route(name):
                 assert transpose(m).action == cokernel(solved)[0].action
                 transposes += 1
     assert transposes
+    # identity maps send each generator e_v to itself; in a path algebra
+    # e_0 is the basis vector b_0, an element with only index 0
+    for v in range(len(a.idempotents)):
+        d = identity_map(projective_module(a, v))
+        assert _entries(star_map(d).matrix) == _entries(_star_map_by_solve(d))
 
 
 def test_star_map_certificate_catches_inconsistent_bookkeeping(monkeypatch):

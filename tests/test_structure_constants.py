@@ -1,13 +1,22 @@
-"""Computations on the nonzero structure constants, against dense oracles.
+"""Sparse elements and structure constants, against dense oracles.
 
-`FDAlgebra._verify`, `projective_module`, `_coord_summands_from_elements`
-and the J^2 of `homogeneous_generators` work on `FDAlgebra.mult_nonzeros`.
-Each is checked here against the dense computation on the full table
-`mult`, kept below, on the path algebras the suite builds, their opposites
-and the Auslander algebras of `test_radical`, over QQ and GF(3).
+An algebra element is a dict {basis index: nonzero coefficient}, and the
+table stores `mult[s][t]`, the element b_s b_t, only when it is nonzero.
+The full dense table of each algebra is built in this file from the sparse
+one (`dense_table`), and every computation checked here (products, right
+multiplication, actions, summand elements, endomorphism blocks, projective
+modules, idempotent quotients, Cartan matrices, primitive idempotents,
+`_verify`, `_coord_summands_from_elements` and the J^2 of
+`homogeneous_generators`) is repeated on dense coefficient lists by code in
+this file, on the path algebras the suite builds, their opposites and the
+Auslander algebras of `test_radical`, over QQ and GF(3).  The elements tried
+include one whose only nonzero coefficient sits at index 0, which a
+truthiness test written `any(x)` on a dict would take for zero.
 """
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,42 +25,132 @@ from fdhom.algebra import (
     FDAlgebra,
     PathExpr,
     Quiver,
-    _SpanReducer,
+    _linear_combination,
     build_path_algebra,
+    cartan_matrix,
     opposite,
+    primitive_idempotents,
+    quotient_by_idempotent_ideal,
+    semisimple_quotient,
 )
-from fdhom.linalg import GF, QQ, column_space_basis
+from fdhom.cli import load_algebra
+from fdhom.endalg import end_algebra
+from fdhom.linalg import GF, QQ, Matrix, column_space_basis
 from fdhom.modules import (
     _coord_summands_from_elements,
     _left_inverse,
     _nontrivial_idempotent_endo,
+    _random_coeffs,
+    _summand_element,
+    direct_sum,
     hom_basis,
     projective_module,
+    regular_module,
 )
+from fdhom.subcats import knit_indecomposables
 from test_algebra import _rebased
 from test_radical import AUSLANDER_BASES, PATH_ALGEBRAS, auslander_algebra
 
 FIELDS = (QQ, GF(3))
 
 
-def dense_multiply(a, x, y):
-    """x * y as the sum of x_s y_t b_s b_t, each b_s b_t a full row of the
-    table `mult`."""
+def dense(a, x):
+    """The element x as its list of a.dim coefficients."""
+    return [x.get(r, a.field.zero) for r in range(a.dim)]
+
+
+def sparse(v):
+    return {r: c for r, c in enumerate(v) if c}
+
+
+def dense_table(a):
+    """Entry [s][t]: b_s b_t as a full list of coefficients, zeros included."""
+    return [[dense(a, a.mult[s].get(t, {})) for t in range(a.dim)]
+            for s in range(a.dim)]
+
+
+def dense_multiply(a, table, x, y):
+    """x * y for dense x and y, as the sum of x_s y_t b_s b_t over the full
+    rows of the dense table."""
     f = a.field
-    out = a.zero_vec()
+    out = [f.zero] * a.dim
+    ys = [(t, yt) for t, yt in enumerate(y) if yt]
     for s, xs in enumerate(x):
-        for t, yt in enumerate(y):
-            if xs and yt:
+        if xs:
+            for t, yt in ys:
                 c = f.mul(xs, yt)
-                out = [f.add(u, f.mul(c, v)) for u, v in zip(out, a.mult[s][t])]
+                out = [f.add(u, f.mul(c, v)) for u, v in zip(out, table[s][t])]
     return out
+
+
+def dense_basis(a):
+    f = a.field
+    return [[f.one if r == k else f.zero for r in range(a.dim)] for k in range(a.dim)]
+
+
+def dense_columns(f, rows, cols):
+    """The matrix whose columns are the given dense lists."""
+    return Matrix(f, rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+
+
+class DenseSpan:
+    """Row echelon form of dense vectors, each row scaled to 1 at its first
+    nonzero entry; the reference for the coordinates modulo a span."""
+
+    def __init__(self, f, n, vecs):
+        self.f, self.n, self.rows = f, n, []
+        for v in vecs:
+            self.add(v)
+
+    def reduce(self, v):
+        f = self.f
+        w = list(v)
+        for row in self.rows:
+            c = w[self.pivot(row)]
+            if c:
+                w = [f.sub(x, f.mul(c, y)) for x, y in zip(w, row)]
+        return w
+
+    def add(self, v):
+        w = self.reduce(v)
+        if any(w):
+            inv = self.f.inv(w[self.pivot(w)])
+            self.rows.append([self.f.mul(inv, x) for x in w])
+            self.rows.sort(key=self.pivot)
+
+    @staticmethod
+    def pivot(v):
+        return next(k for k, x in enumerate(v) if x)
+
+    def free(self):
+        pivots = {self.pivot(r) for r in self.rows}
+        return [k for k in range(self.n) if k not in pivots]
+
+    def quotient_coords(self, v):
+        w = self.reduce(v)
+        return [w[k] for k in self.free()]
+
+
+def reversed_basis(a):
+    """The same algebra given only by structure constants, with its basis in
+    reverse order: b_0 of a path algebra is then a longest path, in the
+    radical, and no longer the idempotent e_0."""
+    n = a.dim
+
+    def rev(x):
+        return {n - 1 - r: c for r, c in x.items()}
+
+    mult = [{n - 1 - t: rev(x) for t, x in a.mult[n - 1 - s].items()}
+            for s in range(n)]
+    return FDAlgebra(a.field, a.basis_labels[::-1], mult, rev(a.unit),
+                     [rev(e) for e in a.idempotents], origin="structure-constants")
 
 
 def suite_algebras(field):
     """(name, algebra) for every path algebra of the suite, its opposite and
     the Auslander algebras of kA_3, kA_4 and preprojective A_2; and some of
     them in a random basis, where the structure constants are not all 0 or 1
-    and the idempotents are not basis vectors."""
+    and the idempotents are not basis vectors, or in the reverse order."""
     for name in sorted(PATH_ALGEBRAS):
         a = PATH_ALGEBRAS[name](field)
         yield name, a
@@ -61,13 +160,57 @@ def suite_algebras(field):
     for name in ("kA3", "preprojective-A2"):
         yield name + " rebased", _rebased(PATH_ALGEBRAS[name](field), seed=1)[0]
     yield "Gamma kA3 rebased", _rebased(auslander_algebra("kA3", field), seed=1)[0]
+    for name in ("kA3", "preprojective-A2"):
+        yield name + " reversed", reversed_basis(PATH_ALGEBRAS[name](field))
 
 
-def dense_projective_action(a, i):
-    """The action matrices of A e_i as coords @ (L_b @ basis)."""
-    basis = column_space_basis(a.right_mult(a.idempotents[i]))
+def sample_elements(a, rng, count=4):
+    """Dense elements: the basis, the unit, the idempotents, a multiple of
+    b_0 alone and a few random combinations."""
+    f = a.field
+    out = dense_basis(a) + [dense(a, a.unit)] + [dense(a, e) for e in a.idempotents]
+    out.append([f.of(2)] + [f.zero] * (a.dim - 1))
+    out += [[f.of(rng.choice([0, 0, 1, -1, 2])) for _ in range(a.dim)]
+            for _ in range(count)]
+    return out
+
+
+def dense_projective_action(a, table, i):
+    """The action matrices of A e_i as coords @ (L_b @ basis), all from the
+    dense table: column k of L_b is b_b b_k, and the columns of basis span
+    the products b_k e_i."""
+    f, e = a.field, dense(a, a.idempotents[i])
+    basis = column_space_basis(dense_columns(
+        f, a.dim, [dense_multiply(a, table, b, e) for b in dense_basis(a)]))
     coords = _left_inverse(basis)
-    return [coords @ (a.left_mult_basis(b) @ basis) for b in range(a.dim)]
+    return [coords @ (dense_columns(f, a.dim, row) @ basis) for row in table]
+
+
+def assert_canonical(f, n, x):
+    """x is a sparse vector of length n: a dict of int keys in range(n) and
+    nonzero canonical values (reduced ints over F_p, Fractions over QQ)."""
+    assert type(x) is dict
+    for r, c in x.items():
+        assert type(r) is int and 0 <= r < n
+        assert c, "a zero is stored"
+        if f.kind == "Fp":
+            assert type(c) is int and 0 < c < f.p
+        else:
+            assert type(c) is Fraction
+
+
+def assert_canonical_algebra(a):
+    """Every table entry, the unit, the idempotents, the generators and the
+    radical basis are canonical elements; the table stores no zero product."""
+    assert type(a.mult) is list and len(a.mult) == a.dim
+    for row in a.mult:
+        assert type(row) is dict
+        for t, x in row.items():
+            assert type(t) is int and 0 <= t < a.dim
+            assert x, "a zero product is stored"
+            assert_canonical(a.field, a.dim, x)
+    for x in [a.unit, *a.idempotents, *a.generator_vectors(), *a.radical_basis()]:
+        assert_canonical(a.field, a.dim, x)
 
 
 def test_verify_rejects_a_corruption_missed_by_a_sample_of_triples():
@@ -78,7 +221,7 @@ def test_verify_rejects_a_corruption_missed_by_a_sample_of_triples():
     g = auslander_algebra("kA4", QQ)
     n = g.dim
     assert n == 35
-    mult = [[list(v) for v in row] for row in g.mult]
+    mult = dense_table(g)
     mult[8][32][1] += 1
 
     def combine(terms):
@@ -94,17 +237,19 @@ def test_verify_rejects_a_corruption_missed_by_a_sample_of_triples():
               for _ in range(2000)]
     assert all(assoc(*t) for t in sample)
     assert not assoc(8, 32, 4)
+    table = [{t: sparse(v) for t, v in enumerate(row) if any(v)} for row in mult]
     with pytest.raises(ValueError, match=r"associativity fails on \(0,8,32\)"):
-        FDAlgebra(QQ, g.basis_labels, mult, g.unit, g.idempotents,
+        FDAlgebra(QQ, g.basis_labels, table, g.unit, g.idempotents,
                   origin="structure-constants")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_projective_actions_match_dense_products(field):
     for name, a in suite_algebras(field):
+        table = dense_table(a)
         for i in range(len(a.idempotents)):
             got = projective_module(a, i).action
-            want = dense_projective_action(a, i)
+            want = dense_projective_action(a, table, i)
             assert got == want, (name, i)
             assert [[type(x) for row in m.data for x in row] for m in got] \
                 == [[type(x) for row in m.data for x in row] for m in want]
@@ -113,34 +258,212 @@ def test_projective_actions_match_dense_products(field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_coord_summands_match_dense_multiply(field):
     for name, a in suite_algebras(field):
-        basis = [a.basis_vec(k) for k in range(a.dim)]
-        elements = basis + [a.unit] + [dense_multiply(a, b, e) for b in basis
-                                       for e in a.idempotents]
+        table = dense_table(a)
+        basis = dense_basis(a)
+        idems = [dense(a, e) for e in a.idempotents]
+        elements = basis + [dense(a, a.unit)] + [dense_multiply(a, table, b, e)
+                                                 for b in basis for e in idems]
         for b in elements:
-            hits = [v for v, e in enumerate(a.idempotents)
-                    if dense_multiply(a, b, e) == b]
+            hits = [v for v, e in enumerate(idems)
+                    if dense_multiply(a, table, b, e) == b]
             want = hits if len(hits) == 1 else None
-            assert _coord_summands_from_elements(a, [b]) == want, name
-        want = [_coord_summands_from_elements(a, [b]) for b in basis]
+            assert _coord_summands_from_elements(a, [sparse(b)]) == want, name
+        want = [_coord_summands_from_elements(a, [sparse(b)]) for b in basis]
         want = None if None in want else [v for v, in want]
-        assert _coord_summands_from_elements(a, basis) == want, name
+        assert _coord_summands_from_elements(a, list(map(sparse, basis))) == want, name
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_homogeneous_generators_match_a_dense_radical_square(field):
     for name, a in suite_algebras(field):
-        rad = a.radical_basis()
+        table = dense_table(a)
+        rad = [dense(a, x) for x in a.radical_basis()]
+        idems = [dense(a, e) for e in a.idempotents]
         pieces = []
         for g in rad:
-            for w, ew in enumerate(a.idempotents):
-                for v, ev in enumerate(a.idempotents):
-                    piece = dense_multiply(a, dense_multiply(a, ew, g), ev)
+            for w, ew in enumerate(idems):
+                for v, ev in enumerate(idems):
+                    piece = dense_multiply(a, table, dense_multiply(a, table, ew, g), ev)
                     if any(piece):
                         pieces.append((v, w, piece))
-        red = _SpanReducer(field, [dense_multiply(a, x, y)
-                                   for x in rad for y in rad], a.dim)
-        want = [(v, w, g) for v, w, g in pieces if red.add(g)]
+        red = DenseSpan(field, a.dim, [dense_multiply(a, table, x, y)
+                                       for x in rad for y in rad])
+        want = []
+        for v, w, g in pieces:
+            if any(red.reduce(g)):
+                red.add(g)
+                want.append((v, w, sparse(g)))
         assert a.homogeneous_generators() == want, name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_products_and_right_multiplication_match_the_dense_table(field):
+    rng = random.Random(5)
+    for name, a in suite_algebras(field):
+        table = dense_table(a)
+        elements = sample_elements(a, rng)
+        for x in elements:
+            for y in rng.sample(elements, min(4, len(elements))):
+                assert a.multiply(sparse(x), sparse(y)) \
+                    == sparse(dense_multiply(a, table, x, y)), name
+            # column k of the right multiplication by x is b_k x
+            assert a.right_mult(sparse(x)) == dense_columns(
+                field, a.dim, [dense_multiply(a, table, b, x)
+                               for b in dense_basis(a)]), name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_actions_and_summand_elements_match_dense_sums(field):
+    rng = random.Random(6)
+    for name, a in suite_algebras(field):
+        nv = len(a.idempotents)
+        p, _, _ = direct_sum([projective_module(a, v % nv) for v in range(nv + 1)])
+        for m in (regular_module(a), p):
+            for x in sample_elements(a, rng):
+                want = Matrix(field, m.dim, m.dim)
+                for i, c in enumerate(x):
+                    if c:
+                        want = want + m.action[i].scale(c)
+                assert m.act_vec(sparse(x)) == want, name
+        # a vector of p whose summand c holds the element sum vec_j b_j
+        vecs = [[field.of(2)] + [field.zero] * (p.dim - 1)]
+        vecs += [[field.of(rng.choice([0, 1, -1, 2])) for _ in range(p.dim)]
+                 for _ in range(3)]
+        for vec in vecs:
+            for c in range(len(p.proj_summands)):
+                want = [field.zero] * a.dim
+                for x, s, b in zip(vec, p.coord_summand, p.basis_elements):
+                    if s == c:
+                        want = [field.add(u, field.mul(x, v))
+                                for u, v in zip(want, dense(a, b))]
+                assert _summand_element(p, vec, c) == sparse(want), name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_element_blocks_match_dense_sums(field):
+    rng = random.Random(7)
+    for name in ("kA3", "preprojective-A2"):
+        inds, complete = knit_indecomposables(PATH_ALGEBRAS[name](field))
+        assert complete
+        data = end_algebra(inds)
+        g = data.algebra
+        for x in sample_elements(g, rng):
+            for i in range(len(inds)):
+                for j in range(len(inds)):
+                    want = Matrix(field, inds[j].dim, inds[i].dim)
+                    for k, c in enumerate(x):
+                        ti, tj, idx = data.basis_tags[k]
+                        if c and (ti, tj) == (i, j):
+                            want = want + data.hom[(i, j)][idx].matrix.scale(c)
+                    assert data.element_block(sparse(x), i, j) == want, name
+
+
+def dense_quotient(a, table, span):
+    """A / span for a dense ideal basis: the dense table, unit, idempotents
+    and projection of the quotient, in the coordinates modulo the span."""
+    red = DenseSpan(a.field, a.dim, span)
+    free = red.free()
+    basis = dense_basis(a)
+    q_table = [[red.quotient_coords(table[s][t]) for t in free] for s in free]
+    idems = [x for e in a.idempotents
+             if any(x := red.quotient_coords(dense(a, e)))]
+    proj = dense_columns(a.field, len(free), [red.quotient_coords(b) for b in basis])
+    return q_table, red.quotient_coords(dense(a, a.unit)), idems, proj
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_quotients_and_cartan_matrices_match_dense_spans(field):
+    for name, a in suite_algebras(field):
+        table = dense_table(a)
+        basis = dense_basis(a)
+        idems = [dense(a, e) for e in a.idempotents]
+        for e_indices in ([0], [0, len(idems) - 1]):
+            span = [dense_multiply(a, table, x, bj) for v in e_indices for bi in basis
+                    if any(x := dense_multiply(a, table, bi, idems[v])) for bj in basis]
+            q, pm = quotient_by_idempotent_ideal(a, e_indices)
+            q_table, unit, q_idems, proj = dense_quotient(a, table, span)
+            assert (dense_table(q), dense(q, q.unit), pm) == (q_table, unit, proj), name
+            assert [dense(q, e) for e in q.idempotents] == q_idems, name
+        want = [[len(DenseSpan(field, a.dim, [
+            dense_multiply(a, table, ej, dense_multiply(a, table, b, ei))
+            for b in basis]).rows) for ej in idems] for ei in idems]
+        assert cartan_matrix(a) == want, name
+
+
+def old_block_order(ss, blocks):
+    """The blocks sorted as dense coefficient lists, by the strings of their
+    entries."""
+    return sorted(blocks, key=lambda v: [str(x) for x in dense(ss, v)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_primitive_idempotents_of_a_non_path_algebra_match_dense_checks(field):
+    cases = [("k^3", PATH_ALGEBRAS["k^3"](field)),
+             ("kA3", PATH_ALGEBRAS["kA3"](field)),
+             ("Gamma kA3", auslander_algebra("kA3", field))]
+    for name, a in cases:
+        for seed in (0, 1):
+            b = _rebased(a, seed=seed)[0] if a.origin == "path-algebra" else a
+            table = dense_table(b)
+            idems = primitive_idempotents(b, seed=seed)
+            assert len(idems) == len(a.idempotents), name
+            d = [dense(b, e) for e in idems]
+            total = [field.zero] * b.dim
+            for i, e in enumerate(d):
+                assert dense_multiply(b, table, e, e) == e, name
+                for j, e2 in enumerate(d):
+                    if i != j:
+                        assert not any(dense_multiply(b, table, e, e2)), name
+                total = [field.add(u, v) for u, v in zip(total, e)]
+            assert total == dense(b, b.unit), name
+            # their images in A/J are the split blocks, in the order of the
+            # dense string sort
+            ss, pm = semisimple_quotient(b)
+            images = [(pm @ Matrix.from_columns(field, b.dim, [e])).transpose().nz[0]
+                      for e in idems]
+            assert images == old_block_order(ss, images), name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_every_stored_element_is_canonical(field, tmp_path):
+    for name, a in suite_algebras(field):
+        for alg in (a, a.op):
+            assert_canonical_algebra(alg)
+        if a.dim and a.idempotents:
+            assert_canonical_algebra(quotient_by_idempotent_ideal(a, [0])[0])
+        assert_canonical_algebra(semisimple_quotient(a)[0])
+    # k[x]/(x^2) with zeros, and with its coefficients 1 written as 4 and
+    # -2 over GF(3) and as 2/2 and 6/6 over QQ
+    one, other = (4, -2) if field.kind == "Fp" else ("2/2", "6/6")
+    doc = {
+        "version": 1,
+        "field": {"kind": "Q"} if field.kind == "Q" else {"kind": "Fp", "p": field.p},
+        "basis": ["1", "x"],
+        "mult": [[[one, 0], [0, 1]], [[0, other], [0, 0]]],
+        "unit": [one, 0],
+        "idempotents": [[one, 0]],
+    }
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_algebra(str(path))
+    assert_canonical_algebra(loaded)
+    assert 1 not in loaded.mult[1]  # x * x = 0 is not stored
+
+
+@pytest.mark.parametrize("field", (QQ, GF(2), GF(3)), ids=str)
+def test_random_coefficients_are_canonical_with_one_draw_each(field):
+    # the draws of iso and of the idempotent search, reduced: over F_2 a
+    # draw of 2 or 4 is zero and must not reach _linear_combination
+    rng, ref = random.Random(1), random.Random(1)
+    got = _random_coeffs(field, rng, 60, 4)
+    draws = [field.of(ref.randint(-4, 4)) for _ in range(60)]
+    assert got == {i: c for i, c in enumerate(draws) if c}
+    assert rng.getstate() == ref.getstate()
+    assert_canonical(field, 60, got)
+    one = Matrix(field, 1, 1, [[1]])
+    total = sum(int(c) if field.kind == "Fp" else c for c in got.values())
+    assert _linear_combination(field, 1, 1, got, lambda i: one) \
+        == Matrix(field, 1, 1, [[total]])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
