@@ -72,17 +72,17 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
     tags = [(i, j, idx) for i in r for j in r for idx in range(len(hom[(i, j)]))]
     dim = len(tags)
     maps = [hom[(i, j)][idx].matrix for i, j, idx in tags]
-    start = {}  # (i, j) -> the algebra index of the first basis map M_i -> M_j
+    # (i, j) -> the algebra indices of the basis maps M_i -> M_j, ascending
+    at = {key: [] for key in hom}
     for k, (i, j, _) in enumerate(tags):
-        start.setdefault((i, j), k)
+        at[(i, j)].append(k)
     mult: list[dict] = [{} for _ in range(dim)]
     idems = []
     for i in r:
         for l in r:
             # every composite M_i -> M_j -> M_l ("h1 then h2"), and for i == l
             # the identity, expressed in the basis of Hom(M_i, M_l) at once
-            pairs = [(k1, k2) for k1, (i1, j1, _) in enumerate(tags) if i1 == i
-                     for k2, (i2, l2, _) in enumerate(tags) if (i2, l2) == (j1, l)]
+            pairs = [(k1, k2) for j in r for k1 in at[(i, j)] for k2 in at[(j, l)]]
             mats = [maps[k2] @ maps[k1] for k1, k2 in pairs]
             if i == l:
                 mats.append(Matrix.identity(f, gens[i].dim))
@@ -91,11 +91,11 @@ def end_algebra(gens: Sequence[Module], check_indec: bool = True,
             coords = hom_coords(hom[(i, l)], mats,
                                 "composite escapes the hom space")
             # row idx of coords: the coefficients of basis map idx of
-            # Hom(M_i, M_l), which is algebra basis element start + idx
+            # Hom(M_i, M_l), which is algebra basis element at[(i, l)][idx]
             vecs = [{} for _ in mats]
-            for idx, row in enumerate(coords.nz):
+            for k, row in zip(at[(i, l)], coords.nz):
                 for c, x in row.items():
-                    vecs[c][start[(i, l)] + idx] = x
+                    vecs[c][k] = x
             for (k1, k2), vec in zip(pairs, vecs):
                 if vec:
                     mult[k1][k2] = vec

@@ -1,11 +1,14 @@
 """Exact sparse linear algebra over QQ and prime fields.
 
-Scalars are `fractions.Fraction` over QQ and canonical residues (ints in
-[0, p)) over F_p.  A `Matrix` stores only its nonzero entries, one
-{column: value} dict per row, so products, elimination and every other
-operation loop over stored entries only.  Pivoting is deterministic (first
-nonzero entry in column order) so every basis produced downstream is
-reproducible.
+Scalars are canonical.  Over QQ a value is an `int` when it is integral and a
+`fractions.Fraction` with denominator != 1 otherwise; over F_p it is a
+residue, an int in [0, p).  `FieldSpec` returns canonical values and every
+operation here stores them, so each value has one form, and QQ arithmetic on
+integer structure constants, with pivots of +-1, stays in Python ints.  A
+`Matrix` stores only its nonzero entries, one {column: value} dict per row,
+so products, elimination and every other operation loop over stored entries
+only.  Pivoting is deterministic (first nonzero entry in column order) so
+every basis produced downstream is reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
+def _q(x):
+    """The canonical form of a rational: an int when it is integral."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -24,6 +29,8 @@ class FieldSpec:
 
     kind: str  # "Q" or "Fp"
     p: Optional[int] = None
+    zero = 0  # class constants, not fields: canonical in both kinds
+    one = 1
 
     def __post_init__(self):
         if self.kind == "Q":
@@ -35,14 +42,6 @@ class FieldSpec:
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
-    @property
-    def zero(self):
-        return 0 if self.kind == "Fp" else _Q_ZERO
-
-    @property
-    def one(self):
-        return 1 if self.kind == "Fp" else _Q_ONE
-
     def of(self, x):
         """Coerce an int / Fraction / 'a/b' string to a canonical scalar."""
         if self.kind == "Fp":
@@ -53,16 +52,16 @@ class FieldSpec:
                     raise ZeroDivisionError(f"denominator divisible by {self.p}")
                 return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
             return int(x) % self.p
-        return Fraction(x)
+        return x if type(x) is int else _q(Fraction(x))
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "Fp" else a + b
+        return (a + b) % self.p if self.kind == "Fp" else _q(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "Fp" else a - b
+        return (a - b) % self.p if self.kind == "Fp" else _q(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "Fp" else a * b
+        return (a * b) % self.p if self.kind == "Fp" else _q(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "Fp" else -a
@@ -74,7 +73,7 @@ class FieldSpec:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return a if a == 1 or a == -1 else _q(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -107,9 +106,10 @@ class Matrix:
     """Sparse matrix with exact entries, immutable by convention after build.
 
     `nz[i]` maps each column j with a nonzero entry in row i to that entry.
-    No zero is ever stored and F_p entries are stored reduced, so equal
-    matrices have equal `nz`.  `data` is a dense copy for reading; write with
-    `set` or `put`.
+    No zero is ever stored and every entry is a canonical scalar (see the
+    module docstring: integral rationals are ints, F_p entries are reduced),
+    so equal matrices have equal `nz`.  `data` is a dense copy for reading;
+    write with `set` or `put`.
     """
 
     __slots__ = ("field", "rows", "cols", "nz")
@@ -252,8 +252,7 @@ class Matrix:
             d = da.copy()
             for j, y in db.items():
                 x = d.get(j, 0) + c * y
-                if p is not None:
-                    x %= p
+                x = x % p if p is not None else _q(x)
                 if x:
                     d[j] = x
                 else:
@@ -274,7 +273,7 @@ class Matrix:
             return Matrix(f, self.rows, self.cols)
         p = f.p
         if p is None:
-            nz = [{j: c * x for j, x in d.items()} for d in self.nz]
+            nz = [{j: _q(c * x) for j, x in d.items()} for d in self.nz]
         else:
             nz = [{j: c * x % p for j, x in d.items()} for d in self.nz]
         return Matrix._of_nz(f, self.rows, self.cols, nz)
@@ -293,7 +292,7 @@ class Matrix:
                 if a == 1:
                     out.append(brow.copy())
                 elif p is None:
-                    out.append({j: a * b for j, b in brow.items()})
+                    out.append({j: _q(a * b) for j, b in brow.items()})
                 else:
                     out.append({j: a * b % p for j, b in brow.items()})
                 continue
@@ -307,7 +306,7 @@ class Matrix:
             if not acc:
                 out.append(acc)
             elif p is None:
-                out.append({j: x for j, x in acc.items() if x})
+                out.append({j: _q(x) for j, x in acc.items() if x})
             else:
                 out.append({j: r for j, x in acc.items() if (r := x % p)})
         return Matrix._of_nz(self.field, self.rows, other.cols, out)
@@ -387,7 +386,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
         if lead != 1:
             inv = f.inv(lead)
             if p is None:
-                pivot_row = {j: inv * x for j, x in pivot_row.items()}
+                pivot_row = {j: _q(inv * x) for j, x in pivot_row.items()}
             else:
                 pivot_row = {j: inv * x % p for j, x in pivot_row.items()}
             data[prow] = pivot_row
@@ -402,8 +401,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
                 continue
             for j, v in rest:
                 x = row_i.get(j, 0) - c * v
-                if p is not None:
-                    x %= p
+                x = x % p if p is not None else _q(x)
                 if x:
                     row_i[j] = x
                 else:

@@ -1,9 +1,13 @@
 """Left modules over an FDAlgebra: maps, covers, resolutions, decomposition.
 
-A module stores one action matrix per algebra basis element (column-vector
+A module has one action matrix per algebra basis element (column-vector
 convention: matrices act on the left of column vectors).  Constructions that
-are correct by construction (kernels, duals, sums) skip re-verification;
-anything built from raw data is checked against the structure constants.
+are correct by construction (kernels, quotients, duals, sums) skip
+re-verification and build each action matrix from the parent's matrix the
+first time it is read (`_Actions`): most callers read only the generators'
+actions, or those of a cover's basis elements.  Anything built from raw data,
+and a submodule whose span is not known to be invariant, is checked at once
+against the structure constants.
 
 Hom spaces are solved blockwise in vertex-adapted coordinates: once the
 idempotent conditions are absorbed structurally, only the (few) homogeneous
@@ -59,12 +63,48 @@ from fdhom.linalg import (
 )
 
 
+class _Actions:
+    """The action matrices of a module built from another one: entry b is
+    `build(b)`, built the first time it is read and then kept.  It supports
+    indexing, len, iteration and ==, as the list it stands for does; `build`
+    holds only what the entries need (the parent's actions, a basis and its
+    coordinates), not whole modules."""
+
+    __slots__ = ("_mats", "_build")
+
+    def __init__(self, n: int, build):
+        self._mats = [None] * n
+        self._build = build
+
+    def __len__(self):
+        return len(self._mats)
+
+    def __getitem__(self, b: int) -> Matrix:
+        m = self._mats[b]
+        if m is None:
+            m = self._mats[b] = self._build(b)
+        return m
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._mats)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Actions)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+
 class Module:
+    """A left module: `action[b]` is the matrix of basis element b of the
+    algebra, a list, or for derived modules an `_Actions` that builds each
+    matrix on first read.  check=True verifies the action against the
+    structure constants at construction."""
+
     __slots__ = ("algebra", "dim", "action", "proj_summands", "inj_summands",
                  "coord_summand", "basis_elements", "_gen_action", "_vblocks",
                  "_ext_cache", "_dual", "_cover")
 
-    def __init__(self, algebra: FDAlgebra, dim: int, action: list[Matrix],
+    def __init__(self, algebra: FDAlgebra, dim: int, action: Sequence[Matrix],
                  check: bool = True, proj_summands=None, inj_summands=None,
                  coord_summand=None, basis_elements=None):
         self.algebra = algebra
@@ -282,8 +322,10 @@ def dual(m: Module) -> Module:
     injectives at the same vertices."""
     if m._dual is not None:
         return m._dual
-    d = Module(m.algebra.op, m.dim, [mat.transpose() for mat in m.action],
-               check=False, inj_summands=None if m.proj_summands is None
+    acts = m.action
+    d = Module(m.algebra.op, m.dim,
+               _Actions(len(acts), lambda b: acts[b].transpose()), check=False,
+               inj_summands=None if m.proj_summands is None
                else [v for v, _ in m.proj_summands])
     d._dual = m
     return d
@@ -302,10 +344,13 @@ def direct_sum(mods: Sequence[Module]):
     f = a.field
     offs = offsets(m.dim for m in mods)
     total = offs[-1]
-    action = [Matrix(f, total, total) for _ in range(a.dim)]
-    for m, off in zip(mods, offs):
-        for big, mb in zip(action, m.action):
-            big.put(off, off, mb)
+    acts = [m.action for m in mods]
+
+    def block_diagonal(b):
+        return Matrix._of_nz(f, total, total, [
+            {off + j: x for j, x in d.items()} if off else d.copy()
+            for act, off in zip(acts, offs) for d in act[b].nz])
+
     ps = coord = be = inj = None
     if all(m.proj_summands is not None and m.coord_summand is not None
            for m in mods):
@@ -318,8 +363,9 @@ def direct_sum(mods: Sequence[Module]):
         be = [v for m in mods for v in m.basis_elements]
     if all(m.inj_summands is not None for m in mods):
         inj = [v for m in mods for v in m.inj_summands]
-    s = Module(a, total, action, check=False, proj_summands=ps,
-               coord_summand=coord, basis_elements=be, inj_summands=inj)
+    s = Module(a, total, _Actions(a.dim, block_diagonal), check=False,
+               proj_summands=ps, coord_summand=coord, basis_elements=be,
+               inj_summands=inj)
     ids = [Matrix.identity(f, m.dim) for m in mods]
     incls = [ModuleMap(m, s, Matrix(f, total, m.dim).put(off, 0, i), check=False)
              for m, off, i in zip(mods, offs, ids)]
@@ -331,17 +377,22 @@ def direct_sum(mods: Sequence[Module]):
 def submodule(x: Module, basis: Matrix, known_invariant: bool = False):
     """(sub, inclusion) for an action-invariant column span.
 
-    Internal callers whose spans are invariant by construction (kernels of
-    module maps, radicals, socles) skip the re-check."""
+    The span is checked here, building every action matrix, unless the
+    caller knows it is invariant by construction (kernels of module maps,
+    radicals, socles); then each matrix is built on first read."""
     a = x.algebra
     coords = _left_inverse(basis) if basis.cols else Matrix(a.field, 0, x.dim)
-    action = []
-    for b in range(a.dim):
-        img = x.action[b] @ basis
-        act = coords @ img
-        if not known_invariant and basis @ act != img:
-            raise ValueError("span is not action-invariant")
-        action.append(act)
+    acts = x.action
+    if known_invariant:
+        action = _Actions(a.dim, lambda b: coords @ (acts[b] @ basis))
+    else:
+        action = []
+        for b in range(a.dim):
+            img = acts[b] @ basis
+            act = coords @ img
+            if basis @ act != img:
+                raise ValueError("span is not action-invariant")
+            action.append(act)
     sub = Module(a, basis.cols, action, check=False)
     return sub, ModuleMap(sub, x, basis, check=False)
 
@@ -358,8 +409,9 @@ def quotient_module(x: Module, sub_basis: Matrix):
     sect = Matrix(f, x.dim, dim)
     for i, c in enumerate(free):
         sect.set(c, i, f.one)
-    action = [proj @ x.action[b] @ sect for b in range(a.dim)]
-    q = Module(a, dim, action, check=False)
+    acts = x.action
+    q = Module(a, dim, _Actions(a.dim, lambda b: proj @ acts[b] @ sect),
+               check=False)
     return q, ModuleMap(x, q, proj, check=False)
 
 
@@ -560,8 +612,7 @@ def radical_of_module(m: Module):
 
 def top(m: Module):
     """(M / rad M, projection)."""
-    _, incl = radical_of_module(m)
-    return quotient_module(m, incl.matrix)
+    return quotient_module(m, _radical_span(m))
 
 
 def socle(m: Module):
@@ -616,11 +667,10 @@ def _minimal_cover(m: Module):
         raise CertificateFailed("top not covered: missing generators")
     p, _, _ = direct_sum([projective_module(a, v) for v, _ in chosen])
     epi = _from_generators(p, m, [wm for _, wm in chosen])[0]
-    mat = epi.matrix
-    if rank(mat) != m.dim:
+    kb = kernel_basis(epi.matrix)
+    if p.dim - kb.cols != m.dim:  # rank-nullity: the rank is dim M
         raise CertificateFailed("cover map is not surjective")
     # minimality: kernel inside rad P
-    kb = kernel_basis(mat)
     if kb.cols:
         jp = _radical_span(p)
         if rank(hstack_all(f, [jp, kb], p.dim)) != jp.cols:

@@ -177,3 +177,17 @@ def test_cover_closes_each_generator_under_the_algebra_when_not_basic():
     assert radical_of_module(two)[0].dim == 0
     assert socle(two)[0].dim == 4
     assert _top_dims(two) == [4]
+
+
+def test_cover_refuses_a_map_that_is_not_onto(monkeypatch):
+    # the kernel basis certifies surjectivity by rank-nullity: a map from P
+    # onto M has a kernel of dim P - dim M
+    import fdhom.modules
+
+    rng = random.Random(4)
+    mods = [random_module(a(), rng) for a in ALGEBRAS.values()]
+    monkeypatch.setattr(fdhom.modules, "_from_generators",
+                        lambda p, y, images: [zero_map(p, y)])
+    for m in mods:
+        with pytest.raises(CertificateFailed, match="not surjective"):
+            projective_cover(m)

@@ -8,6 +8,7 @@ from fdhom.endalg import (
 from fdhom.homology import ext_dim, star_module
 from fdhom.modules import (
     hom_basis,
+    hom_coords,
     hom_dim,
     identity_map,
     injective_module,
@@ -152,3 +153,41 @@ def test_ext_top_module_dimension_is_top_ext():
             assert top.dim == ext_dim(s, reg, 2)
             tops += top.dim
         assert tops > 0
+
+
+def _table_from_a_scan_of_all_pairs(data):
+    """The multiplication table of End(⊕ gens) with the composable pairs
+    for each (i, l) found by scanning all pairs of basis tags: the pairs
+    (k1, k2) with k1 out of M_i and k2 from the target of k1 into M_l, k1
+    and then k2 ascending."""
+    gens, hom, tags = data.gens, data.hom, data.basis_tags
+    maps = [hom[(i, j)][idx].matrix for i, j, idx in tags]
+    start = {}
+    for k, (i, j, _) in enumerate(tags):
+        start.setdefault((i, j), k)
+    mult = [{} for _ in tags]
+    for i in range(len(gens)):
+        for l in range(len(gens)):
+            pairs = [(k1, k2) for k1, (i1, j1, _) in enumerate(tags) if i1 == i
+                     for k2, (i2, l2, _) in enumerate(tags) if (i2, l2) == (j1, l)]
+            if not pairs:
+                continue
+            coords = hom_coords(hom[(i, l)], [maps[k2] @ maps[k1] for k1, k2 in pairs])
+            for (k1, k2), col in zip(pairs, coords.transpose().nz):
+                if col:
+                    mult[k1][k2] = {start[(i, l)] + idx: x
+                                    for idx, x in sorted(col.items())}
+    return mult
+
+
+def test_end_algebra_table_matches_a_scan_of_all_pairs_of_tags():
+    # the same products in the same order, so the table is identical down to
+    # the insertion order of its dicts
+    for a in (path_algebra_a_n(3), preprojective_a_n(2), loop_algebra(3)):
+        inds, _ = knit_indecomposables(a)
+        data = end_algebra(inds, check_indec=False)
+        want = _table_from_a_scan_of_all_pairs(data)
+        got = data.algebra.mult
+        assert got == want
+        assert [[(t, list(x.items())) for t, x in row.items()] for row in got] \
+            == [[(t, list(x.items())) for t, x in row.items()] for row in want]

@@ -3,9 +3,9 @@
 They keep one definition of each helper, no dead functions or methods,
 every attribute of FDAlgebra declared in algebra.py itself, the structure
 constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
-package, sympy imported in one place only, no imported name left unused, and
-no write through `Matrix.data` (a dense copy, so such a write is silently
-lost).
+package, sympy imported in one place only, `Fraction` named only where QQ
+scalars are made or printed, no imported name left unused, and no write
+through `Matrix.data` (a dense copy, so such a write is silently lost).
 """
 
 import ast
@@ -145,6 +145,19 @@ def test_sympy_is_imported_only_by_crt_idempotent():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if _imports_sympy(node)]
     assert found == ["algebra.py:_crt_idempotent"]
+
+
+def test_fraction_is_named_only_in_linalg_mckay_and_cli():
+    # a QQ scalar is an int when it is integral; FieldSpec.of and the
+    # operations of linalg make that form, so a Fraction built anywhere else
+    # could carry an integral value as a Fraction.  mckay computes with
+    # cyclotomic coefficients and cli reads and prints rationals
+    found = sorted({name for name, tree in TREES.items() for node in ast.walk(tree)
+                    if (isinstance(node, ast.Name) and node.id == "Fraction")
+                    or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                    or (isinstance(node, ast.alias)
+                        and node.name in ("Fraction", "fractions"))})
+    assert set(found) <= {"linalg.py", "mckay.py", "cli.py"}
 
 
 def _unused_imports(tree) -> list[str]:

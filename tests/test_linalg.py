@@ -182,6 +182,11 @@ def _oracle_matrices(seed):
                 yield rng, fld, _with_zero_lines(rng, m)
 
 
+def _is_canonical_rational(x):
+    """An int, or a Fraction that is not an integer."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def _assert_canonical(m):
     """Dense entries are canonical scalars; stored entries are nonzero, in
     range and canonical too."""
@@ -190,7 +195,7 @@ def _assert_canonical(m):
             if m.field.kind == "Fp":
                 assert type(x) is int and 0 <= x < m.field.p
             else:
-                assert type(x) is Fraction
+                assert _is_canonical_rational(x)
     assert len(m.nz) == m.rows
     for d in m.nz:
         for j, x in d.items():
@@ -199,7 +204,7 @@ def _assert_canonical(m):
             if m.field.kind == "Fp":
                 assert type(x) is int and 0 < x < m.field.p
             else:
-                assert type(x) is Fraction
+                assert _is_canonical_rational(x)
 
 
 def _reference_matmul(a, b):
@@ -417,3 +422,81 @@ def test_set_stores_canonical_nonzeros_and_data_is_a_copy():
         dense = m.data
         dense[0][0] = fld.zero
         assert m == Matrix.identity(fld, 2) and m.data != dense
+
+
+# -- canonical rationals: ints when integral ---------------------------------
+
+
+def test_integral_rationals_are_stored_as_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for x in (Fraction(4, 2), "6/3", 2, Fraction(-3)):
+        assert type(QQ.of(x)) is int
+    assert QQ.of(Fraction(4, 2)) == 2 and QQ.of("1/2") == Fraction(1, 2)
+    m = Matrix(QQ, 1, 3, [[Fraction(4, 2), Fraction(1, 2), "-6/3"]])
+    assert m.nz == [{0: 2, 1: Fraction(1, 2), 2: -2}]
+    assert [type(x) for x in m.nz[0].values()] == [int, Fraction, int]
+    m.set(0, 1, Fraction(8, 4))
+    assert type(m.get(0, 1)) is int
+    _assert_canonical(m)
+    # field operations whose result is integral, from non-integral inputs
+    half = Fraction(1, 2)
+    for got, want in [(QQ.add(half, half), 1), (QQ.sub(Fraction(3, 2), half), 1),
+                      (QQ.mul(half, 2), 1), (QQ.inv(half), 2),
+                      (QQ.div(3, Fraction(3, 2)), 2), (QQ.inv(-1), -1)]:
+        assert got == want and type(got) is int
+    assert QQ.inv(-3) == Fraction(-1, 3) and QQ.inv(2) == half
+
+
+def test_int_and_fraction_built_matrices_are_equal_and_hash_equal():
+    rows = [[2, 0, -3], [0, 1, 5]]
+    ints = Matrix(QQ, 2, 3, rows)
+    fracs = Matrix(QQ, 2, 3, [[Fraction(x) for x in row] for row in rows])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert ints.nz == fracs.nz
+    for m in (ints, fracs):
+        _assert_canonical(m)
+
+
+def test_integral_results_of_fractions_are_ints():
+    half = Matrix(QQ, 1, 1, [[Fraction(1, 2)]])
+    two = Matrix(QQ, 1, 1, [[2]])
+    both = Matrix(QQ, 1, 2, [[Fraction(1, 2), Fraction(3, 2)]])
+    for got, want in [(half @ two, 1), (two @ half, 1), (half + half, 1),
+                      (half.scale(2), 1),
+                      (Matrix(QQ, 1, 1, [[Fraction(3, 2)]]) - half, 1),
+                      (both @ Matrix(QQ, 2, 1, [[1], [1]]), 2),
+                      (kron(half, two), 1)]:
+        assert got.nz == [{0: want}] and type(got.get(0, 0)) is int
+        _assert_canonical(got)
+
+
+def test_non_unit_pivots_give_canonical_results():
+    half = Fraction(1, 2)
+    # pivots 2, 1/2 and -3; clearing column 0 leaves 3/2 - 1/2 = 1 in row 1
+    a = Matrix(QQ, 3, 3, [[2, 1, 1], [1, 1, Fraction(3, 2)], [0, 0, -3]])
+    r, pivots, rk = rref(a)
+    assert (rk, pivots) == (3, [0, 1, 2]) and r == Matrix.identity(QQ, 3)
+    _assert_canonical(r)
+    inv = invert(a)
+    assert a @ inv == Matrix.identity(QQ, 3) == inv @ a
+    _assert_canonical(inv)
+    b = Matrix(QQ, 3, 2, [[1, half], [0, 2], [-3, Fraction(-1, 3)]])
+    x = solve(a, b)
+    assert a @ x == b
+    _assert_canonical(x)
+    # a known inverse: diag(2, 1/2, -3)^-1 = diag(1/2, 2, -1/3), 2 an int
+    d = Matrix(QQ, 3, 3, [[2, 0, 0], [0, half, 0], [0, 0, -3]])
+    want = Matrix(QQ, 3, 3, [[half, 0, 0], [0, 2, 0], [0, 0, Fraction(-1, 3)]])
+    assert invert(d) == want and invert(d).nz == want.nz
+    assert type(invert(d).get(1, 1)) is int
+    _assert_canonical(invert(d))
+    # a singular matrix with the same pivots: its kernel is canonical too
+    s = Matrix(QQ, 2, 3, [[2, 4, 1], [half, 1, -3]])
+    r, pivots, rk = rref(s)
+    assert rk == 2 and pivots == [0, 2]
+    assert r.nz == [{0: 1, 1: 2}, {2: 1}]
+    _assert_canonical(r)
+    k = kernel_basis(s)
+    assert k.cols == 1 and (s @ k).is_zero() and k.nz == [{0: -2}, {0: 1}, {}]
+    _assert_canonical(k)
+    assert column_space_basis(s) == Matrix(QQ, 2, 2, [[2, 1], [half, -3]])

@@ -188,7 +188,8 @@ def dense_projective_action(a, table, i):
 
 def assert_canonical(f, n, x):
     """x is a sparse vector of length n: a dict of int keys in range(n) and
-    nonzero canonical values (reduced ints over F_p, Fractions over QQ)."""
+    nonzero canonical values (reduced ints over F_p; over QQ ints when
+    integral and Fractions with denominator != 1 otherwise)."""
     assert type(x) is dict
     for r, c in x.items():
         assert type(r) is int and 0 <= r < n
@@ -196,7 +197,7 @@ def assert_canonical(f, n, x):
         if f.kind == "Fp":
             assert type(c) is int and 0 < c < f.p
         else:
-            assert type(c) is Fraction
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def assert_canonical_algebra(a):
