@@ -148,21 +148,38 @@ def gldim(a: FDAlgebra, cap: int):
     return best
 
 
-def injective_coresolution_terms(a: FDAlgebra, n_terms: int) -> list[Module]:
+class CoresolutionTerms(list):
+    """Leading terms of a minimal injective coresolution, with `cosyzygy`,
+    the cokernel after the last of them, from which the next term is built."""
+
+    def __init__(self, terms, cosyzygy: Module):
+        super().__init__(terms)
+        self.cosyzygy = cosyzygy
+
+
+def injective_coresolution_terms(a: FDAlgebra, n_terms: int,
+                                 prefix: Optional[CoresolutionTerms] = None
+                                 ) -> CoresolutionTerms:
     """First terms I_0, ..., I_{n_terms-1} of the minimal injective
-    coresolution of the regular module (zero modules once it stops)."""
-    reg = regular_module(a)
-    terms = []
-    cur = reg
-    for _ in range(n_terms):
+    coresolution of the regular module (zero modules once it stops).
+
+    With `prefix`, an earlier result for `a` of at most n_terms terms, its
+    terms are kept and the coresolution continues from its cosyzygy, so
+    only the terms past it are built; the result is a new list."""
+    if prefix is None:
+        prefix = CoresolutionTerms([], regular_module(a))
+    elif prefix.cosyzygy.algebra is not a or len(prefix) > n_terms:
+        raise ValueError("prefix is not a shorter coresolution of this algebra")
+    terms = list(prefix)
+    cur = prefix.cosyzygy
+    for _ in range(n_terms - len(terms)):
         if cur.dim == 0:
             terms.append(zero_module(a))
             continue
         env, mono = injective_envelope(cur)
         terms.append(env)
-        cok, _ = cokernel(mono)
-        cur = cok
-    return terms
+        cur, _ = cokernel(mono)
+    return CoresolutionTerms(terms, cur)
 
 
 def domdim_report(a: FDAlgebra, cap: int):
@@ -387,16 +404,19 @@ class DimReport:
 def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
     """Collect the headline invariants for reports and the CLI.
 
-    The coresolution terms of A are built once, up to mn_bound, and those of
-    A^op once, as far as the pairs that hold on A's side reach (the other
-    pairs fail on A and never read A^op).  The (m, n) table and the
-    Gorenstein profile up to mn_bound read these terms; past mn_bound each
-    Gorenstein degree builds its own."""
+    Each side's coresolution terms are built once: those of A up to
+    mn_bound, those of A^op as far as the pairs that hold on A's side reach
+    (the other pairs fail on A and never read A^op).  The (m, n) table and
+    the Gorenstein profile read A's terms; past mn_bound, Gorenstein degree
+    n extends them by one term, so no term is built past where the per-pair
+    route stops.  The regular module and the injectives are one object per
+    algebra, so the projective-injective vertices reuse the covers that the
+    pd of each injective built."""
     indet = False
     table = dict.fromkeys((m, n) for m in range(1, mn_bound + 1)
                           for n in range(1, mn_bound + 1))  # None: cap < m
     terms = injective_coresolution_terms(a, mn_bound) \
-        if min(cap, mn_bound) >= 1 else []
+        if min(cap, mn_bound) >= 1 else None
     for m, n in table:
         if cap < m:
             indet = True
@@ -409,8 +429,9 @@ def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
             table[(m, n)] = mn_condition(terms_op, m, n, cap)
     profile: object = 0
     for n in range(1, cap + 1):
-        cores = terms if n <= mn_bound else injective_coresolution_terms(a, n)
-        if not n_gorenstein(cores, n, cap):
+        if n > mn_bound:
+            terms = injective_coresolution_terms(a, n, terms)
+        if not n_gorenstein(terms, n, cap):
             profile = n - 1
             break
     else:

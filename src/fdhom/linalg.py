@@ -353,7 +353,8 @@ def hstack_all(field: FieldSpec, mats: list[Matrix], rows: int) -> Matrix:
     out = [{} for _ in range(rows)]
     for m, j0 in zip(mats, offs):
         for d, md in zip(out, m.nz):
-            d.update({j0 + j: x for j, x in md.items()} if j0 else md)
+            if md:
+                d.update({j0 + j: x for j, x in md.items()} if j0 else md)
     return Matrix._of_nz(field, rows, offs[-1], out)
 
 

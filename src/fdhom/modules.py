@@ -19,10 +19,10 @@ left approximations (D of a right approximation of D x).  A module is
 projective exactly when its minimal projective cover has its dimension, and
 `projective_vertices` reads the vertices of its summands off that cover;
 `projective_vertices(dual(m))` is the injectivity test.  What is kept per
-algebra (the projectives P_i, the projective-injective vertices) lives in the
-algebra's memo, `FDAlgebra.memo`; what is kept per module (generator action,
-vertex blocks, minimal cover, Ext values) lives on the Module and is dropped
-with it.
+algebra (the regular module, the projectives P_i and injectives I_i, the
+projective-injective vertices) lives in the algebra's memo, `FDAlgebra.memo`;
+what is kept per module (generator action, vertex blocks, minimal cover, Ext
+values) lives on the Module and is dropped with it.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -250,21 +250,26 @@ def _coord_summands_from_elements(a: FDAlgebra, elements) -> Optional[list[int]]
 
 
 def regular_module(a: FDAlgebra) -> Module:
-    """A as a left module over itself; coordinates are the algebra basis."""
-    action = [a.left_mult_basis(i) for i in range(a.dim)]
-    elements = [a.basis_vec(i) for i in range(a.dim)]
-    verts = _coord_summands_from_elements(a, elements)
-    proj_summands = None
-    coord_summand = None
-    if verts is not None:
-        # the generator of A e_v is e_v, as a vector of A
-        proj_summands = [(v, Matrix.from_columns(a.field, a.dim, [e]).col(0))
-                         for v, e in enumerate(a.idempotents)]
-        coord_summand = verts
-    return Module(a, a.dim, action, check=False,
-                  proj_summands=proj_summands,
-                  coord_summand=coord_summand,
-                  basis_elements=elements)
+    """A as a left module over itself; coordinates are the algebra basis
+    (built once per algebra)."""
+
+    def build():
+        action = [a.left_mult_basis(i) for i in range(a.dim)]
+        elements = [a.basis_vec(i) for i in range(a.dim)]
+        verts = _coord_summands_from_elements(a, elements)
+        proj_summands = None
+        coord_summand = None
+        if verts is not None:
+            # the generator of A e_v is e_v, as a vector of A
+            proj_summands = [(v, Matrix.from_columns(a.field, a.dim, [e]).col(0))
+                             for v, e in enumerate(a.idempotents)]
+            coord_summand = verts
+        return Module(a, a.dim, action, check=False,
+                      proj_summands=proj_summands,
+                      coord_summand=coord_summand,
+                      basis_elements=elements)
+
+    return a.memo("regular_module", build)
 
 
 def _left_inverse(basis: Matrix) -> Matrix:
@@ -310,8 +315,10 @@ def simple_module(a: FDAlgebra, i: int) -> Module:
 
 
 def injective_module(a: FDAlgebra, i: int) -> Module:
-    """I_i = D(e_i A): dual of the opposite-side projective at i."""
-    return dual(projective_module(a.op, i))
+    """I_i = D(e_i A): dual of the opposite-side projective at i (built
+    once per algebra)."""
+    return a.memo(("injective_module", i),
+                  lambda: dual(projective_module(a.op, i)))
 
 
 def dual(m: Module) -> Module:
@@ -366,11 +373,14 @@ def direct_sum(mods: Sequence[Module]):
     s = Module(a, total, _Actions(a.dim, block_diagonal), check=False,
                proj_summands=ps, coord_summand=coord, basis_elements=be,
                inj_summands=inj)
-    ids = [Matrix.identity(f, m.dim) for m in mods]
-    incls = [ModuleMap(m, s, Matrix(f, total, m.dim).put(off, 0, i), check=False)
-             for m, off, i in zip(mods, offs, ids)]
-    projs = [ModuleMap(s, m, Matrix(f, m.dim, total).put(0, off, i), check=False)
-             for m, off, i in zip(mods, offs, ids)]
+    one = f.one
+    incls = [ModuleMap(m, s, Matrix._of_nz(f, total, m.dim, [
+                 {r - off: one} if off <= r < off + m.dim else {}
+                 for r in range(total)]), check=False)
+             for m, off in zip(mods, offs)]
+    projs = [ModuleMap(s, m, Matrix._of_nz(f, m.dim, total, [
+                 {off + j: one} for j in range(m.dim)]), check=False)
+             for m, off in zip(mods, offs)]
     return s, incls, projs
 
 

@@ -332,10 +332,10 @@ def _recording_reach(monkeypatch, a):
     reach = {False: 0, True: 0}
     counted = fdhom.homology.injective_coresolution_terms
 
-    def recording(alg, n_terms):
+    def recording(alg, n_terms, prefix=None):
         side = alg is a.op
         reach[side] = max(reach[side], n_terms)
-        return counted(alg, n_terms)
+        return counted(alg, n_terms, prefix)
 
     monkeypatch.setattr(fdhom.homology, "injective_coresolution_terms",
                         recording)
@@ -371,13 +371,51 @@ def test_dim_report_agrees_with_the_per_pair_route(name, cap, monkeypatch):
 def test_dim_report_builds_each_side_once(monkeypatch):
     # kA_5 is hereditary: the coresolution of either side has two nonzero
     # terms, so each build makes two envelopes.  One build per side for the
-    # (m, n) table, one per Gorenstein degree 5..8 past mn_bound = 4, and one
-    # per side in domdim_report: 2 + 2 + 4 * 2 + 2 + 2.  The per-pair route
-    # makes 69.
+    # (m, n) table; the Gorenstein degrees 5..8 past mn_bound = 4 extend A's
+    # terms from a zero cosyzygy, which makes none; and one per side in
+    # domdim_report: 2 + 2 + 0 + 2 + 2.  The per-pair route makes 69.
     calls = _counting_envelopes(monkeypatch)
     rep = dim_report(path_algebra_a_n(5), 8)
     assert rep.gorenstein_profile == AtLeastCap(8)
-    assert len(calls) <= 16
+    assert len(calls) <= 8
+
+
+def _same_terms(got, want):
+    return len(got) == len(want) and all(
+        (t.algebra, t.dim, t.inj_summands, list(t.action))
+        == (u.algebra, u.dim, u.inj_summands, list(u.action))
+        for t, u in zip(got, want))
+
+
+@pytest.mark.parametrize("name", DIM_REPORT_ALGEBRAS)
+def test_extending_a_coresolution_matches_building_it_afresh(name,
+                                                             monkeypatch):
+    a = DIM_REPORT_ALGEBRAS[name]()
+    calls = _counting_envelopes(monkeypatch)
+    for side in (a, a.op):
+        fresh = [injective_coresolution_terms(side, n) for n in range(9)]
+        for k in range(9):
+            for n in range(k, 9):
+                calls.clear()
+                got = injective_coresolution_terms(side, n, fresh[k])
+                assert _same_terms(got, fresh[n])
+                assert all(t is u for t, u in zip(got, fresh[k]))
+                # one envelope per new nonzero term, none for the kept ones
+                assert len(calls) == sum(t.dim > 0 for t in fresh[n][k:])
+        # one term at a time, as dim_report's Gorenstein loop extends them
+        chain = fresh[0]
+        for n in range(1, 9):
+            chain = injective_coresolution_terms(side, n, chain)
+            assert _same_terms(chain, fresh[n])
+
+
+def test_a_coresolution_extends_only_its_own_shorter_prefix():
+    a = path_algebra_a_n(3)
+    terms = injective_coresolution_terms(a, 2)
+    with pytest.raises(ValueError):
+        injective_coresolution_terms(a.op, 3, terms)
+    with pytest.raises(ValueError):
+        injective_coresolution_terms(a, 1, terms)
 
 
 def test_dim_report_reads_the_opposite_side_where_a_holds(monkeypatch):

@@ -3,12 +3,15 @@
 They keep one definition of each helper, no dead functions or methods,
 every attribute of FDAlgebra declared in algebra.py itself, the structure
 constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
-package, sympy imported in one place only, `Fraction` named only where QQ
+package, sympy imported in one place only and neither sympy nor numpy
+loaded by importing the package, `Fraction` named only where QQ
 scalars are made or printed, no imported name left unused, and no write
 through `Matrix.data` (a dense copy, so such a write is silently lost).
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -145,6 +148,18 @@ def test_sympy_is_imported_only_by_crt_idempotent():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if _imports_sympy(node)]
     assert found == ["algebra.py:_crt_idempotent"]
+
+
+def test_importing_the_package_loads_neither_numpy_nor_sympy():
+    # import time is paid by every CLI call and every benchmark setup; a
+    # fresh interpreter, since the tests themselves may have loaded either
+    mods = ", ".join(f"fdhom.{Path(name).stem}" for name in TREES
+                     if name != "__init__.py")
+    code = (f"import sys, {mods}; "
+            "print(sorted({'numpy', 'sympy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fraction_is_named_only_in_linalg_mckay_and_cli():

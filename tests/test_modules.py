@@ -150,6 +150,36 @@ def test_dual_of_dual_is_the_module_itself():
     assert dual(dual(s)) is s
 
 
+def test_regular_and_injective_modules_are_one_object_each():
+    # one object per algebra and per vertex, so each cover is built once
+    a = path_algebra_a_n(3)
+    assert regular_module(a) is regular_module(a)
+    for v in range(3):
+        i = injective_module(a, v)
+        assert i is injective_module(a, v)
+        assert dual(i) is projective_module(a.op, v)
+        assert projective_cover(i) is projective_cover(injective_module(a, v))
+    for m in (regular_module(a), simple_module(a, 1)):
+        assert dual(dual(m)) is m
+
+
+def test_direct_sum_inclusions_and_projections_split_the_sum():
+    a = path_algebra_a_n(3)
+    mods = [projective_module(a, 2), simple_module(a, 1), projective_module(a, 0)]
+    s, incls, projs = direct_sum(mods)
+    f = a.field
+    total = Matrix(f, s.dim, s.dim)
+    for i, (inc, pr) in enumerate(zip(incls, projs)):
+        inc._verify()
+        pr._verify()
+        for j, m in enumerate(mods):
+            assert pr.matrix @ incls[j].matrix == (
+                Matrix.identity(f, m.dim) if i == j
+                else Matrix(f, mods[i].dim, m.dim))
+        total = total + inc.matrix @ pr.matrix
+    assert total == Matrix.identity(f, s.dim)
+
+
 def test_dual_of_projective_sum_knows_its_injective_summands():
     a = path_algebra_a_n(3)
     s, _, _ = direct_sum([projective_module(a, 2), projective_module(a, 0),
