@@ -28,9 +28,12 @@ from typing import Optional, Sequence
 
 from fdhom.errors import (BadRelation, FieldTooSmall, Inconclusive,
                           NotAdmissible)
-from fdhom.linalg import FieldSpec, Matrix, kernel_basis, solve
+from fdhom.linalg import QQ, FieldSpec, Matrix, kernel_basis, solve
 
 Vec = dict  # an algebra element: {basis index: nonzero coefficient}
+
+# random elements a randomized search tries before it raises Inconclusive
+_RANDOM_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,26 @@ class _Path:
         return f"_Path({self.source}->{self.target}:{self.arrows})"
 
 
+class Memo:
+    """Values derived from an object and kept on it for reuse, written only
+    through `memo`; algebras and modules are both kept this way."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """The value kept under key, computed by build() on first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+
 def _memoized(method):
-    """Keep a no-argument FDAlgebra method's value in the algebra's memo,
-    under the method's name."""
+    """Keep a no-argument method's value in its object's memo, under the
+    method's name."""
 
     @functools.wraps(method)
     def wrapper(self):
@@ -97,14 +117,14 @@ def _memoized(method):
     return wrapper
 
 
-class FDAlgebra:
+class FDAlgebra(Memo):
     """A finite-dimensional algebra given by exact structure constants.
 
     `mult[s][t]` is the element b_s b_t, stored only when it is nonzero;
     `unit` and each of `idempotents` are elements.  Everything derived from
     the structure constants and kept for reuse (the opposite algebra,
     multiplication matrices, the radical, projective modules, ...) lives in
-    one per-algebra memo, written only through `memo`.
+    the algebra's `Memo`.
     """
 
     def __init__(
@@ -130,16 +150,9 @@ class FDAlgebra:
         self.quiver = quiver
         self.relations = relations
         self.path_data = path_data  # path-algebra bookkeeping (basis walks etc.)
-        self._memo: dict = {}
+        super().__init__()
         if check:
             self._verify()
-
-    def memo(self, key, build):
-        """The value kept under key, computed by build() on first use."""
-        memo = self._memo
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
 
     @property
     @_memoized
@@ -514,8 +527,6 @@ def build_path_algebra(
     below ``length_cap`` the ideal is not visibly admissible and
     NotAdmissible is raised.
     """
-    from fdhom.linalg import QQ
-
     field = field or QQ
     nv = len(q.vertices)
     vidx = {v: i for i, v in enumerate(q.vertices)}
@@ -738,7 +749,7 @@ def semisimple_quotient(a: FDAlgebra):
     return _quotient_algebra(a, rad, origin="semisimple-quotient")
 
 
-def primitive_idempotents(a: FDAlgebra, seed: int = 0, budget: int = 64) -> list[Vec]:
+def primitive_idempotents(a: FDAlgebra, seed: int = 0) -> list[Vec]:
     """Complete list of primitive orthogonal idempotents summing to 1.
 
     Path-algebra origin returns the stored vertex idempotents.  Otherwise
@@ -753,7 +764,7 @@ def primitive_idempotents(a: FDAlgebra, seed: int = 0, budget: int = 64) -> list
     one, minus_one = f.one, f.neg(f.one)
     ss, pm = semisimple_quotient(a)
     rng = random.Random(seed)
-    blocks = _split_semisimple_unit(ss, rng, budget)
+    blocks = _split_semisimple_unit(ss, rng)
     # lift each block idempotent from A/J to A, keeping orthogonality
     lifted: list[Vec] = []
     done: Vec = {}
@@ -784,16 +795,16 @@ def _newton_idempotent(a: FDAlgebra, e: Vec, max_iter: int = 64) -> Vec:
     return e
 
 
-def _split_semisimple_unit(ss: FDAlgebra, rng: random.Random, budget: int) -> list[Vec]:
+def _split_semisimple_unit(ss: FDAlgebra, rng: random.Random) -> list[Vec]:
     """Primitive orthogonal idempotent decomposition of 1 in a semisimple
-    algebra, by repeated CRT splitting; Inconclusive when the budget runs out
-    on a block that is not certifiably a division algebra.  The pieces are
-    sorted by the strings of their coefficients, zeros included."""
+    algebra, by repeated CRT splitting; Inconclusive when the random trials
+    run out on a block that is not certifiably a division algebra.  The
+    pieces are sorted by the strings of their coefficients, zeros included."""
     work = [ss.unit]
     out: list[Vec] = []
     while work:
         e = work.pop()
-        split = _try_split(ss, e, rng, budget)
+        split = _try_split(ss, e, rng)
         if split is None:
             out.append(e)
         else:
@@ -809,14 +820,14 @@ def _corner(ss: FDAlgebra, e: Vec) -> list[Vec]:
             if (x := ss.multiply(ss.multiply(e, ss.basis_vec(i)), e))]
 
 
-def _try_split(ss: FDAlgebra, e: Vec, rng: random.Random, budget: int):
+def _try_split(ss: FDAlgebra, e: Vec, rng: random.Random):
     """Split the idempotent e into two orthogonal pieces, or None if the
     corner eAe resists (certified division when its dim is 1)."""
     f = ss.field
     corner = _corner(ss, e)
     if _SpanReducer(f, corner, ss.dim).dim() == 1:
         return None
-    for trial in range(budget):
+    for _ in range(_RANDOM_TRIALS):
         x = _combine(f, [(f.of(rng.randint(-3, 3)), v) for v in corner])
         e1 = _crt_idempotent(f, e, x, ss.multiply, ss.dim)
         if e1 is None:
@@ -824,7 +835,8 @@ def _try_split(ss: FDAlgebra, e: Vec, rng: random.Random, budget: int):
         e2 = _combine(f, [(f.one, e), (f.neg(f.one), e1)])
         if e1 and e2:
             return [e1, e2]
-    raise Inconclusive("block resisted idempotent splitting within budget")
+    raise Inconclusive(
+        f"block resisted idempotent splitting in {_RANDOM_TRIALS} random trials")
 
 
 def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul, n: int) -> Optional[Vec]:

@@ -35,13 +35,15 @@ from fdhom.homology import (
     gldim,
     grade,
     injective_dim,
+    pd,
     star_map,
     two_sided_mn,
 )
-from fdhom.linalg import Matrix, offsets
+from fdhom.linalg import Matrix, invert, offsets
 from fdhom.modules import (
     Module,
     _approximation_chain,
+    _nontrivial_idempotent_endo,
     cokernel,
     decompose,
     direct_sum,
@@ -230,7 +232,7 @@ def check_superprojective(gamma: FDAlgebra, e_idems: Sequence[int], n: int,
     if quot.dim:
         for v in range(len(quot.idempotents)):
             s = simple_module(quot, v)
-            infl = _inflate(gamma, quot, pm, s)
+            infl = _inflate(gamma, pm, s)
             g = grade(infl, max(cap, n + 2))
             ok = (not isinstance(g, AtLeastCap) and g >= n + 1) or \
                 (isinstance(g, AtLeastCap) and g.cap >= n + 1)
@@ -246,7 +248,7 @@ def check_superprojective(gamma: FDAlgebra, e_idems: Sequence[int], n: int,
     return cond1 and cond2, details
 
 
-def _inflate(gamma: FDAlgebra, quot: FDAlgebra, pm: Matrix, s: Module) -> Module:
+def _inflate(gamma: FDAlgebra, pm: Matrix, s: Module) -> Module:
     """Pull a module over Γ/ΓeΓ back to Γ through the projection."""
     action = [s.act_vec(col) for col in pm.transpose().nz]
     return Module(gamma, s.dim, action, check=False)
@@ -287,9 +289,7 @@ def _is_simple_module(x: Module) -> bool:
     for r in rad:
         if not x.act_vec(r).is_zero():
             return False
-    from fdhom.modules import _nontrivial_idempotent_endo
-
-    return _nontrivial_idempotent_endo(x, 0, 64) is None
+    return _nontrivial_idempotent_endo(x, 0) is None
 
 
 def condition_4_7_1(gamma: FDAlgebra, n: int, cap: int):
@@ -306,9 +306,7 @@ def condition_4_7_1(gamma: FDAlgebra, n: int, cap: int):
         reg = regular_module(alg)
         for v in range(len(alg.idempotents)):
             s = simple_module(alg, v)
-            from fdhom.homology import pd as pd_
-
-            p = pd_(s, cap)
+            p = pd(s, cap)
             if isinstance(p, AtLeastCap) or p != n + 1:
                 continue
             for i in range(n + 1):
@@ -426,8 +424,7 @@ def o_bound(ind_b: Sequence[Module]) -> SearchReport:
 
 
 def roundtrip_equivalence(triple: AuslanderTriple, pres: GammaPresentation,
-                          lam_data: EndData, m_mod: Module, t_mod: Module,
-                          seed: int = 0) -> bool:
+                          lam_data: EndData, m_mod: Module, t_mod: Module) -> bool:
     """Certify that the reconstructed triple is equivalent to the original,
     through the composite evaluation functor F(X) = Hom_Γ(Q, Hom_Λ(M, X)).
 
@@ -450,8 +447,7 @@ def roundtrip_equivalence(triple: AuslanderTriple, pres: GammaPresentation,
     return True
 
 
-def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
-                         seed: int = 0) -> bool:
+def algebra_tables_match(pres: GammaPresentation, lam_data: EndData) -> bool:
     """Certify End over the reconstructed side reproduces the original
     endomorphism algebra tables through the stored base change: the functor
     H = Hom_Γ(Q, -) applied to the generators' images induces a linear
@@ -480,8 +476,6 @@ def algebra_tables_match(pres: GammaPresentation, lam_data: EndData,
             return False
         cols.append({start[(i, j)] + t: x for t, x in c.transpose().nz[0].items()})
     phi = Matrix.from_columns(f, gamma2.dim, cols)
-    from fdhom.linalg import invert
-
     if invert(phi) is None:
         return False
     # multiplicativity on all basis pairs, those with product zero included;

@@ -392,7 +392,6 @@ def cmd_auslander(args) -> int:
         return EXIT_OK
     # reconstruct: treat the loaded algebra as Γ with P = Γf, I = D(eΓ) from
     # the first terms of the injective coresolution (the m <= n normal form)
-    from fdhom.auslander import alpha_inv as _ainv
     from fdhom.homology import injective_coresolution_terms
     from fdhom.modules import direct_sum, decompose
 
@@ -405,8 +404,8 @@ def cmd_auslander(args) -> int:
     nz_op = [t_ for t_ in terms_op if t_.dim]
     j_mod, _, _ = direct_sum(nz_op)
     p_mod = dual(j_mod)
-    lam_data, m_mod, t_mod = _ainv(a, p_mod, i_mod, args.m, args.n,
-                                   cap=args.cap, seed=args.seed)
+    lam_data, m_mod, t_mod = alpha_inv(a, p_mod, i_mod, args.m, args.n,
+                                       cap=args.cap, seed=args.seed)
     verdicts = {
         "lambda_dim": lam_data.algebra.dim,
         "lambda_idempotents": len(lam_data.algebra.idempotents),

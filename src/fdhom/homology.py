@@ -27,10 +27,12 @@ from fdhom.modules import (
     hom_basis,
     hom_dim,
     injective_envelope,
+    injective_module,
     left_approximation,
     min_inj_coresolution,
     min_proj_resolution,
     projective_cover,
+    projective_injective_vertices,
     projective_module,
     regular_module,
     simple_module,
@@ -54,19 +56,12 @@ def ext_dim(x: Module, y: Module, i: int) -> int:
     """dim Ext^i(x, y), computed from a minimal projective resolution of x.
 
     Exact for every finite i: the resolution is extended to degree i+1.
-    Results are cached per module pair (modules are immutable).
+    The value is kept in x's memo under y itself (modules are immutable and
+    hash by identity).
     """
     if i < 0:
         raise ValueError("negative Ext degree")
-    if x._ext_cache is None:
-        x._ext_cache = {}
-    key = (id(y), i)
-    hit = x._ext_cache.get(key)
-    if hit is not None and hit[0] is y:
-        return hit[1]
-    val = _ext_dim_uncached(x, y, i)
-    x._ext_cache[key] = (y, val)
-    return val
+    return x.memo(("ext", y, i), lambda: _ext_dim_uncached(x, y, i))
 
 
 def _ext_dim_uncached(x: Module, y: Module, i: int) -> int:
@@ -124,8 +119,6 @@ def pd(m: Module, cap: int):
 
 def _pd_injective_at(a: FDAlgebra, v: int, cap: int):
     def build():
-        from fdhom.modules import injective_module
-
         res = min_proj_resolution(injective_module(a, v), cap)
         return AtLeastCap(cap) if res.truncated_at is not None else res.length
 
@@ -187,20 +180,15 @@ def domdim_report(a: FDAlgebra, cap: int):
     projective terms of the minimal injective coresolution of the regular
     module.  AtLeastCap with determinate=True means the coresolution ended
     all-projective (certified infinite); determinate=False means truncated."""
-    from fdhom.modules import projective_injective_vertices
-
     pinj = projective_injective_vertices(a)
-    cur = regular_module(a)
-    count = 0
-    for _ in range(cap):
-        if cur.dim == 0:
+    terms = injective_coresolution_terms(a, 0)
+    for k in range(cap):
+        if terms.cosyzygy.dim == 0:
             return AtLeastCap(cap), True  # ended all-projective
-        env, mono = injective_envelope(cur)
-        if not all(v in pinj for v in env.inj_summands):
-            return count, True
-        count += 1
-        cur, _ = cokernel(mono)
-    return AtLeastCap(cap), cur.dim == 0
+        terms = injective_coresolution_terms(a, k + 1, terms)
+        if not all(v in pinj for v in terms[k].inj_summands):
+            return k, True
+    return AtLeastCap(cap), terms.cosyzygy.dim == 0
 
 
 def domdim(a: FDAlgebra, cap: int):

@@ -20,9 +20,10 @@ projective exactly when its minimal projective cover has its dimension, and
 `projective_vertices` reads the vertices of its summands off that cover;
 `projective_vertices(dual(m))` is the injectivity test.  What is kept per
 algebra (the regular module, the projectives P_i and injectives I_i, the
-projective-injective vertices) lives in the algebra's memo, `FDAlgebra.memo`;
-what is kept per module (generator action, vertex blocks, minimal cover, Ext
-values) lives on the Module and is dropped with it.
+projective-injective vertices) lives in the algebra's memo, and what is kept
+per module (generator action, vertex blocks, minimal cover, the module a dual
+was built from, Ext values) in the module's own memo, dropped with it; both
+are an `algebra.Memo`.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -44,10 +45,13 @@ from typing import Optional, Sequence
 
 from fdhom.algebra import (
     FDAlgebra,
+    Memo,
+    _RANDOM_TRIALS,
     _SpanReducer,
     _combine,
     _crt_idempotent,
     _linear_combination,
+    _memoized,
 )
 from fdhom.errors import CertificateFailed, FieldTooSmall, Inconclusive
 from fdhom.linalg import (
@@ -56,11 +60,13 @@ from fdhom.linalg import (
     hstack_all,
     invert,
     kernel_basis,
+    kron,
     offsets,
     rank,
     solve,
     vstack_all,
 )
+from fdhom.results import AtLeastCap
 
 
 class _Actions:
@@ -94,15 +100,15 @@ class _Actions:
         return len(self) == len(other) and all(x == y for x, y in zip(self, other))
 
 
-class Module:
+class Module(Memo):
     """A left module: `action[b]` is the matrix of basis element b of the
     algebra, a list, or for derived modules an `_Actions` that builds each
     matrix on first read.  check=True verifies the action against the
-    structure constants at construction."""
+    structure constants at construction.  Modules compare and hash by
+    identity, so a module can be part of a memo key."""
 
     __slots__ = ("algebra", "dim", "action", "proj_summands", "inj_summands",
-                 "coord_summand", "basis_elements", "_gen_action", "_vblocks",
-                 "_ext_cache", "_dual", "_cover")
+                 "coord_summand", "basis_elements")
 
     def __init__(self, algebra: FDAlgebra, dim: int, action: Sequence[Matrix],
                  check: bool = True, proj_summands=None, inj_summands=None,
@@ -118,11 +124,7 @@ class Module:
         self.inj_summands = inj_summands
         self.coord_summand = coord_summand
         self.basis_elements = basis_elements
-        self._gen_action = None
-        self._vblocks = None
-        self._ext_cache = None
-        self._dual = None  # the module this one was built as the dual of
-        self._cover = None  # (P, epi), kept by projective_cover
+        super().__init__()
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         if check:
@@ -143,29 +145,26 @@ class Module:
         return _linear_combination(self.algebra.field, self.dim, self.dim,
                                    coeffs, self.action.__getitem__)
 
+    @_memoized
     def generator_action(self) -> list[Matrix]:
-        if self._gen_action is None:
-            self._gen_action = [self.act_vec(g)
-                                for g in self.algebra.generator_vectors()]
-        return self._gen_action
+        return [self.act_vec(g) for g in self.algebra.generator_vectors()]
 
+    @_memoized
     def vertex_blocks(self):
-        """(B, ranges): columns of B concatenate bases of the e_v-components;
-        ranges[v] = (start, stop) inside B's columns.  B is invertible."""
-        if self._vblocks is None:
-            f = self.algebra.field
-            parts = [column_space_basis(self.act_vec(e))
-                     for e in self.algebra.idempotents]
-            offs = offsets(b.cols for b in parts)
-            ranges = list(zip(offs, offs[1:]))
-            if offs[-1] != self.dim:
-                raise ValueError("idempotent components do not exhaust the module")
-            b = hstack_all(f, parts, self.dim)
-            binv = invert(b) if self.dim else Matrix(f, 0, 0)
-            if self.dim and binv is None:
-                raise ValueError("vertex components are not independent")
-            self._vblocks = (b, binv, ranges)
-        return self._vblocks
+        """(B, B^-1, ranges): columns of B concatenate bases of the
+        e_v-components; ranges[v] = (start, stop) inside B's columns."""
+        f = self.algebra.field
+        parts = [column_space_basis(self.act_vec(e))
+                 for e in self.algebra.idempotents]
+        offs = offsets(b.cols for b in parts)
+        ranges = list(zip(offs, offs[1:]))
+        if offs[-1] != self.dim:
+            raise ValueError("idempotent components do not exhaust the module")
+        b = hstack_all(f, parts, self.dim)
+        binv = invert(b) if self.dim else Matrix(f, 0, 0)
+        if self.dim and binv is None:
+            raise ValueError("vertex components are not independent")
+        return b, binv, ranges
 
     def vertex_dims(self) -> tuple[int, ...]:
         _, _, ranges = self.vertex_blocks()
@@ -324,17 +323,19 @@ def injective_module(a: FDAlgebra, i: int) -> Module:
 def dual(m: Module) -> Module:
     """Vector-space dual over the opposite algebra (transposed action).
 
-    The result remembers m, so the dual of a dual is m itself, bookkeeping
-    included; a known sum of projectives dualizes to the sum of the
-    injectives at the same vertices."""
-    if m._dual is not None:
-        return m._dual
+    The result keeps m in its memo, so the dual of a dual is m itself,
+    bookkeeping included; a known sum of projectives dualizes to the sum of
+    the injectives at the same vertices.  Only the dual links back: m does
+    not keep d."""
+    source = m._memo.get("dual")
+    if source is not None:
+        return source
     acts = m.action
     d = Module(m.algebra.op, m.dim,
                _Actions(len(acts), lambda b: acts[b].transpose()), check=False,
                inj_summands=None if m.proj_summands is None
                else [v for v, _ in m.proj_summands])
-    d._dual = m
+    d.memo("dual", lambda: m)
     return d
 
 
@@ -543,8 +544,6 @@ def _hom_blockwise(x: Module, y: Module, homs) -> list[ModuleMap]:
 
 def _hom_generic(x: Module, y: Module) -> list[ModuleMap]:
     """Fallback: joint kernel over the full generating set via Kronecker."""
-    from fdhom.linalg import kron
-
     f = x.algebra.field
     dx, dy = x.dim, y.dim
     idx = Matrix.identity(f, dx)
@@ -643,9 +642,7 @@ def projective_cover(m: Module):
     algebra A = span(e_i) + J, so A w' + JM = k w' + JM and only w' joins
     the span; otherwise w' is closed under every basis element.  The choice
     depends only on the subspace JM.  Kernel inside JP is certified."""
-    if m._cover is None:
-        m._cover = _minimal_cover(m)
-    return m._cover
+    return m.memo("cover", lambda: _minimal_cover(m))
 
 
 def _minimal_cover(m: Module):
@@ -893,14 +890,14 @@ def cosyzygy(m: Module, k: int = 1) -> Module:
 # -- isomorphism and decomposition ----------------------------------------------
 
 
-def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
+def iso(x: Module, y: Module, seed: int = 0):
     """An invertible intertwiner x -> y, or None when provably none exists.
 
     Exact when End(x) is certified local: id_x = phi^-1 phi for an
     isomorphism phi is a sum of composites g_b f_a of basis maps, one of them
     a unit, so f_a is a split mono between modules of equal dimension, found
     by the loop over the basis maps.  For a non-local x, raises Inconclusive
-    when no invertible combination was found within the budget.
+    when none of `_RANDOM_TRIALS` random combinations is invertible.
     """
     if x.algebra is not y.algebra:
         raise ValueError("iso across algebras")
@@ -926,12 +923,13 @@ def iso(x: Module, y: Module, seed: int = 0, budget: int = 64):
             if invert(m) is not None:
                 return ModuleMap(x, y, m, check=False)
         return None
-    for _ in range(budget):
+    for _ in range(_RANDOM_TRIALS):
         m = _linear_combination(f, y.dim, x.dim, _random_coeffs(f, rng, len(mats), 4),
                                 mats.__getitem__)
         if invert(m) is not None:
             return ModuleMap(x, y, m, check=False)
-    raise Inconclusive("no invertible combination found within budget")
+    raise Inconclusive(
+        f"no invertible combination found in {_RANDOM_TRIALS} random trials")
 
 
 def _fp_combinations(f, mats: list[Matrix]):
@@ -971,7 +969,7 @@ class Decomposition:
             ModuleMap(self.module, s, from_m, check=False)
 
 
-def decompose(m: Module, seed: int = 0, budget: int = 64) -> Decomposition:
+def decompose(m: Module, seed: int = 0) -> Decomposition:
     """Split into indecomposables by idempotent endomorphisms."""
     a = m.algebra
     f = a.field
@@ -981,7 +979,7 @@ def decompose(m: Module, seed: int = 0, budget: int = 64) -> Decomposition:
     work = [(m, Matrix.identity(f, m.dim), Matrix.identity(f, m.dim))]
     while work:
         x, inc, prj = work.pop()
-        eps = _nontrivial_idempotent_endo(x, seed, budget)
+        eps = _nontrivial_idempotent_endo(x, seed)
         if eps is None:
             leaves.append((x, inc, prj))
             continue
@@ -1012,7 +1010,7 @@ def decompose(m: Module, seed: int = 0, budget: int = 64) -> Decomposition:
     return Decomposition(m, mods, incls, projs, reps)
 
 
-def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
+def _nontrivial_idempotent_endo(x: Module, seed: int):
     """An idempotent endomorphism that is neither 0 nor the identity, or None
     when the module is certified / believed indecomposable."""
     f = x.algebra.field
@@ -1029,7 +1027,7 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
                 return m
         return None  # exhaustive: no nontrivial idempotent exists
     rng = random.Random(seed)
-    for trial in range(budget):
+    for trial in range(_RANDOM_TRIALS):
         if trial < len(cands):
             h = cands[trial]
         else:
@@ -1041,7 +1039,7 @@ def _nontrivial_idempotent_endo(x: Module, seed: int, budget: int):
         eps = _idempotent_from_matrix(f, h, idm)
         if eps is not None and not eps.is_zero() and eps != idm:
             return eps
-    if budget <= len(cands) and _end_is_local(endos):
+    if _RANDOM_TRIALS <= len(cands) and _end_is_local(endos):
         return None
     raise Inconclusive("endomorphism block resisted idempotent splitting")
 
@@ -1192,8 +1190,6 @@ def resolution_dim(c_list: Sequence[Module], x: Module, cap: int):
     can stop after stage n exactly when Hom(C, ker f_n) = 0.  Returns the
     length, or the AtLeastCap sentinel when the cap is hit.
     """
-    from fdhom.results import AtLeastCap
-
     cur = x
     for n in range(cap + 1):
         fmap, _ = right_approximation(c_list, cur)

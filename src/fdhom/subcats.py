@@ -26,6 +26,7 @@ from fdhom.homology import (
     ext_dim,
     gldim,
     injective_dim,
+    pd,
     tau_n,
     transpose,
     two_sided_mn,
@@ -36,6 +37,7 @@ from fdhom.modules import (
     ModuleMap,
     _approximation_chain,
     _map_span,
+    _nontrivial_idempotent_endo,
     _rad_end_basis,
     _summand_element,
     cokernel,
@@ -52,8 +54,11 @@ from fdhom.modules import (
     projective_module,
     projective_vertices,
     projective_vertices_among,
+    quotient_module,
+    radical_of_module,
     regular_module,
     simple_module,
+    socle,
     strip_projectives,
 )
 from fdhom.results import AtLeastCap, QuiverGraph
@@ -505,15 +510,13 @@ def knit_indecomposables(a: FDAlgebra, cap_count: int = 64,
         seeds.extend([p, i])
         # classical knitting starts: radicals of projectives and socle
         # quotients of injectives carry the arrows at the boundary vertices
-        from fdhom.modules import radical_of_module, socle
-
         radp, _ = radical_of_module(p)
         if radp.dim:
             for s, _ in decompose(radp, seed=seed).summands:
                 seeds.append(s)
         soc_i, soc_incl = socle(i)
         if soc_i.dim < i.dim:
-            quot, _ = _socle_quotient(i, soc_incl)
+            quot, _ = quotient_module(i, soc_incl.matrix)
             for s, _ in decompose(quot, seed=seed).summands:
                 seeds.append(s)
     for m in seeds:
@@ -535,12 +538,6 @@ def knit_indecomposables(a: FDAlgebra, cap_count: int = 64,
             if register(ti):
                 queue.append(ti)
     return found, True
-
-
-def _socle_quotient(m: Module, soc_incl):
-    from fdhom.modules import quotient_module
-
-    return quotient_module(m, soc_incl.matrix)
 
 
 def brute_indecomposables(a: FDAlgebra, dimvec_cap: int, seed: int = 0):
@@ -576,9 +573,7 @@ def brute_indecomposables(a: FDAlgebra, dimvec_cap: int, seed: int = 0):
             mod = _module_from_rep(a, dims, mats, arrow_ends)
             if any(iso(mod, g) is not None for g in out if g.dim == mod.dim):
                 continue
-            from fdhom.modules import _nontrivial_idempotent_endo
-
-            if mod.dim > 1 and _nontrivial_idempotent_endo(mod, seed, 64) is not None:
+            if mod.dim > 1 and _nontrivial_idempotent_endo(mod, seed) is not None:
                 continue
             out.append(mod)
     return out
@@ -606,19 +601,13 @@ def _path_matrix(a: FDAlgebra, dims, mats, arrow_ends, arrows_seq, src: int):
 def _satisfies_relations(a: FDAlgebra, dims, mats, arrow_ends) -> bool:
     f = a.field
     for rel in a.relations or []:
-        first = True
         acc = None
-        src = tgt = None
         for coeff, names in rel.terms:
             idxs = [a.quiver.arrow_index(nm) for nm in names]
-            s = arrow_ends[idxs[0]][0]
-            m, t = _path_matrix(a, dims, mats, arrow_ends, idxs, s)
+            m, _ = _path_matrix(a, dims, mats, arrow_ends, idxs,
+                                arrow_ends[idxs[0]][0])
             m = m.scale(f.of(coeff))
-            if first:
-                acc, src, tgt = m, s, t
-                first = False
-            else:
-                acc = acc + m
+            acc = m if acc is None else acc + m
         if acc is not None and not acc.is_zero():
             return False
     return True
@@ -686,9 +675,7 @@ def tilting_check(gamma: FDAlgebra, u: Module, t: int, cap: int,
                   seed: int = 0) -> bool:
     """pd U <= t, Ext^{>0}(U,U) = 0, and an exact coresolution
     0 -> Γ -> U^0 -> ... -> U^t -> 0 by minimal left add(U)-approximations."""
-    from fdhom.homology import pd as pd_
-
-    p = pd_(u, cap)
+    p = pd(u, cap)
     if isinstance(p, AtLeastCap) or p > t:
         return False
     if any(ext_dim(u, u, i) for i in range(1, max(t, 1) + 1)):

@@ -362,7 +362,7 @@ def test_424_simples_of_quotient_have_pd_grade_n_plus_1():
     assert quot.dim > 0
     for v in range(len(quot.idempotents)):
         s = simple_module(quot, v)
-        infl = _inflate(g, quot, pm, s)
+        infl = _inflate(g, pm, s)
         assert pd(infl, 8) == tri.n + 1
         assert grade(infl, 8) == tri.n + 1
 
@@ -379,7 +379,7 @@ def test_ext_duality_on_quotient_simples():
     quot, pm = quotient_by_idempotent_ideal(g, sorted(set(pres.e)))
     for v in range(len(quot.idempotents)):
         s = simple_module(quot, v)
-        infl = _inflate(g, quot, pm, s)
+        infl = _inflate(g, pm, s)
         once = ext_top_module(infl, tri.n + 1)
         twice = ext_top_module(once, tri.n + 1)
         assert iso(twice, infl) is not None

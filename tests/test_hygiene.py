@@ -5,8 +5,10 @@ every attribute of FDAlgebra declared in algebra.py itself, the structure
 constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
 package, sympy imported in one place only and neither sympy nor numpy
 loaded by importing the package, `Fraction` named only where QQ
-scalars are made or printed, no imported name left unused, and no write
-through `Matrix.data` (a dense copy, so such a write is silently lost).
+scalars are made or printed, no imported name left unused, no write
+through `Matrix.data` (a dense copy, so such a write is silently lost),
+package imports at module level outside the CLI, and no private attribute
+written from outside its own object.
 """
 
 import ast
@@ -263,3 +265,31 @@ def test_nothing_writes_through_matrix_data():
     found.update({p.name: _writes_through_data(ast.parse(p.read_text()))
                   for p in TEST_FILES})
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_package_modules_import_fdhom_only_at_module_level():
+    # a function-local import runs on every call, inside loops too; only the
+    # CLI imports per command, so that each command loads what it needs
+    found = {f"{name}:{node.lineno}" for name, tree in TREES.items()
+             if name != "cli.py"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "fdhom")
+             or (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "fdhom" for a in node.names))}
+    assert found == set()
+
+
+def test_private_attributes_are_written_only_through_self():
+    # what an object keeps for reuse goes through its own memo (`Memo.memo`),
+    # never through x._name = ... from another object or module
+    found = [f"{name}:{node.lineno}" for name, tree in TREES.items()
+             if name != "cli.py" for node in ast.walk(tree)
+             for t in _store_targets(node)
+             if isinstance(base := _strip_items(t), ast.Attribute)
+             and base.attr.startswith("_")
+             and not (isinstance(base.value, ast.Name)
+                      and base.value.id in ("self", "cls"))]
+    assert found == []

@@ -1,0 +1,69 @@
+"""Algebras and modules keep derived values in one memo, `algebra.Memo`.
+
+A second request returns the kept object, and a memo key that holds a module
+matches that module only, not an equal copy of it.
+"""
+
+import fdhom.homology as homology
+from fdhom.algebra import FDAlgebra, Memo
+from fdhom.homology import ext_dim
+from fdhom.modules import (
+    Module,
+    dual,
+    projective_cover,
+    projective_module,
+    simple_module,
+)
+from fdhom.presets import path_algebra_a_n
+
+
+def _count_uncached_ext(monkeypatch) -> list:
+    calls = []
+    uncached = homology._ext_dim_uncached
+
+    def counted(x, y, i):
+        calls.append((x, y, i))
+        return uncached(x, y, i)
+
+    monkeypatch.setattr(homology, "_ext_dim_uncached", counted)
+    return calls
+
+
+def test_ext_dim_is_computed_once_per_module_pair_and_degree(monkeypatch):
+    a = path_algebra_a_n(3)
+    s, p = simple_module(a, 0), projective_module(a, 1)
+    calls = _count_uncached_ext(monkeypatch)
+    first = ext_dim(s, p, 1)
+    assert ext_dim(s, p, 1) == first
+    assert len(calls) == 1
+    ext_dim(s, p, 0)
+    assert len(calls) == 2
+
+
+def test_ext_dim_of_an_equal_but_distinct_module_is_computed_again(monkeypatch):
+    a = path_algebra_a_n(3)
+    s, p = simple_module(a, 0), projective_module(a, 1)
+    copy = Module(a, p.dim, list(p.action), check=False)
+    calls = _count_uncached_ext(monkeypatch)
+    assert ext_dim(s, p, 1) == ext_dim(s, copy, 1)
+    assert len(calls) == 2 and calls[0][1] is p and calls[1][1] is copy
+
+
+def test_a_module_keeps_its_generator_action_vertex_blocks_and_cover():
+    a = path_algebra_a_n(3)
+    m = simple_module(a, 1)
+    assert m.generator_action() is m.generator_action()
+    assert m.vertex_blocks() is m.vertex_blocks()
+    assert projective_cover(m) is projective_cover(m)
+
+
+def test_the_dual_of_a_dual_is_the_module_itself():
+    a = path_algebra_a_n(3)
+    for m in (simple_module(a, 1), projective_module(a, 0)):
+        assert dual(dual(m)) is m
+
+
+def test_algebras_and_modules_share_one_memo_and_declare_no_cache_slot():
+    assert issubclass(FDAlgebra, Memo) and issubclass(Module, Memo)
+    assert "memo" not in vars(FDAlgebra) and "memo" not in vars(Module)
+    assert all(not name.startswith("_") for name in Module.__slots__)

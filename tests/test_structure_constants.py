@@ -498,5 +498,5 @@ def test_local_end_is_recognised_before_random_splitting(monkeypatch):
         return crt(*args)
 
     monkeypatch.setattr(fdhom.modules, "_crt_idempotent", counted)
-    assert _nontrivial_idempotent_endo(p, seed=0, budget=64) is None
+    assert _nontrivial_idempotent_endo(p, seed=0) is None
     assert len(calls) <= len(hom_basis(p, p))
