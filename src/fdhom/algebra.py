@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -290,9 +291,6 @@ class FDAlgebra(Memo):
         if hom is None:
             return [self.basis_vec(i) for i in range(self.dim)]
         return list(self.idempotents) + [g for _, _, g in hom]
-
-    def is_semisimple(self) -> bool:
-        return not self.radical_basis()
 
     def __repr__(self):
         return f"FDAlgebra(dim={self.dim}, origin={self.origin}, field={self.field})"
@@ -740,130 +738,129 @@ def cartan_matrix(a: FDAlgebra) -> list[list[int]]:
         a.dim).dim() for ej in a.idempotents] for ei in a.idempotents]
 
 
-# -- primitive idempotents ----------------------------------------------------
-
-
-def semisimple_quotient(a: FDAlgebra):
-    """(A/J, projection matrix); FieldTooSmall as in `FDAlgebra.radical_basis`."""
-    rad = a.radical_basis()
-    return _quotient_algebra(a, rad, origin="semisimple-quotient")
+# -- idempotents ----------------------------------------------------------------
 
 
 def primitive_idempotents(a: FDAlgebra, seed: int = 0) -> list[Vec]:
     """Complete list of primitive orthogonal idempotents summing to 1.
 
-    Path-algebra origin returns the stored vertex idempotents.  Otherwise
-    idempotents of A/J are found by CRT splitting of minimal polynomials of
-    seeded-random elements and lifted along the radical filtration.
+    Path-algebra origin returns the stored vertex idempotents.  Otherwise the
+    unit is split by `_split_idempotent` in the corners eAe, written as left
+    multiplication matrices: a split L(e1) of L(e) gives the orthogonal
+    idempotents e1 = L(e1)·1 and e - e1.  An e is primitive when
+    dim eAe - dim eJe = 1 (FieldTooSmall as in `FDAlgebra.radical_basis`).
+    The pieces are sorted by the strings of their coefficients, zeros
+    included.
     """
     if a.origin == "path-algebra":
         return [dict(e) for e in a.idempotents]
-    if a.dim == 0:
-        return []
-    f = a.field
-    one, minus_one = f.one, f.neg(f.one)
-    ss, pm = semisimple_quotient(a)
-    rng = random.Random(seed)
-    blocks = _split_semisimple_unit(ss, rng)
-    # lift each block idempotent from A/J to A, keeping orthogonality
-    lifted: list[Vec] = []
-    done: Vec = {}
-    for k, eb in enumerate(blocks):
-        c = _combine(f, [(one, a.unit), (minus_one, done)])
-        if k == len(blocks) - 1:
-            cand = c
-        else:
-            raw = solve(pm, Matrix.from_columns(f, ss.dim, [eb])).transpose().nz[0]
-            cand = _newton_idempotent(a, a.multiply(a.multiply(c, raw), c))
-        if a.multiply(cand, cand) != cand:
-            raise Inconclusive("idempotent lift failed to converge")
-        lifted.append(cand)
-        done = _combine(f, [(one, done), (one, cand)])
-    if done != a.unit:
-        raise Inconclusive("lifted idempotents do not sum to the unit")
-    return lifted
+    f, n = a.field, a.dim
 
+    def corner(e: Vec, xs) -> list[Vec]:
+        """A basis of e·span(xs)·e, picked from the products e x e."""
+        red = _SpanReducer(f, (), n)
+        return [y for x in xs if red.add(y := a.multiply(a.multiply(e, x), e))]
 
-def _newton_idempotent(a: FDAlgebra, e: Vec, max_iter: int = 64) -> Vec:
-    f = a.field
-    for _ in range(max_iter):
-        e2 = a.multiply(e, e)
-        if e2 == e:
-            return e
-        e3 = a.multiply(e2, e)
-        e = _combine(f, [(f.of(3), e2), (f.neg(f.of(2)), e3)])
-    return e
-
-
-def _split_semisimple_unit(ss: FDAlgebra, rng: random.Random) -> list[Vec]:
-    """Primitive orthogonal idempotent decomposition of 1 in a semisimple
-    algebra, by repeated CRT splitting; Inconclusive when the random trials
-    run out on a block that is not certifiably a division algebra.  The
-    pieces are sorted by the strings of their coefficients, zeros included."""
-    work = [ss.unit]
+    unit = Matrix.from_columns(f, n, [a.unit])
+    work = [a.unit] if n else []
     out: list[Vec] = []
     while work:
         e = work.pop()
-        split = _try_split(ss, e, rng)
+        basis = corner(e, map(a.basis_vec, range(n)))
+        split = _split_idempotent(
+            [_linear_combination(f, n, n, x, a.left_mult_basis) for x in basis],
+            _linear_combination(f, n, n, e, a.left_mult_basis),
+            lambda: len(basis) - len(corner(e, a.radical_basis())) == 1, seed)
         if split is None:
             out.append(e)
         else:
-            work.extend(split)
-    zero = ss.field.zero
-    out.sort(key=lambda v: [str(v.get(i, zero)) for i in range(ss.dim)])
+            e1 = (split @ unit).transpose().nz[0]
+            work += [e1, _combine(f, [(f.one, e), (f.neg(f.one), e1)])]
+    out.sort(key=lambda v: [str(v.get(i, f.zero)) for i in range(n)])
     return out
 
 
-def _corner(ss: FDAlgebra, e: Vec) -> list[Vec]:
-    """The nonzero elements e b_i e."""
-    return [x for i in range(ss.dim)
-            if (x := ss.multiply(ss.multiply(e, ss.basis_vec(i)), e))]
+def _split_idempotent(cands: list[Matrix], one: Matrix, local, seed: int):
+    """An idempotent in the algebra of square matrices spanned by cands, with
+    unit `one`, that is neither 0 nor `one`; None when there is none.
 
-
-def _try_split(ss: FDAlgebra, e: Vec, rng: random.Random):
-    """Split the idempotent e into two orthogonal pieces, or None if the
-    corner eAe resists (certified division when its dim is 1)."""
-    f = ss.field
-    corner = _corner(ss, e)
-    if _SpanReducer(f, corner, ss.dim).dim() == 1:
+    Over a small F_p every combination is tried.  Otherwise each candidate is
+    tried first, then `local()` (is the algebra local with residue field k?)
+    is asked once, then seeded random combinations; a candidate gives itself
+    when it is idempotent, else `_crt_idempotent`.  Inconclusive when
+    `_RANDOM_TRIALS` trials split nothing off an algebra not shown local.
+    """
+    f, n = one.field, one.rows
+    if f.kind == "Fp" and f.p ** len(cands) <= 4096:
+        for m in _fp_combinations(f, cands):
+            if m.is_zero() or m == one:
+                continue
+            if m @ m == m:
+                return m
+        return None  # exhaustive: no nontrivial idempotent exists
+    rng = random.Random(seed)
+    for trial in range(_RANDOM_TRIALS):
+        if trial < len(cands):
+            h = cands[trial]
+        else:
+            if trial == len(cands) and local():
+                return None  # a local algebra has no idempotent but 0 and 1
+            h = _linear_combination(f, n, n, _random_coeffs(f, rng, len(cands), 3),
+                                    cands.__getitem__)
+        eps = h if h @ h == h else _crt_idempotent(one, h)
+        if eps is not None and not eps.is_zero() and eps != one:
+            return eps
+    if _RANDOM_TRIALS <= len(cands) and local():
         return None
-    for _ in range(_RANDOM_TRIALS):
-        x = _combine(f, [(f.of(rng.randint(-3, 3)), v) for v in corner])
-        e1 = _crt_idempotent(f, e, x, ss.multiply, ss.dim)
-        if e1 is None:
-            continue
-        e2 = _combine(f, [(f.one, e), (f.neg(f.one), e1)])
-        if e1 and e2:
-            return [e1, e2]
     raise Inconclusive(
-        f"block resisted idempotent splitting in {_RANDOM_TRIALS} random trials")
+        f"no idempotent split off in {_RANDOM_TRIALS} trials")
 
 
-def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul, n: int) -> Optional[Vec]:
-    """An idempotent polynomial in x, split off by the minimal polynomial.
+def _fp_combinations(f, mats: list[Matrix]):
+    """Every combination of mats over F_p, coefficient tuples in
+    itertools.product order."""
+    rows, cols = mats[0].shape
+    for coeffs in itertools.product(range(f.p), repeat=len(mats)):
+        yield _linear_combination(f, rows, cols,
+                                  {i: c for i, c in enumerate(coeffs) if c},
+                                  mats.__getitem__)
 
-    Elements are sparse vectors of length n multiplied by `mul`, with unit
-    `one`; the powers of x are one, mul(one, x), mul(mul(one, x), x), ...
-    When sympy's factor_list gives at least two factors, the result is the
-    CRT element that is 1 modulo the first factor power and 0 modulo the
-    rest, evaluated at x.  None when the minimal polynomial has degree <= 1
-    or a single irreducible factor, or when the value fails the idempotency
-    check.
+
+def _random_coeffs(f, rng: random.Random, n: int, bound: int) -> dict:
+    """Coefficients for n matrices drawn from [-bound, bound], one draw each,
+    as the nonzero pairs {i: c} that `_linear_combination` takes."""
+    return {i: c for i in range(n) if (c := f.of(rng.randint(-bound, bound)))}
+
+
+def _crt_idempotent(one: Matrix, x: Matrix) -> Optional[Matrix]:
+    """An idempotent polynomial in the square matrix x, split off by its
+    minimal polynomial.
+
+    `one` is the unit of an algebra of matrices that holds x, and the powers
+    of x are one, one @ x, one @ x @ x, ...  When sympy's factor_list gives at
+    least two factors, the result is the CRT element that is 1 modulo the
+    first factor power and 0 modulo the rest, evaluated at x.  None when the
+    minimal polynomial has degree <= 1 or a single irreducible factor, or
+    when the value fails the idempotency check.
     """
     import warnings
 
     import sympy
 
+    f, rows, cols = one.field, one.rows, one.cols
     powers = [one]
-    red = _SpanReducer(f, [one], n)
+    flat = [one.flatten()]
+    red = _SpanReducer(f, flat, rows * cols)
     cur = one
     while True:
-        cur = mul(cur, x)
-        if red.contains(cur):
+        cur = cur @ x
+        v = cur.flatten()
+        if not red.add(v):
             break
         powers.append(cur)
-        red.add(cur)
-    sol = solve(Matrix.from_columns(f, n, powers), Matrix.from_columns(f, n, [cur]))
+        flat.append(v)
+    sol = solve(Matrix.from_columns(f, rows * cols, flat),
+                Matrix.from_columns(f, rows * cols, [v]))
     coeffs = [f.neg(c) for c in sol.col(0)] + [f.one]  # monic
     if len(coeffs) <= 2:
         return None
@@ -886,13 +883,10 @@ def _crt_idempotent(f: FieldSpec, one: Vec, x: Vec, mul, n: int) -> Optional[Vec
     _, v, g = m1.gcdex(rest)
     if not g.is_one:
         return None  # factors not coprime in this domain: give up on x
-    terms = []
-    power = one
-    for c in reversed((v * rest).rem(poly).all_coeffs()):
-        terms.append((f.of(sympy.Rational(c)) if f.kind == "Q" else f.of(int(c)),
-                      power))
-        power = mul(power, x)
-    acc = _combine(f, terms)
-    if mul(acc, acc) != acc:
+    rem = reversed((v * rest).rem(poly).all_coeffs())  # constant term first
+    terms = {i: y for i, c in enumerate(rem)
+             if (y := f.of(sympy.Rational(c) if f.kind == "Q" else int(c)))}
+    acc = _linear_combination(f, rows, cols, terms, powers.__getitem__)
+    if acc @ acc != acc:
         return None
     return acc

@@ -36,8 +36,6 @@ from fdhom.modules import (
     projective_module,
     regular_module,
     simple_module,
-    strip_injectives,
-    strip_projectives,
     syzygy,
     cosyzygy,
     zero_module,
@@ -317,19 +315,14 @@ def transpose(m: Module) -> Module:
 
 
 def tau(m: Module) -> Module:
-    """AR translate D Tr, on the projective-free part of m."""
-    core, _ = strip_projectives(m)
-    if core.dim == 0:
-        return zero_module(m.algebra)
-    return dual(transpose(core))
+    """AR translate D Tr.  Tr of a minimal presentation sends projective
+    summands to 0, so tau(P ⊕ N) ≅ tau N."""
+    return dual(transpose(m))
 
 
 def tau_inv(m: Module) -> Module:
-    """Inverse translate Tr D, on the injective-free part of m."""
-    core, _ = strip_injectives(m)
-    if core.dim == 0:
-        return zero_module(m.algebra)
-    return transpose(dual(core))
+    """Inverse translate Tr D; tau_inv(I ⊕ N) ≅ tau_inv N for injective I."""
+    return transpose(dual(m))
 
 
 def tau_n(m: Module, n: int) -> Module:

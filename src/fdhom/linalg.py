@@ -140,12 +140,6 @@ class Matrix:
         return Matrix(field, rows, cols)
 
     @staticmethod
-    def from_rows(field: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return Matrix(field, len(rows), ncols, rows)
-
-    @staticmethod
     def column(field: FieldSpec, vec: Iterable) -> "Matrix":
         vec = list(vec)
         return Matrix(field, len(vec), 1, [[x] for x in vec])

@@ -65,20 +65,12 @@ class CyclotomicNumber:
 
     __slots__ = ("conductor", "coeffs")
 
-    _phi_cache: dict = {}
-
     def __init__(self, conductor: int, coeffs: Sequence):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         self.conductor = conductor
-        mod = self._modulus(conductor)
-        self.coeffs = _poly_mod([Fraction(c) for c in coeffs], mod)
-
-    @classmethod
-    def _modulus(cls, n: int) -> list[Fraction]:
-        if n not in cls._phi_cache:
-            cls._phi_cache[n] = cyclotomic_polynomial(n)
-        return cls._phi_cache[n]
+        self.coeffs = _poly_mod([Fraction(c) for c in coeffs],
+                                cyclotomic_polynomial(conductor))
 
     @staticmethod
     def rational(x) -> "CyclotomicNumber":

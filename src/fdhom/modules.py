@@ -34,12 +34,13 @@ superprojectivity certificates).  A map out of a known sum of projectives
 the one place that builds it (hom bases out of projectives, projective covers,
 starred differentials); `_summand_element` reads the algebra element that a
 vector has in one summand (starred differentials, maps transported from the
-projectives of an endomorphism algebra).
+projectives of an endomorphism algebra).  `decompose` splits End(x) with
+`algebra._split_idempotent`, the one idempotent splitter, which
+`primitive_idempotents` also uses on the corners of an algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional, Sequence
 
@@ -49,9 +50,11 @@ from fdhom.algebra import (
     _RANDOM_TRIALS,
     _SpanReducer,
     _combine,
-    _crt_idempotent,
+    _fp_combinations,
     _linear_combination,
     _memoized,
+    _random_coeffs,
+    _split_idempotent,
 )
 from fdhom.errors import CertificateFailed, FieldTooSmall, Inconclusive
 from fdhom.linalg import (
@@ -932,22 +935,6 @@ def iso(x: Module, y: Module, seed: int = 0):
         f"no invertible combination found in {_RANDOM_TRIALS} random trials")
 
 
-def _fp_combinations(f, mats: list[Matrix]):
-    """Every combination of mats over F_p, coefficient tuples in
-    itertools.product order."""
-    rows, cols = mats[0].shape
-    for coeffs in itertools.product(range(f.p), repeat=len(mats)):
-        yield _linear_combination(f, rows, cols,
-                                  {i: c for i, c in enumerate(coeffs) if c},
-                                  mats.__getitem__)
-
-
-def _random_coeffs(f, rng: random.Random, n: int, bound: int) -> dict:
-    """Coefficients for n matrices drawn from [-bound, bound], one draw each,
-    as the nonzero pairs {i: c} that `_linear_combination` takes."""
-    return {i: c for i in range(n) if (c := f.of(rng.randint(-bound, bound)))}
-
-
 class Decomposition:
     """Indecomposable decomposition with an explicit iso pair."""
 
@@ -1012,54 +999,13 @@ def decompose(m: Module, seed: int = 0) -> Decomposition:
 
 def _nontrivial_idempotent_endo(x: Module, seed: int):
     """An idempotent endomorphism that is neither 0 nor the identity, or None
-    when the module is certified / believed indecomposable."""
-    f = x.algebra.field
+    when the module is certified indecomposable."""
     endos = hom_basis(x, x)
-    idm = Matrix.identity(f, x.dim)
     if len(endos) == 1:
         return None  # End = k: certainly indecomposable
-    cands = [h.matrix for h in endos]
-    if f.kind == "Fp" and f.p ** len(endos) <= 4096:
-        for m in _fp_combinations(f, cands):
-            if m.is_zero() or m == idm:
-                continue
-            if m @ m == m:
-                return m
-        return None  # exhaustive: no nontrivial idempotent exists
-    rng = random.Random(seed)
-    for trial in range(_RANDOM_TRIALS):
-        if trial < len(cands):
-            h = cands[trial]
-        else:
-            if trial == len(cands) and _end_is_local(endos):
-                return None  # a local End(x) has no idempotent but 0 and 1
-            h = _linear_combination(f, x.dim, x.dim,
-                                    _random_coeffs(f, rng, len(cands), 3),
-                                    cands.__getitem__)
-        eps = _idempotent_from_matrix(f, h, idm)
-        if eps is not None and not eps.is_zero() and eps != idm:
-            return eps
-    if _RANDOM_TRIALS <= len(cands) and _end_is_local(endos):
-        return None
-    raise Inconclusive("endomorphism block resisted idempotent splitting")
-
-
-def _idempotent_from_matrix(f, h: Matrix, idm: Matrix):
-    """CRT idempotent from a coprime factorization of the minimal polynomial
-    of h; None when the minimal polynomial is a single irreducible power."""
-    if h @ h == h:
-        return h
-    n = h.rows
-
-    def square(v):
-        nz = [{} for _ in range(n)]
-        for k, x in v.items():
-            nz[k // n][k % n] = x
-        return Matrix._of_nz(f, n, n, nz)
-
-    eps = _crt_idempotent(f, idm.flatten(), h.flatten(),
-                          lambda u, v: (square(u) @ square(v)).flatten(), n * n)
-    return None if eps is None else square(eps)
+    return _split_idempotent([h.matrix for h in endos],
+                             Matrix.identity(x.algebra.field, x.dim),
+                             lambda: _end_is_local(endos), seed)
 
 
 def _rad_end_basis(endos: Sequence[ModuleMap]) -> list[Matrix]:

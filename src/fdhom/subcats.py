@@ -59,7 +59,6 @@ from fdhom.modules import (
     regular_module,
     simple_module,
     socle,
-    strip_projectives,
 )
 from fdhom.results import AtLeastCap, QuiverGraph
 
@@ -205,10 +204,9 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
     socle element of Hom(Ω Z, tau Z)."""
     a = z.algebra
     f = a.field
-    core, removed = strip_projectives(z)
-    if removed or core.dim == 0:
+    if projective_vertices(z) is not None:
         raise PreconditionFailed("Z must be non-projective")
-    tz = dual(transpose(core))
+    tz = dual(transpose(z))
     p, q = projective_cover(z)
     om, om_incl = kernel(q)
     homs = hom_basis(om, tz)
@@ -362,8 +360,7 @@ def n_almost_split(gens: Sequence[Module], x_index: int, n: int,
     the minimal projective resolution of the simple module of End(⊕gens) at
     the vertex of X.  The simple must have projective dimension exactly n+1."""
     x = gens[x_index]
-    core, removed = strip_projectives(x)
-    if removed or core.dim == 0:
+    if projective_vertices(x) is not None:
         raise PreconditionFailed("X must be a non-projective generator")
     if data is None:
         data = end_algebra(gens, check_indec=False)

@@ -15,7 +15,6 @@ from fdhom.algebra import (
     opposite,
     primitive_idempotents,
     quotient_by_idempotent_ideal,
-    semisimple_quotient,
 )
 from fdhom.errors import BadRelation, NotAdmissible
 from fdhom.linalg import GF, QQ, Matrix, rank
@@ -169,16 +168,11 @@ def test_primitive_idempotents_of_bare_structure_constants(n, field, seed):
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_crt_idempotent_on_a_matrix(field):
-    def square(v):
-        return Matrix.from_rows(field, [[v.get(3 * i + j, field.zero) for j in range(3)]
-                                        for i in range(3)])
-
     # minimal polynomial (t-1)(t-2): two coprime factors
     h = Matrix(field, 3, 3, [[1, 1, 0], [0, 2, 0], [0, 0, 1]])
     one = Matrix.identity(field, 3)
     assert ((h - one) @ (h - one.scale(2))).is_zero()
-    e = square(_crt_idempotent(field, one.flatten(), h.flatten(),
-                               lambda u, v: (square(u) @ square(v)).flatten(), 9))
+    e = _crt_idempotent(one, h)
     assert e @ e == e
     assert not e.is_zero() and e != one
     assert e @ h == h @ e
@@ -186,6 +180,7 @@ def test_crt_idempotent_on_a_matrix(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_crt_idempotent_on_an_algebra_element(field):
+    # x = e(1) + 2 e(2) + a1 in kA2, as its left multiplication matrix L(x)
     a = path_algebra_a_n(2, field)
     zero = field.zero
     x = {a.basis_labels.index(label): field.of(c)
@@ -197,10 +192,18 @@ def test_crt_idempotent_on_an_algebra_element(field):
                for c in (1, 2)]
     assert a.multiply(*shifted) == {}
     assert all(shifted)
-    e = _crt_idempotent(field, a.unit, x, a.multiply, a.dim)
-    assert a.multiply(e, e) == e
-    assert e and e != a.unit
-    assert a.multiply(e, x) == a.multiply(x, e)
+
+    def left(y):
+        return Matrix.from_columns(field, a.dim, [a.multiply(y, a.basis_vec(j))
+                                                  for j in range(a.dim)])
+
+    e = _crt_idempotent(left(a.unit), left(x))
+    # L is faithful: e = L(e)·1 is an idempotent of A commuting with x
+    ev = (e @ Matrix.from_columns(field, a.dim, [a.unit])).transpose().nz[0]
+    assert e == left(ev)
+    assert a.multiply(ev, ev) == ev
+    assert ev and ev != a.unit
+    assert a.multiply(ev, x) == a.multiply(x, ev)
 
 
 def test_op_needs_only_the_package_root():
@@ -258,13 +261,6 @@ def test_dim_sum_of_sandwiches():
     for a in [path_algebra_a_n(3), preprojective_a_n(2), loop_algebra(3)]:
         c = cartan_matrix(a)
         assert a.dim == sum(sum(row) for row in c)
-
-
-def test_semisimple_quotient_dims():
-    a = preprojective_a_n(2)
-    ss, _ = semisimple_quotient(a)
-    assert ss.dim == 2
-    assert ss.is_semisimple()
 
 
 def test_small_prime_path_algebra_allowed():

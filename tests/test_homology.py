@@ -46,6 +46,8 @@ from fdhom.presets import (
     semisimple_k_n,
 )
 from fdhom.results import AtLeastCap
+from fdhom.subcats import knit_indecomposables
+from test_instances import d4_subspace_algebra
 
 
 def test_ext1_s1_s2_a2():
@@ -211,6 +213,21 @@ def test_tau_preprojective_swaps():
     assert iso(tau(s1), s2) is not None
     assert iso(tau(s2), s1) is not None
     assert iso(tau_inv(s1), s2) is not None
+
+
+@pytest.mark.parametrize("name", ["kA3", "D4"])
+def test_tau_ignores_projective_and_injective_summands(name):
+    # Tr of a minimal presentation sends projective summands to 0, so
+    # tau(P_v + N) = tau N, and dually tau^-(I_v + N) = tau^- N, over every
+    # knitted indecomposable N
+    a = path_algebra_a_n(3) if name == "kA3" else d4_subspace_algebra()
+    inds, complete = knit_indecomposables(a)
+    assert complete
+    for v in range(len(a.idempotents)):
+        p, i = projective_module(a, v), injective_module(a, v)
+        for n in inds:
+            assert iso(tau(direct_sum([p, n])[0]), tau(n)) is not None
+            assert iso(tau_inv(direct_sum([i, n])[0]), tau_inv(n)) is not None
 
 
 def test_tau_n():

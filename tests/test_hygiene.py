@@ -4,7 +4,8 @@ They keep one definition of each helper, no dead functions or methods,
 every attribute of FDAlgebra declared in algebra.py itself, the structure
 constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
 package, sympy imported in one place only and neither sympy nor numpy
-loaded by importing the package, `Fraction` named only where QQ
+loaded by importing the package, the CRT idempotent called only by the
+one idempotent splitter, `Fraction` named only where QQ
 scalars are made or printed, no imported name left unused, no write
 through `Matrix.data` (a dense copy, so such a write is silently lost),
 package imports at module level outside the CLI, and no private attribute
@@ -150,6 +151,17 @@ def test_sympy_is_imported_only_by_crt_idempotent():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if _imports_sympy(node)]
     assert found == ["algebra.py:_crt_idempotent"]
+
+
+def test_crt_idempotent_has_one_caller_the_splitter():
+    # idempotent splitting has one implementation: decompose's endomorphism
+    # search and primitive_idempotents both go through _split_idempotent
+    found = [f"{name}:{fname}" for name, tree in TREES.items()
+             for fname, fn in _definitions(tree)
+             for node in ast.walk(fn)
+             if (isinstance(node, ast.Name) and node.id == "_crt_idempotent")
+             or (isinstance(node, ast.Attribute) and node.attr == "_crt_idempotent")]
+    assert found == ["algebra.py:_split_idempotent"]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_sympy():

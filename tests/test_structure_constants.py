@@ -14,13 +14,14 @@ include one whose only nonzero coefficient sits at index 0, which a
 truthiness test written `any(x)` on a dict would take for zero.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-import fdhom.modules
+import fdhom.algebra
 from fdhom.algebra import (
     FDAlgebra,
     PathExpr,
@@ -31,10 +32,10 @@ from fdhom.algebra import (
     opposite,
     primitive_idempotents,
     quotient_by_idempotent_ideal,
-    semisimple_quotient,
 )
 from fdhom.cli import load_algebra
 from fdhom.endalg import end_algebra
+from fdhom.errors import Inconclusive
 from fdhom.linalg import GF, QQ, Matrix, column_space_basis
 from fdhom.modules import (
     _coord_summands_from_elements,
@@ -49,6 +50,7 @@ from fdhom.modules import (
 )
 from fdhom.subcats import knit_indecomposables
 from test_algebra import _rebased
+from test_cover_span import gaussian_rationals
 from test_radical import AUSLANDER_BASES, PATH_ALGEBRAS, auslander_algebra
 
 FIELDS = (QQ, GF(3))
@@ -391,12 +393,6 @@ def test_quotients_and_cartan_matrices_match_dense_spans(field):
         assert cartan_matrix(a) == want, name
 
 
-def old_block_order(ss, blocks):
-    """The blocks sorted as dense coefficient lists, by the strings of their
-    entries."""
-    return sorted(blocks, key=lambda v: [str(x) for x in dense(ss, v)])
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_primitive_idempotents_of_a_non_path_algebra_match_dense_checks(field):
     cases = [("k^3", PATH_ALGEBRAS["k^3"](field)),
@@ -417,12 +413,39 @@ def test_primitive_idempotents_of_a_non_path_algebra_match_dense_checks(field):
                         assert not any(dense_multiply(b, table, e, e2)), name
                 total = [field.add(u, v) for u, v in zip(total, e)]
             assert total == dense(b, b.unit), name
-            # their images in A/J are the split blocks, in the order of the
-            # dense string sort
-            ss, pm = semisimple_quotient(b)
-            images = [(pm @ Matrix.from_columns(field, b.dim, [e])).transpose().nz[0]
-                      for e in idems]
-            assert images == old_block_order(ss, images), name
+            # in the order of the dense string sort
+            assert d == sorted(d, key=lambda v: [str(x) for x in v]), name
+
+
+def same_up_to_one_permutation(c, d):
+    """d[i][j] == c[s(i)][s(j)] for one permutation s of the rows and
+    columns at once."""
+    n = len(c)
+    return len(d) == n and any(
+        all(d[i][j] == c[s[i]][s[j]] for i in range(n) for j in range(n))
+        for s in itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(5)), ids=str)
+def test_primitive_idempotents_rebuild_the_cartan_matrix(field):
+    # oracle: the algebra rebuilt with the found idempotents as its family
+    # has the Cartan matrix of the stored family, up to relabelling vertices
+    cases = [("kA3", _rebased(PATH_ALGEBRAS["kA3"](field), seed=1)[0]),
+             ("D4", _rebased(PATH_ALGEBRAS["D4"](field), seed=2)[0]),
+             ("Gamma kA3", auslander_algebra("kA3", field))]
+    for name, a in cases:
+        assert a.origin != "path-algebra", name
+        idems = primitive_idempotents(a, seed=0)
+        b = FDAlgebra(field, a.basis_labels, a.mult, a.unit, idems,
+                      origin="structure-constants")
+        assert same_up_to_one_permutation(cartan_matrix(a), cartan_matrix(b)), name
+
+
+def test_primitive_idempotents_of_the_gaussian_rationals_are_inconclusive():
+    # QQ(i) is a division algebra of dim 2: no element has a split minimal
+    # polynomial, and it is not local with residue field QQ
+    with pytest.raises(Inconclusive):
+        primitive_idempotents(gaussian_rationals())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -432,7 +455,6 @@ def test_every_stored_element_is_canonical(field, tmp_path):
             assert_canonical_algebra(alg)
         if a.dim and a.idempotents:
             assert_canonical_algebra(quotient_by_idempotent_ideal(a, [0])[0])
-        assert_canonical_algebra(semisimple_quotient(a)[0])
     # k[x]/(x^2) with zeros, and with its coefficients 1 written as 4 and
     # -2 over GF(3) and as 2/2 and 6/6 over QQ
     one, other = (4, -2) if field.kind == "Fp" else ("2/2", "6/6")
@@ -491,12 +513,12 @@ def test_local_end_is_recognised_before_random_splitting(monkeypatch):
     rels = [PathExpr.make([(1, [u, v])]) for u in "xy" for v in "xy"]
     p = projective_module(build_path_algebra(q, rels, field=QQ), 0)
     calls = []
-    crt = fdhom.modules._crt_idempotent
+    crt = fdhom.algebra._crt_idempotent
 
     def counted(*args):
         calls.append(args)
         return crt(*args)
 
-    monkeypatch.setattr(fdhom.modules, "_crt_idempotent", counted)
+    monkeypatch.setattr(fdhom.algebra, "_crt_idempotent", counted)
     assert _nontrivial_idempotent_endo(p, seed=0) is None
     assert len(calls) <= len(hom_basis(p, p))
