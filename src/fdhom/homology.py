@@ -10,6 +10,7 @@ modules over finite-dimensional algebras), so pd is used everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from fdhom.algebra import FDAlgebra
@@ -31,13 +32,12 @@ from fdhom.modules import (
     left_approximation,
     min_inj_coresolution,
     min_proj_resolution,
+    omega,
     projective_cover,
     projective_injective_vertices,
     projective_module,
     regular_module,
     simple_module,
-    syzygy,
-    cosyzygy,
     zero_module,
 )
 from fdhom.results import AtLeastCap
@@ -140,12 +140,19 @@ def gldim(a: FDAlgebra, cap: int):
 
 
 class CoresolutionTerms(list):
-    """Leading terms of a minimal injective coresolution, with `cosyzygy`,
-    the cokernel after the last of them, from which the next term is built."""
+    """Leading terms of a minimal injective coresolution of the regular
+    module of `algebra`.  `cosyzygy`, the cokernel after the last of them,
+    from which the next term is built, is taken by `cosyzygy_of()` on first
+    read, so a list whose next term is never asked for builds no cokernel."""
 
-    def __init__(self, terms, cosyzygy: Module):
+    def __init__(self, algebra: FDAlgebra, terms, cosyzygy_of):
         super().__init__(terms)
-        self.cosyzygy = cosyzygy
+        self.algebra = algebra
+        self._cosyzygy_of = cosyzygy_of
+
+    @cached_property
+    def cosyzygy(self) -> Module:
+        return self._cosyzygy_of()
 
 
 def injective_coresolution_terms(a: FDAlgebra, n_terms: int,
@@ -156,21 +163,21 @@ def injective_coresolution_terms(a: FDAlgebra, n_terms: int,
 
     With `prefix`, an earlier result for `a` of at most n_terms terms, its
     terms are kept and the coresolution continues from its cosyzygy, so
-    only the terms past it are built; the result is a new list."""
+    only the terms past it are built."""
     if prefix is None:
-        prefix = CoresolutionTerms([], regular_module(a))
-    elif prefix.cosyzygy.algebra is not a or len(prefix) > n_terms:
+        prefix = CoresolutionTerms(a, [], lambda: regular_module(a))
+    elif prefix.algebra is not a or len(prefix) > n_terms:
         raise ValueError("prefix is not a shorter coresolution of this algebra")
-    terms = list(prefix)
-    cur = prefix.cosyzygy
-    for _ in range(n_terms - len(terms)):
+    terms = prefix
+    while len(terms) < n_terms:
+        cur = terms.cosyzygy
         if cur.dim == 0:
-            terms.append(zero_module(a))
-            continue
-        env, mono = injective_envelope(cur)
-        terms.append(env)
-        cur, _ = cokernel(mono)
-    return CoresolutionTerms(terms, cur)
+            env, cosyzygy_of = zero_module(a), (lambda cur=cur: cur)
+        else:
+            env, mono = injective_envelope(cur)
+            cosyzygy_of = (lambda mono=mono: cokernel(mono)[0])
+        terms = CoresolutionTerms(a, terms + [env], cosyzygy_of)
+    return terms
 
 
 def domdim_report(a: FDAlgebra, cap: int):
@@ -326,16 +333,20 @@ def tau_inv(m: Module) -> Module:
 
 
 def tau_n(m: Module, n: int) -> Module:
-    """tau of the stabilized (n-1)-st syzygy."""
+    """The n-AR translate tau_n = tau Ω^{n-1}, along m's Ω links
+    (`modules.omega`).  No projective summand is split off: tau(P ⊕ N) ≅
+    tau N, so tau_n(m, n) ≅ tau syzygy(m, n - 1)."""
     if n < 1:
         raise ValueError("n >= 1")
-    return tau(syzygy(m, n - 1))
+    for _ in range(n - 1):
+        m, _ = omega(m)
+    return tau(m)
 
 
 def tau_n_inv(m: Module, n: int) -> Module:
-    if n < 1:
-        raise ValueError("n >= 1")
-    return tau_inv(cosyzygy(m, n - 1))
+    """The inverse n-AR translate tau_n^- = tau^- Ω^{-(n-1)} = D tau_n D,
+    along the Ω links of D m."""
+    return dual(tau_n(dual(m), n))
 
 
 # -- stable and costable hom dimensions -------------------------------------------

@@ -21,9 +21,10 @@ projective exactly when its minimal projective cover has its dimension, and
 `projective_vertices(dual(m))` is the injectivity test.  What is kept per
 algebra (the regular module, the projectives P_i and injectives I_i, the
 projective-injective vertices) lives in the algebra's memo, and what is kept
-per module (generator action, vertex blocks, minimal cover, the module a dual
-was built from, Ext values) in the module's own memo, dropped with it; both
-are an `algebra.Memo`.
+per module (generator action, vertex blocks, minimal cover, the Ω link to its
+kernel, the module a dual was built from, Ext values) in the module's own
+memo, dropped with it; both are an `algebra.Memo`.  Resolutions, `syzygy` and
+`cosyzygy` (D syzygy D) walk the Ω links, so each kernel is built once.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -745,24 +746,29 @@ class Resolution:
                 raise CertificateFailed("resolution does not terminate exactly")
 
 
+def omega(m: Module):
+    """(Ω m, inclusion): the kernel of m's minimal projective cover, kept
+    on m next to the cover.  Resolutions, `syzygy`, `cosyzygy` and τ_n walk
+    these links; Ω(P ⊕ N) ≅ Ω N for projective P."""
+    return m.memo("omega", lambda: kernel(projective_cover(m)[1]))
+
+
 def min_proj_resolution(m: Module, cap: int) -> Resolution:
-    """Iterated minimal covers; terms P_0..P_L with L <= cap."""
+    """Iterated minimal covers along the Ω links; terms P_0..P_L with
+    L <= cap."""
     p0, aug = projective_cover(m)
     modules = [p0]
     maps = []
-    cur_ker, cur_incl = kernel(aug)
-    truncated = None
+    cur, incl = omega(m)
     for _ in range(cap):
-        if cur_ker.dim == 0:
+        if cur.dim == 0:
             break
-        p, q = projective_cover(cur_ker)
-        maps.append(q.then(cur_incl))
+        p, q = projective_cover(cur)
+        maps.append(q.then(incl))
         modules.append(p)
-        cur_ker, cur_incl = kernel(q)
-    else:
-        if cur_ker.dim:
-            truncated = cap
-    return Resolution("projective", m, modules, maps, aug, truncated_at=truncated)
+        cur, incl = omega(cur)
+    return Resolution("projective", m, modules, maps, aug,
+                      truncated_at=cap if cur.dim else None)
 
 
 def min_inj_coresolution(m: Module, cap: int) -> Resolution:
@@ -775,7 +781,7 @@ def min_inj_coresolution(m: Module, cap: int) -> Resolution:
                       truncated_at=res.truncated_at)
 
 
-# -- projectivity, stripping projective / injective summands ---------------------
+# -- projectivity, stripping projective summands -------------------------------
 
 
 def projective_vertices(m: Module) -> Optional[list[int]]:
@@ -856,38 +862,20 @@ def strip_projectives(m: Module):
     return cur, removed
 
 
-def strip_injectives(m: Module):
-    """(core, removed vertices): split off injective direct summands."""
-    core_d, removed = strip_projectives(dual(m))
-    return dual(core_d), removed
-
-
 # -- syzygies -------------------------------------------------------------------
 
 
 def syzygy(m: Module, k: int = 1) -> Module:
-    """k-th syzygy along the minimal resolution, projective summands split
-    off (stable-category representative)."""
-    cur, _ = strip_projectives(m)
+    """Ω^k m along the Ω links, projective summands split off once at the
+    end (stable-category representative)."""
     for _ in range(k):
-        if cur.dim == 0:
-            return cur
-        _, epi = projective_cover(cur)
-        ker, _ = kernel(epi)
-        cur, _ = strip_projectives(ker)
-    return cur
+        m, _ = omega(m)
+    return strip_projectives(m)[0]
 
 
 def cosyzygy(m: Module, k: int = 1) -> Module:
-    """k-th cosyzygy, injective summands split off."""
-    cur, _ = strip_injectives(m)
-    for _ in range(k):
-        if cur.dim == 0:
-            return cur
-        _, mono = injective_envelope(cur)
-        cok, _ = cokernel(mono)
-        cur, _ = strip_injectives(cok)
-    return cur
+    """Ω^{-k} m = D Ω^k D m, injective summands split off."""
+    return dual(syzygy(dual(m), k))
 
 
 # -- isomorphism and decomposition ----------------------------------------------

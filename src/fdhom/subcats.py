@@ -48,8 +48,8 @@ from fdhom.modules import (
     hom_coords,
     injective_module,
     iso,
-    kernel,
     min_proj_resolution,
+    omega,
     projective_cover,
     projective_module,
     projective_vertices,
@@ -208,7 +208,7 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
         raise PreconditionFailed("Z must be non-projective")
     tz = dual(transpose(z))
     p, q = projective_cover(z)
-    om, om_incl = kernel(q)
+    om, om_incl = omega(z)
     homs = hom_basis(om, tz)
     if not homs:
         raise NoSocleElement("Hom(syzygy, translate) vanished")

@@ -5,7 +5,9 @@ every attribute of FDAlgebra declared in algebra.py itself, the structure
 constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
 package, sympy imported in one place only and neither sympy nor numpy
 loaded by importing the package, the CRT idempotent called only by the
-one idempotent splitter, `Fraction` named only where QQ
+one idempotent splitter, one chain of Ω links (`strip_projectives` called
+only by `syzygy`, and a projective cover's kernel taken only by `omega`),
+`Fraction` named only where QQ
 scalars are made or printed, no imported name left unused, no write
 through `Matrix.data` (a dense copy, so such a write is silently lost),
 package imports at module level outside the CLI, and no private attribute
@@ -162,6 +164,34 @@ def test_crt_idempotent_has_one_caller_the_splitter():
              if (isinstance(node, ast.Name) and node.id == "_crt_idempotent")
              or (isinstance(node, ast.Attribute) and node.attr == "_crt_idempotent")]
     assert found == ["algebra.py:_split_idempotent"]
+
+
+def _callers(names) -> dict:
+    """{"file:function": the names of `names` it calls}, for every function
+    and method of the package that calls one of them by name."""
+    found = {}
+    for name, tree in TREES.items():
+        for fname, fn in _definitions(tree):
+            called = {node.func.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id in names}
+            if called:
+                found[f"{name}:{fname}"] = called
+    return found
+
+
+def test_strip_projectives_has_one_caller_the_syzygy():
+    # projective summands are split off once, at the end of a walk along the
+    # Ω links; τ and τ_n need no stripping, since τ kills projective summands
+    assert list(_callers({"strip_projectives"})) == ["modules.py:syzygy"]
+
+
+def test_only_omega_takes_the_kernel_of_a_projective_cover():
+    # every syzygy in the package is an Ω link kept on its module
+    both = {"projective_cover", "kernel"}
+    assert [fn for fn, called in _callers(both).items()
+            if called == both] == ["modules.py:omega"]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_sympy():

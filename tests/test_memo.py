@@ -5,16 +5,20 @@ matches that module only, not an equal copy of it.
 """
 
 import fdhom.homology as homology
+import fdhom.modules as modules
 from fdhom.algebra import FDAlgebra, Memo
-from fdhom.homology import ext_dim
+from fdhom.homology import ext_dim, tau_n
 from fdhom.modules import (
     Module,
     dual,
+    min_proj_resolution,
+    omega,
     projective_cover,
     projective_module,
     simple_module,
+    syzygy,
 )
-from fdhom.presets import path_algebra_a_n
+from fdhom.presets import path_algebra_a_n, preprojective_a_n
 
 
 def _count_uncached_ext(monkeypatch) -> list:
@@ -55,6 +59,41 @@ def test_a_module_keeps_its_generator_action_vertex_blocks_and_cover():
     assert m.generator_action() is m.generator_action()
     assert m.vertex_blocks() is m.vertex_blocks()
     assert projective_cover(m) is projective_cover(m)
+
+
+def test_a_module_keeps_its_omega_link():
+    m = simple_module(preprojective_a_n(3), 0)
+    om = omega(m)
+    assert omega(m) is om
+    # Ω m is the kernel of the kept cover, included into its projective
+    assert om[1].target is projective_cover(m)[0]
+
+
+def test_resolutions_syzygies_and_translates_reuse_the_omega_links(monkeypatch):
+    # selfinjective, so every syzygy of a simple is nonzero
+    a = preprojective_a_n(3)
+    x = simple_module(a, 1)
+    first = min_proj_resolution(x, 4)
+    assert first.truncated_at == 4
+    kernels = []
+    make_kernel = modules.kernel
+
+    def counted(fmap):
+        kernels.append(fmap)
+        return make_kernel(fmap)
+
+    monkeypatch.setattr(modules, "kernel", counted)
+    again = min_proj_resolution(x, 4)
+    assert all(p is q for p, q in zip(again.modules, first.modules))
+    min_proj_resolution(x, 2)
+    ys = [simple_module(a, v) for v in range(3)] + [projective_module(a, 0)]
+    for y in ys:
+        for i in range(1, 4):
+            ext_dim(x, y, i)
+    for k in range(1, 4):
+        assert syzygy(x, k).dim > 0
+        assert tau_n(x, k + 1).dim > 0
+    assert kernels == []
 
 
 def test_the_dual_of_a_dual_is_the_module_itself():
