@@ -10,7 +10,6 @@ modules over finite-dimensional algebras), so pd is used everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from fdhom.algebra import FDAlgebra
@@ -30,7 +29,6 @@ from fdhom.modules import (
     injective_envelope,
     injective_module,
     left_approximation,
-    min_inj_coresolution,
     min_proj_resolution,
     omega,
     projective_cover,
@@ -139,45 +137,32 @@ def gldim(a: FDAlgebra, cap: int):
     return best
 
 
-class CoresolutionTerms(list):
-    """Leading terms of a minimal injective coresolution of the regular
-    module of `algebra`.  `cosyzygy`, the cokernel after the last of them,
-    from which the next term is built, is taken by `cosyzygy_of()` on first
-    read, so a list whose next term is never asked for builds no cokernel."""
-
-    def __init__(self, algebra: FDAlgebra, terms, cosyzygy_of):
-        super().__init__(terms)
-        self.algebra = algebra
-        self._cosyzygy_of = cosyzygy_of
-
-    @cached_property
-    def cosyzygy(self) -> Module:
-        return self._cosyzygy_of()
-
-
-def injective_coresolution_terms(a: FDAlgebra, n_terms: int,
-                                 prefix: Optional[CoresolutionTerms] = None
-                                 ) -> CoresolutionTerms:
+def injective_coresolution_terms(a: FDAlgebra, n_terms: int) -> list[Module]:
     """First terms I_0, ..., I_{n_terms-1} of the minimal injective
     coresolution of the regular module (zero modules once it stops).
 
-    With `prefix`, an earlier result for `a` of at most n_terms terms, its
-    terms are kept and the coresolution continues from its cosyzygy, so
-    only the terms past it are built."""
-    if prefix is None:
-        prefix = CoresolutionTerms(a, [], lambda: regular_module(a))
-    elif prefix.algebra is not a or len(prefix) > n_terms:
-        raise ValueError("prefix is not a shorter coresolution of this algebra")
-    terms = prefix
-    while len(terms) < n_terms:
-        cur = terms.cosyzygy
-        if cur.dim == 0:
-            env, cosyzygy_of = zero_module(a), (lambda cur=cur: cur)
-        else:
-            env, mono = injective_envelope(cur)
-            cosyzygy_of = (lambda mono=mono: cokernel(mono)[0])
-        terms = CoresolutionTerms(a, terms + [env], cosyzygy_of)
-    return terms
+    I_k is the injective envelope of the cosyzygy D Ω^k D(A), read off the
+    Ω links of D(A) over A^op (`modules.omega`).  D(A) is kept on the
+    regular module, so each cover and kernel of the chain is built once per
+    algebra, however often or however far the terms are asked for."""
+    terms, cur = [], dual(regular_module(a))
+    for k in range(n_terms):
+        if k:
+            cur, _ = omega(cur)
+        if cur.dim == 0:  # no Ω link past the first zero module
+            break
+        terms.append(injective_envelope(dual(cur))[0])
+    return terms + [zero_module(a)] * (n_terms - len(terms))
+
+
+def _ends_after(a: FDAlgebra, terms: Sequence[Module]) -> bool:
+    """Whether the coresolution of A stops after `terms`, its first terms:
+    the cosyzygy after them has dimension dim I_{n-1} - dim I_{n-2} + ...
+    ± dim A, by exactness, so its next term needs no cover."""
+    rest = a.dim
+    for term in terms:
+        rest = term.dim - rest
+    return rest == 0
 
 
 def domdim_report(a: FDAlgebra, cap: int):
@@ -186,14 +171,13 @@ def domdim_report(a: FDAlgebra, cap: int):
     module.  AtLeastCap with determinate=True means the coresolution ended
     all-projective (certified infinite); determinate=False means truncated."""
     pinj = projective_injective_vertices(a)
-    terms = injective_coresolution_terms(a, 0)
     for k in range(cap):
-        if terms.cosyzygy.dim == 0:
+        term = injective_coresolution_terms(a, k + 1)[k]
+        if term.dim == 0:
             return AtLeastCap(cap), True  # ended all-projective
-        terms = injective_coresolution_terms(a, k + 1, terms)
-        if not all(v in pinj for v in terms[k].inj_summands):
+        if not all(v in pinj for v in term.inj_summands):
             return k, True
-    return AtLeastCap(cap), terms.cosyzygy.dim == 0
+    return AtLeastCap(cap), _ends_after(a, injective_coresolution_terms(a, cap))
 
 
 def domdim(a: FDAlgebra, cap: int):
@@ -396,14 +380,14 @@ class DimReport:
 def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
     """Collect the headline invariants for reports and the CLI.
 
-    Each side's coresolution terms are built once: those of A up to
-    mn_bound, those of A^op as far as the pairs that hold on A's side reach
-    (the other pairs fail on A and never read A^op).  The (m, n) table and
-    the Gorenstein profile read A's terms; past mn_bound, Gorenstein degree
-    n extends them by one term, so no term is built past where the per-pair
-    route stops.  The regular module and the injectives are one object per
-    algebra, so the projective-injective vertices reuse the covers that the
-    pd of each injective built."""
+    The (m, n) table reads A's coresolution terms up to mn_bound, and those
+    of A^op as far as the pairs that hold on A's side reach (the other pairs
+    fail on A and never read A^op).  The Gorenstein profile asks for n terms
+    at degree n, and dom.dim for one more term at a time, so no term is
+    built past where the per-pair route stops; every request walks the same
+    kept Ω links of D(A).  The regular module and the injectives are one
+    object per algebra, so the projective-injective vertices reuse the
+    covers that the pd of each injective built."""
     indet = False
     table = dict.fromkeys((m, n) for m in range(1, mn_bound + 1)
                           for n in range(1, mn_bound + 1))  # None: cap < m
@@ -421,15 +405,13 @@ def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
             table[(m, n)] = mn_condition(terms_op, m, n, cap)
     profile: object = 0
     for n in range(1, cap + 1):
-        if n > mn_bound:
-            terms = injective_coresolution_terms(a, n, terms)
-        if not n_gorenstein(terms, n, cap):
+        if not n_gorenstein(injective_coresolution_terms(a, n), n, cap):
             profile = n - 1
             break
     else:
         profile = AtLeastCap(cap)
-        reg_cores = min_inj_coresolution(regular_module(a), cap)
-        if reg_cores.truncated_at is not None:
+        # certified only when the coresolution stops: id A <= cap
+        if not _ends_after(a, injective_coresolution_terms(a, cap + 1)):
             indet = True
     gd = gldim(a, cap)
     if isinstance(gd, AtLeastCap):

@@ -14,17 +14,19 @@ idempotent conditions are absorbed structurally, only the (few) homogeneous
 radical generators contribute equations.
 
 The injective side is the dual D of the projective side over the opposite
-algebra `FDAlgebra.op`: injective modules, envelopes and coresolutions, and
-left approximations (D of a right approximation of D x).  A module is
-projective exactly when its minimal projective cover has its dimension, and
+algebra `FDAlgebra.op`: injective modules and envelopes, and left
+approximations (D of a right approximation of D x).  A module is projective
+exactly when its minimal projective cover has its dimension, and
 `projective_vertices` reads the vertices of its summands off that cover;
 `projective_vertices(dual(m))` is the injectivity test.  What is kept per
 algebra (the regular module, the projectives P_i and injectives I_i, the
 projective-injective vertices) lives in the algebra's memo, and what is kept
 per module (generator action, vertex blocks, minimal cover, the Ω link to its
 kernel, the module a dual was built from, Ext values) in the module's own
-memo, dropped with it; both are an `algebra.Memo`.  Resolutions, `syzygy` and
-`cosyzygy` (D syzygy D) walk the Ω links, so each kernel is built once.
+memo, dropped with it; both are an `algebra.Memo`.  The regular module also
+keeps its dual D(A).  Resolutions, `syzygy`, `cosyzygy` (D syzygy D) and the
+coresolution of A (D of the Ω chain of D(A), in `homology`) walk the Ω links,
+so each kernel is built once.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -254,7 +256,7 @@ def _coord_summands_from_elements(a: FDAlgebra, elements) -> Optional[list[int]]
 
 def regular_module(a: FDAlgebra) -> Module:
     """A as a left module over itself; coordinates are the algebra basis
-    (built once per algebra)."""
+    (built once per algebra); it keeps its dual, so D(A) is one object too."""
 
     def build():
         action = [a.left_mult_basis(i) for i in range(a.dim)]
@@ -267,10 +269,12 @@ def regular_module(a: FDAlgebra) -> Module:
             proj_summands = [(v, Matrix.from_columns(a.field, a.dim, [e]).col(0))
                              for v, e in enumerate(a.idempotents)]
             coord_summand = verts
-        return Module(a, a.dim, action, check=False,
-                      proj_summands=proj_summands,
-                      coord_summand=coord_summand,
-                      basis_elements=elements)
+        reg = Module(a, a.dim, action, check=False,
+                     proj_summands=proj_summands,
+                     coord_summand=coord_summand,
+                     basis_elements=elements)
+        reg.memo("dual", lambda: dual(reg))
+        return reg
 
     return a.memo("regular_module", build)
 
@@ -329,8 +333,8 @@ def dual(m: Module) -> Module:
 
     The result keeps m in its memo, so the dual of a dual is m itself,
     bookkeeping included; a known sum of projectives dualizes to the sum of
-    the injectives at the same vertices.  Only the dual links back: m does
-    not keep d."""
+    the injectives at the same vertices.  Only the dual links back, m does
+    not keep d, except the regular module, which keeps D(A)."""
     source = m._memo.get("dual")
     if source is not None:
         return source
@@ -341,11 +345,6 @@ def dual(m: Module) -> Module:
                else [v for v, _ in m.proj_summands])
     d.memo("dual", lambda: m)
     return d
-
-
-def dual_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(dual(f.target), dual(f.source),
-                     f.matrix.transpose(), check=False)
 
 
 def direct_sum(mods: Sequence[Module]):
@@ -702,15 +701,10 @@ def injective_envelope(m: Module):
 
 
 class Resolution:
-    """A minimal projective resolution (or injective coresolution).
+    """A minimal projective resolution: aug: modules[0] -> M and
+    maps[i]: modules[i+1] -> modules[i]."""
 
-    projective flavor: aug: modules[0] -> M, maps[i]: modules[i+1] -> modules[i]
-    injective flavor:  aug: M -> modules[0], maps[i]: modules[i] -> modules[i+1]
-    """
-
-    def __init__(self, flavor: str, target: Module, modules, maps, aug,
-                 truncated_at=None):
-        self.flavor = flavor
+    def __init__(self, target: Module, modules, maps, aug, truncated_at=None):
         self.target = target
         self.modules = modules
         self.maps = maps
@@ -728,9 +722,7 @@ class Resolution:
             return
         seq = [self.aug] + self.maps
         for i in range(len(seq) - 1):
-            comp = (seq[i + 1].then(seq[i]) if self.flavor == "projective"
-                    else seq[i].then(seq[i + 1]))
-            if not comp.is_zero():
+            if not seq[i + 1].then(seq[i]).is_zero():
                 raise CertificateFailed("composite not zero in resolution")
         prev_rank = self.aug.rank()
         if prev_rank != self.target.dim:
@@ -767,18 +759,8 @@ def min_proj_resolution(m: Module, cap: int) -> Resolution:
         maps.append(q.then(incl))
         modules.append(p)
         cur, incl = omega(cur)
-    return Resolution("projective", m, modules, maps, aug,
+    return Resolution(m, modules, maps, aug,
                       truncated_at=cap if cur.dim else None)
-
-
-def min_inj_coresolution(m: Module, cap: int) -> Resolution:
-    """Dualized projective resolution of the dual module."""
-    res = min_proj_resolution(dual(m), cap)
-    modules = [dual(p) for p in res.modules]
-    maps = [dual_map(d) for d in res.maps]
-    aug = ModuleMap(m, modules[0], res.aug.matrix.transpose(), check=False)
-    return Resolution("injective", m, modules, maps, aug,
-                      truncated_at=res.truncated_at)
 
 
 # -- projectivity, stripping projective summands -------------------------------

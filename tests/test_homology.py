@@ -27,19 +27,22 @@ from fdhom.homology import (
 )
 from fdhom.linalg import GF
 from fdhom.modules import (
+    cokernel,
     direct_sum,
     dual,
     hom_dim,
+    injective_envelope,
     injective_module,
     iso,
-    min_inj_coresolution,
+    min_proj_resolution,
+    omega,
     projective_module,
     regular_module,
     simple_module,
     syzygy,
+    zero_module,
 )
 from fdhom.presets import (
-    linear_quiver,
     loop_algebra,
     path_algebra_a_n,
     preprojective_a_n,
@@ -47,7 +50,7 @@ from fdhom.presets import (
 )
 from fdhom.results import AtLeastCap
 from fdhom.subcats import knit_indecomposables
-from test_instances import d4_subspace_algebra
+from test_instances import d4_subspace_algebra, nakayama_a_n
 
 
 def test_ext1_s1_s2_a2():
@@ -277,20 +280,13 @@ def test_costable_custom_class():
 # -- dim_report against the per-pair route ------------------------------------------
 
 
-def _nakayama_a_n(n, rad):
-    """1 -> 2 -> ... -> n with every path of length rad zero."""
-    rels = [PathExpr.make([(1, [f"a{j + 1}" for j in range(i, i + rad)])])
-            for i in range(n - rad)]
-    return build_path_algebra(linear_quiver(n), rels)
-
-
 DIM_REPORT_ALGEBRAS = {
     "kA2": lambda: path_algebra_a_n(2),
     "kA3": lambda: path_algebra_a_n(3),
     "kA4": lambda: path_algebra_a_n(4),
     "kA5": lambda: path_algebra_a_n(5),
-    "nakayama_A5_rad2": lambda: _nakayama_a_n(5, 2),
-    "nakayama_A6_rad3": lambda: _nakayama_a_n(6, 3),
+    "nakayama_A5_rad2": lambda: nakayama_a_n(5, 2),
+    "nakayama_A6_rad3": lambda: nakayama_a_n(6, 3),
     "preprojective_A2": lambda: preprojective_a_n(2),
     "preprojective_A2_GF3": lambda: preprojective_a_n(2, field=GF(3)),
     "preprojective_A3": lambda: preprojective_a_n(3),
@@ -300,8 +296,10 @@ DIM_REPORT_ALGEBRAS = {
 
 
 def _dim_report_by_pairs(a, cap, mn_bound=4):
-    """The per-pair route: `two_sided_mn` for every (m, n), and a Gorenstein
-    loop that builds the coresolution afresh for every degree."""
+    """The per-pair route: `two_sided_mn` for every (m, n), a Gorenstein
+    loop that asks for the coresolution afresh for every degree, and the
+    Gorenstein certificate from the projective resolution of D(A), which
+    `Resolution` certifies exact."""
     indet = False
     table = {}
     for m in range(1, mn_bound + 1):
@@ -317,122 +315,151 @@ def _dim_report_by_pairs(a, cap, mn_bound=4):
             break
     else:
         profile = AtLeastCap(cap)
-        if min_inj_coresolution(regular_module(a), cap).truncated_at is not None:
+        if min_proj_resolution(dual(regular_module(a)), cap).truncated_at \
+                is not None:
             indet = True
     if isinstance(gldim(a, cap), AtLeastCap):
         indet = True
-    if not domdim_report(a, cap)[1] or not domdim_report(a.op, cap)[1]:
+    # both sides, as dim_report reports both values
+    if not all([domdim_report(a, cap)[1], domdim_report(a.op, cap)[1]]):
         indet = True
     return table, profile, indet
 
 
-def _counting_envelopes(monkeypatch):
-    import fdhom.homology
+def _recording_builds(monkeypatch):
+    """Record every minimal cover and every kernel built: the module each
+    cover is of, and the target of each map whose kernel is taken."""
     import fdhom.modules
 
-    calls = []
-    counted = fdhom.modules.injective_envelope
+    covered, kernels = [], []
+    cover, kernel = fdhom.modules._minimal_cover, fdhom.modules.kernel
 
-    def counting(m):
-        calls.append(m)
-        return counted(m)
+    def recording_cover(m):
+        covered.append(m)
+        return cover(m)
 
-    monkeypatch.setattr(fdhom.modules, "injective_envelope", counting)
-    monkeypatch.setattr(fdhom.homology, "injective_envelope", counting)
-    return calls
+    def recording_kernel(fmap):
+        kernels.append(fmap.target)
+        return kernel(fmap)
 
-
-def _recording_reach(monkeypatch, a):
-    """How far each side's coresolution is built: {is_opposite: max terms}."""
-    import fdhom.homology
-
-    reach = {False: 0, True: 0}
-    counted = fdhom.homology.injective_coresolution_terms
-
-    def recording(alg, n_terms, prefix=None):
-        side = alg is a.op
-        reach[side] = max(reach[side], n_terms)
-        return counted(alg, n_terms, prefix)
-
-    monkeypatch.setattr(fdhom.homology, "injective_coresolution_terms",
-                        recording)
-    # the per-pair route's Gorenstein loop calls the name imported here
-    monkeypatch.setitem(globals(), "injective_coresolution_terms", recording)
-    return reach
+    monkeypatch.setattr(fdhom.modules, "_minimal_cover", recording_cover)
+    monkeypatch.setattr(fdhom.modules, "kernel", recording_kernel)
+    return covered, kernels
 
 
-def _check_against_the_per_pair_route(a, cap, mn_bound, monkeypatch):
-    """dim_report gives the per-pair verdicts, builds each side's
-    coresolution exactly as far, and makes no more envelopes."""
-    calls = _counting_envelopes(monkeypatch)
-    reach = _recording_reach(monkeypatch, a)
-    want = _dim_report_by_pairs(a, cap, mn_bound)
-    per_pair, per_pair_reach = len(calls), dict(reach)
-    calls.clear()
-    reach.update({False: 0, True: 0})
-    rep = dim_report(a, cap, mn_bound)
+def _chain_builds(side, covered, kernels):
+    """(covers, kernels) built on the Ω chain of D(side): the coresolution
+    of side's regular module is read off that chain and nothing else."""
+    m, chain = dual(regular_module(side)), []
+    while True:
+        chain.append(m)
+        if m not in kernels:  # no Ω link kept past m
+            break
+        m = omega(m)[0]
+    return (sum(c in chain for c in covered), sum(k in chain for k in kernels))
+
+
+def _builds_per_side(route, make, monkeypatch):
+    """route(a) on a fresh algebra from make(), and the covers and kernels
+    it built on each side's Ω chain of D(A): {is_opposite: (covers,
+    kernels)}."""
+    covered, kernels = _recording_builds(monkeypatch)
+    a = make()
+    got = route(a)
+    return got, {side is a.op: _chain_builds(side, covered, kernels)
+                 for side in (a, a.op)}
+
+
+def _check_against_the_per_pair_route(make, cap, mn_bound, monkeypatch):
+    """dim_report, on an algebra from make(), gives the per-pair verdicts
+    and builds no more covers and no more kernels on either side's Ω chain
+    of D(A)."""
+    want, per_pair = _builds_per_side(
+        lambda a: _dim_report_by_pairs(a, cap, mn_bound), make, monkeypatch)
+    rep, builds = _builds_per_side(lambda a: dim_report(a, cap, mn_bound),
+                                   make, monkeypatch)
     assert (rep.mn_table, rep.gorenstein_profile, rep.indeterminate) == want
     assert list(rep.mn_table) == list(want[0])
-    assert reach == per_pair_reach
-    assert len(calls) <= per_pair
+    assert all(x <= y for side in (False, True)
+               for x, y in zip(builds[side], per_pair[side]))
     return rep
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 8])
 @pytest.mark.parametrize("name", DIM_REPORT_ALGEBRAS)
 def test_dim_report_agrees_with_the_per_pair_route(name, cap, monkeypatch):
-    a = DIM_REPORT_ALGEBRAS[name]()
-    _check_against_the_per_pair_route(a, cap, 4, monkeypatch)
+    _check_against_the_per_pair_route(DIM_REPORT_ALGEBRAS[name], cap, 4,
+                                      monkeypatch)
 
 
 def test_dim_report_builds_each_side_once(monkeypatch):
     # kA_5 is hereditary: the coresolution of either side has two nonzero
-    # terms, so each build makes two envelopes.  One build per side for the
-    # (m, n) table; the Gorenstein degrees 5..8 past mn_bound = 4 extend A's
-    # terms from a zero cosyzygy, which makes none; and one per side in
-    # domdim_report: 2 + 2 + 0 + 2 + 2.  The per-pair route makes 69.
-    calls = _counting_envelopes(monkeypatch)
-    rep = dim_report(path_algebra_a_n(5), 8)
+    # terms, so each side's chain D(A) ⊇ Ω D(A) ⊇ 0 has two covers and two
+    # kernels, however often the (m, n) table, the Gorenstein degrees up to
+    # 8 and domdim_report ask for its terms
+    rep, builds = _builds_per_side(lambda a: dim_report(a, 8),
+                                   lambda: path_algebra_a_n(5), monkeypatch)
     assert rep.gorenstein_profile == AtLeastCap(8)
-    assert len(calls) <= 8
+    assert builds == {False: (2, 2), True: (2, 2)}
+
+
+def _coresolution_by_cokernels(a, n_terms):
+    """The reference: I_0 is the injective envelope of A, and I_{k+1} that
+    of the cokernel of the envelope before it (zero modules once a cokernel
+    is zero)."""
+    terms, cur = [], regular_module(a)
+    while len(terms) < n_terms:
+        if cur.dim == 0:
+            terms.append(zero_module(a))
+            continue
+        env, mono = injective_envelope(cur)
+        terms.append(env)
+        cur, _ = cokernel(mono)
+    return terms
 
 
 def _same_terms(got, want):
     return len(got) == len(want) and all(
-        (t.algebra, t.dim, t.inj_summands, list(t.action))
-        == (u.algebra, u.dim, u.inj_summands, list(u.action))
+        (t.dim, t.inj_summands, list(t.action))
+        == (u.dim, u.inj_summands, list(u.action))
         for t, u in zip(got, want))
+
+
+@pytest.mark.parametrize("name", DIM_REPORT_ALGEBRAS)
+def test_coresolution_terms_match_the_envelope_cokernel_loop(name):
+    make = DIM_REPORT_ALGEBRAS[name]
+    for opposite in (False, True):
+        a, ref = make(), make()
+        side, ref_side = (a.op, ref.op) if opposite else (a, ref)
+        want = _coresolution_by_cokernels(ref_side, 8)
+        for n in range(9):
+            got = injective_coresolution_terms(side, n)
+            assert all(t.algebra is side for t in got)
+            assert _same_terms(got, want[:n])
 
 
 @pytest.mark.parametrize("name", DIM_REPORT_ALGEBRAS)
 def test_extending_a_coresolution_matches_building_it_afresh(name,
                                                              monkeypatch):
-    a = DIM_REPORT_ALGEBRAS[name]()
-    calls = _counting_envelopes(monkeypatch)
-    for side in (a, a.op):
-        fresh = [injective_coresolution_terms(side, n) for n in range(9)]
-        for k in range(9):
-            for n in range(k, 9):
-                calls.clear()
-                got = injective_coresolution_terms(side, n, fresh[k])
-                assert _same_terms(got, fresh[n])
-                assert all(t is u for t, u in zip(got, fresh[k]))
-                # one envelope per new nonzero term, none for the kept ones
-                assert len(calls) == sum(t.dim > 0 for t in fresh[n][k:])
-        # one term at a time, as dim_report's Gorenstein loop extends them
-        chain = fresh[0]
-        for n in range(1, 9):
-            chain = injective_coresolution_terms(side, n, chain)
-            assert _same_terms(chain, fresh[n])
-
-
-def test_a_coresolution_extends_only_its_own_shorter_prefix():
-    a = path_algebra_a_n(3)
-    terms = injective_coresolution_terms(a, 2)
-    with pytest.raises(ValueError):
-        injective_coresolution_terms(a.op, 3, terms)
-    with pytest.raises(ValueError):
-        injective_coresolution_terms(a, 1, terms)
+    # asking for one more term at a time, as domdim_report does, builds
+    # only the cover and kernel behind each new nonzero term
+    make = DIM_REPORT_ALGEBRAS[name]
+    covered, kernels = _recording_builds(monkeypatch)
+    for opposite in (False, True):
+        a = make()
+        side = a.op if opposite else a
+        for n in range(9):
+            covered.clear()
+            kernels.clear()
+            got = injective_coresolution_terms(side, n)
+            if n:
+                # term n - 1 needs the cover of Ω^{n-1} D(A), and the kernel
+                # before it when n > 1, unless an earlier link was zero
+                assert len(covered) == (got[-1].dim > 0)
+                assert len(kernels) == (n > 1 and got[-2].dim > 0)
+            fresh = make()
+            assert _same_terms(got, injective_coresolution_terms(
+                fresh.op if opposite else fresh, n))
 
 
 def test_dim_report_reads_the_opposite_side_where_a_holds(monkeypatch):
@@ -465,7 +492,11 @@ def test_dim_report_builds_no_term_past_the_per_pair_route(mn_bound,
     # and its profile fails at degree 1, so terms past mn_bound would be
     # built for nothing
     q = Quiver.make(["1"], [("x", "1", "1"), ("y", "1", "1")])
-    a = build_path_algebra(q, [PathExpr.make([(1, p)]) for p in
-                               (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"])])
-    rep = _check_against_the_per_pair_route(a, 3, mn_bound, monkeypatch)
+
+    def make():
+        return build_path_algebra(q, [
+            PathExpr.make([(1, p)])
+            for p in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"])])
+
+    rep = _check_against_the_per_pair_route(make, 3, mn_bound, monkeypatch)
     assert (rep.gorenstein_profile, rep.indeterminate) == (0, True)

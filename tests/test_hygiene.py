@@ -6,7 +6,8 @@ constants `FDAlgebra.mult` read in algebra.py alone, no assertions in the
 package, sympy imported in one place only and neither sympy nor numpy
 loaded by importing the package, the CRT idempotent called only by the
 one idempotent splitter, one chain of Ω links (`strip_projectives` called
-only by `syzygy`, and a projective cover's kernel taken only by `omega`),
+only by `syzygy`, a projective cover's kernel taken only by `omega`, and no
+cokernel in `homology` but the transpose's),
 `Fraction` named only where QQ
 scalars are made or printed, no imported name left unused, no write
 through `Matrix.data` (a dense copy, so such a write is silently lost),
@@ -192,6 +193,13 @@ def test_only_omega_takes_the_kernel_of_a_projective_cover():
     both = {"projective_cover", "kernel"}
     assert [fn for fn, called in _callers(both).items()
             if called == both] == ["modules.py:omega"]
+
+
+def test_only_transpose_takes_a_cokernel_in_homology():
+    # the cosyzygies of A are read off the Ω links of D(A), so the
+    # coresolution of A has one route and no envelope/cokernel loop
+    assert [fn for fn in _callers({"cokernel"})
+            if fn.startswith("homology.py:")] == ["homology.py:transpose"]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_sympy():

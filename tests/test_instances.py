@@ -2,11 +2,11 @@
 
 import pytest
 
-from fdhom.algebra import Quiver, build_path_algebra
+from fdhom.algebra import PathExpr, Quiver, build_path_algebra
 from fdhom.endalg import end_algebra
 from fdhom.homology import domdim, gldim
 from fdhom.linalg import QQ
-from fdhom.presets import loop_algebra
+from fdhom.presets import linear_quiver, loop_algebra
 from fdhom.subcats import knit_indecomposables
 
 
@@ -14,6 +14,13 @@ def d4_subspace_algebra(field=QQ):
     q = Quiver.make(["0", "1", "2", "3"],
                     [("a", "1", "0"), ("b", "2", "0"), ("c", "3", "0")])
     return build_path_algebra(q, [], field=field)
+
+
+def nakayama_a_n(n, rad):
+    """1 -> 2 -> ... -> n with every path of length rad zero."""
+    rels = [PathExpr.make([(1, [f"a{j + 1}" for j in range(i, i + rad)])])
+            for i in range(n - rad)]
+    return build_path_algebra(linear_quiver(n), rels)
 
 
 def test_loop_cubed_auslander_algebra():

@@ -4,10 +4,18 @@ A second request returns the kept object, and a memo key that holds a module
 matches that module only, not an equal copy of it.
 """
 
+import pytest
+
 import fdhom.homology as homology
 import fdhom.modules as modules
 from fdhom.algebra import FDAlgebra, Memo
-from fdhom.homology import ext_dim, tau_n
+from fdhom.homology import (
+    dim_report,
+    domdim_report,
+    ext_dim,
+    injective_coresolution_terms,
+    tau_n,
+)
 from fdhom.modules import (
     Module,
     dual,
@@ -15,10 +23,12 @@ from fdhom.modules import (
     omega,
     projective_cover,
     projective_module,
+    regular_module,
     simple_module,
     syzygy,
 )
 from fdhom.presets import path_algebra_a_n, preprojective_a_n
+from test_instances import nakayama_a_n
 
 
 def _count_uncached_ext(monkeypatch) -> list:
@@ -100,6 +110,48 @@ def test_the_dual_of_a_dual_is_the_module_itself():
     a = path_algebra_a_n(3)
     for m in (simple_module(a, 1), projective_module(a, 0)):
         assert dual(dual(m)) is m
+
+
+def test_the_regular_module_keeps_its_dual():
+    a = path_algebra_a_n(3)
+    da = dual(regular_module(a))
+    assert dual(regular_module(a)) is da
+    assert dual(dual(regular_module(a))) is regular_module(a)
+    assert dual(da) is regular_module(a)
+
+
+def _count_covers_and_kernels(monkeypatch) -> list:
+    built = []
+    cover, kernel = modules._minimal_cover, modules.kernel
+
+    def counted_cover(m):
+        built.append(("cover", m))
+        return cover(m)
+
+    def counted_kernel(fmap):
+        built.append(("kernel", fmap))
+        return kernel(fmap)
+
+    monkeypatch.setattr(modules, "_minimal_cover", counted_cover)
+    monkeypatch.setattr(modules, "kernel", counted_kernel)
+    return built
+
+
+@pytest.mark.parametrize("make", [lambda: path_algebra_a_n(5),
+                                  lambda: nakayama_a_n(6, 3)],
+                         ids=["kA5", "nakayama_A6_rad3"])
+def test_coresolution_terms_reuse_the_omega_links_of_the_dual(make,
+                                                              monkeypatch):
+    # after dim_report, each side's coresolution is kept as the Ω links of
+    # D(A), so asking for its terms again, or further, builds nothing
+    a = make()
+    dim_report(a, 8)
+    built = _count_covers_and_kernels(monkeypatch)
+    domdim_report(a, 8)
+    domdim_report(a.op, 8)
+    for n in range(10):
+        injective_coresolution_terms(a, n)
+    assert built == []
 
 
 def test_algebras_and_modules_share_one_memo_and_declare_no_cache_slot():
