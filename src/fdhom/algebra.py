@@ -730,14 +730,6 @@ def _quotient_algebra(a: FDAlgebra, ideal_vecs: list[Vec], origin: str):
     return quot, pm
 
 
-def cartan_matrix(a: FDAlgebra) -> list[list[int]]:
-    """Entry (i,j) = dim e_j A e_i: the multiplicity of the simple S_j in the
-    projective P_i (for a path algebra, the number of paths i -> j)."""
-    return [[_SpanReducer(a.field, [
-        a.multiply(ej, a.multiply(a.basis_vec(k), ei)) for k in range(a.dim)],
-        a.dim).dim() for ej in a.idempotents] for ei in a.idempotents]
-
-
 # -- idempotents ----------------------------------------------------------------
 
 

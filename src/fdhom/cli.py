@@ -9,6 +9,7 @@ property checked).  Every command is deterministic given (inputs, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -242,8 +243,8 @@ def _check_option_ranges(args) -> None:
 
 
 def cmd_invariants(args) -> int:
-    from fdhom.algebra import cartan_matrix
     from fdhom.homology import dim_report
+    from fdhom.modules import cartan_matrix
 
     a = load_algebra(args.algebra)
     rep = dim_report(a, args.cap, mn_bound=args.mn_bound)
@@ -477,7 +478,13 @@ def cmd_arquiver(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It saves time only when
+    `main` runs more than once in one process (tests, in-process benchmarks);
+    a one-shot `fdhom` command builds it once either way.  Parsing leaves it
+    as it was, and each subcommand's function is bound when it is built, so
+    a `cmd_*` replaced afterwards is not called."""
     p = argparse.ArgumentParser(
         prog="fdhom",
         description="exact homological invariants of finite-dimensional algebras")

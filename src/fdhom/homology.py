@@ -195,19 +195,15 @@ def _check_mn(m: int, n: int, cap: int) -> None:
 
 def mn_condition(terms: Sequence[Module], m: int, n: int, cap: int) -> bool:
     """pd I_i < m for the first n of the coresolution terms `terms` (from
-    `injective_coresolution_terms`, at least n of them)."""
+    `injective_coresolution_terms`, at least n of them).
+
+    pd < m is decided by a resolution of length m - 1, so `cap` is only
+    checked (cap >= m), never resolved to."""
     _check_mn(m, n, cap)
     if len(terms) < n:
         raise ValueError("fewer coresolution terms than n")
-    for term in terms[:n]:
-        if term.dim == 0:
-            continue
-        p = pd(term, cap)
-        if isinstance(p, AtLeastCap):
-            return False  # pd >= cap >= m
-        if p >= m:
-            return False
-    return True
+    return not any(isinstance(pd(term, m - 1), AtLeastCap)
+                   for term in terms[:n])
 
 
 def two_sided_mn(a: FDAlgebra, m: int, n: int, cap: int) -> bool:
@@ -218,18 +214,16 @@ def two_sided_mn(a: FDAlgebra, m: int, n: int, cap: int) -> bool:
 
 def n_gorenstein(terms: Sequence[Module], n: int, cap: int) -> bool:
     """pd I_i <= i for i < n along the coresolution terms `terms` (from
-    `injective_coresolution_terms`, at least n of them)."""
+    `injective_coresolution_terms`, at least n of them).
+
+    pd <= i is decided by a resolution of length i, so `cap` is only
+    checked (cap >= n), never resolved to."""
     if cap < n:
         raise ResolutionTruncated("cap below the requested Gorenstein degree")
     if len(terms) < n:
         raise ValueError("fewer coresolution terms than n")
-    for i, term in enumerate(terms[:n]):
-        if term.dim == 0:
-            continue
-        p = pd(term, cap)
-        if isinstance(p, AtLeastCap) or p > i:
-            return False
-    return True
+    return not any(isinstance(pd(term, i), AtLeastCap)
+                   for i, term in enumerate(terms[:n]))
 
 
 def grade(m: Module, cap: int):

@@ -428,6 +428,21 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix._of_nz(f, m.cols, len(free), out)
 
 
+def kernel_coords(basis: Matrix) -> Matrix:
+    """C with C @ basis = I for a `kernel_basis` result, with no solve.
+
+    The row of the basis at the k-th free column is the unit vector e_k, and
+    it is the last row with an entry in column k: a pivot row holds entries
+    only in free columns right of its pivot.  C picks those rows."""
+    last = {}
+    for r, row in enumerate(basis.nz):
+        for k in row:
+            last[k] = r
+    one = basis.field.one
+    return Matrix._of_nz(basis.field, basis.cols, basis.rows,
+                         [{last[k]: one} for k in range(basis.cols)])
+
+
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Some x with a @ x = b, or None when inconsistent.
 

@@ -24,9 +24,11 @@ projective-injective vertices) lives in the algebra's memo, and what is kept
 per module (generator action, vertex blocks, minimal cover, the Ω link to its
 kernel, the module a dual was built from, Ext values) in the module's own
 memo, dropped with it; both are an `algebra.Memo`.  The regular module also
-keeps its dual D(A).  Resolutions, `syzygy`, `cosyzygy` (D syzygy D) and the
-coresolution of A (D of the Ω chain of D(A), in `homology`) walk the Ω links,
-so each kernel is built once.
+keeps its dual D(A), a simple module S_v the projection from P_v as its
+cover, and a map its kernel basis, so a cover and its Ω link eliminate once.
+Resolutions, `syzygy`, `cosyzygy` (D syzygy D) and the coresolution of A (D
+of the Ω chain of D(A), in `homology`) walk the Ω links, so each kernel is
+built once.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -66,6 +68,7 @@ from fdhom.linalg import (
     hstack_all,
     invert,
     kernel_basis,
+    kernel_coords,
     kron,
     offsets,
     rank,
@@ -183,7 +186,9 @@ class Module(Memo):
         return f"Module(dim={self.dim}, over dim-{self.algebra.dim} {self.algebra.origin})"
 
 
-class ModuleMap:
+class ModuleMap(Memo):
+    """A module map, as its matrix; it keeps its kernel basis in its memo."""
+
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: Module, target: Module, matrix: Matrix,
@@ -193,6 +198,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        super().__init__()
         if check:
             self._verify()
 
@@ -209,6 +215,13 @@ class ModuleMap:
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
+
+    @_memoized
+    def kernel_basis(self) -> Matrix:
+        """`linalg.kernel_basis` of the matrix, eliminated once per map: a
+        minimal cover certifies its surjectivity with it, and its Ω link is
+        the kernel it spans."""
+        return kernel_basis(self.matrix)
 
     def rank(self) -> int:
         return rank(self.matrix)
@@ -316,8 +329,11 @@ def projective_module(a: FDAlgebra, i: int) -> Module:
 
 
 def simple_module(a: FDAlgebra, i: int) -> Module:
-    """S_i: the top of the projective at vertex i."""
-    t, _ = top(projective_module(a, i))
+    """S_i: the top of the projective at vertex i.  It keeps the projection
+    P_i -> S_i as its minimal cover: the kernel is J P_i by construction."""
+    p = projective_module(a, i)
+    t, proj = top(p)
+    t.memo("cover", lambda: (p, proj))
     return t
 
 
@@ -326,6 +342,14 @@ def injective_module(a: FDAlgebra, i: int) -> Module:
     once per algebra)."""
     return a.memo(("injective_module", i),
                   lambda: dual(projective_module(a.op, i)))
+
+
+def cartan_matrix(a: FDAlgebra) -> list[list[int]]:
+    """Entry (i,j) = dim e_j A e_i: the multiplicity of the simple S_j in the
+    projective P_i (for a path algebra, the number of paths i -> j).  Row i
+    is the dimension vector of P_i."""
+    return [list(projective_module(a, i).vertex_dims())
+            for i in range(len(a.idempotents))]
 
 
 def dual(m: Module) -> Module:
@@ -396,18 +420,26 @@ def submodule(x: Module, basis: Matrix, known_invariant: bool = False):
     radicals, socles); then each matrix is built on first read."""
     a = x.algebra
     coords = _left_inverse(basis) if basis.cols else Matrix(a.field, 0, x.dim)
-    acts = x.action
     if known_invariant:
-        action = _Actions(a.dim, lambda b: coords @ (acts[b] @ basis))
-    else:
-        action = []
-        for b in range(a.dim):
-            img = acts[b] @ basis
-            act = coords @ img
-            if basis @ act != img:
-                raise ValueError("span is not action-invariant")
-            action.append(act)
+        return _invariant_submodule(x, basis, coords)
+    action = []
+    for b in range(a.dim):
+        img = x.action[b] @ basis
+        act = coords @ img
+        if basis @ act != img:
+            raise ValueError("span is not action-invariant")
+        action.append(act)
     sub = Module(a, basis.cols, action, check=False)
+    return sub, ModuleMap(sub, x, basis, check=False)
+
+
+def _invariant_submodule(x: Module, basis: Matrix, coords: Matrix):
+    """(sub, inclusion) for a span known to be invariant, given coordinates
+    with coords @ basis = I; each action matrix is built on first read."""
+    acts = x.action
+    sub = Module(x.algebra, basis.cols,
+                 _Actions(x.algebra.dim, lambda b: coords @ (acts[b] @ basis)),
+                 check=False)
     return sub, ModuleMap(sub, x, basis, check=False)
 
 
@@ -430,8 +462,10 @@ def quotient_module(x: Module, sub_basis: Matrix):
 
 
 def kernel(fmap: ModuleMap):
-    return submodule(fmap.source, kernel_basis(fmap.matrix),
-                     known_invariant=True)
+    """(ker, inclusion) on the map's kept kernel basis, whose rows at the
+    free columns are unit vectors: they give the coordinates, with no solve."""
+    kb = fmap.kernel_basis()
+    return _invariant_submodule(fmap.source, kb, kernel_coords(kb))
 
 
 def cokernel(fmap: ModuleMap):
@@ -629,8 +663,8 @@ def top(m: Module):
 
 def socle(m: Module):
     """(soc M, inclusion): the common kernel of the arrows' actions."""
-    big = vstack_all(m.algebra.field, _radical_actions(m), m.dim)
-    return submodule(m, kernel_basis(big), known_invariant=True)
+    kb = kernel_basis(vstack_all(m.algebra.field, _radical_actions(m), m.dim))
+    return _invariant_submodule(m, kb, kernel_coords(kb))
 
 
 # -- covers, envelopes, resolutions ---------------------------------------------
@@ -644,7 +678,14 @@ def projective_cover(m: Module):
     outside JM plus the spans A w' of the w' kept before.  Over a basic
     algebra A = span(e_i) + J, so A w' + JM = k w' + JM and only w' joins
     the span; otherwise w' is closed under every basis element.  The choice
-    depends only on the subspace JM.  Kernel inside JP is certified."""
+    depends only on the subspace JM.  With one generator at v, P is the
+    algebra's own P_v, and shares its memo.
+
+    The epi is certified onto by the rank of its kept kernel basis, which
+    `omega` then spans.  Minimality, kernel inside JP = ⊕ J P_v, is
+    certified by each block of that basis vanishing under the projection
+    P_v -> top P_v, which the algebra's P_v keeps: a check of the radicals
+    of the P_v, independent of JM and of the greedy choice."""
     return m.memo("cover", lambda: _minimal_cover(m))
 
 
@@ -675,17 +716,23 @@ def _minimal_cover(m: Module):
             break
     if covered.dim() != m.dim:
         raise CertificateFailed("top not covered: missing generators")
-    p, _, _ = direct_sum([projective_module(a, v) for v, _ in chosen])
+    summands = [projective_module(a, v) for v, _ in chosen]
+    p = summands[0] if len(summands) == 1 else direct_sum(summands)[0]
     epi = _from_generators(p, m, [wm for _, wm in chosen])[0]
-    kb = kernel_basis(epi.matrix)
+    kb = epi.kernel_basis()
     if p.dim - kb.cols != m.dim:  # rank-nullity: the rank is dim M
         raise CertificateFailed("cover map is not surjective")
-    # minimality: kernel inside rad P
-    if kb.cols:
-        jp = _radical_span(p)
-        if rank(hstack_all(f, [jp, kb], p.dim)) != jp.cols:
+    off = 0
+    for s in summands if kb.cols else ():  # minimality: kernel inside JP
+        if not (_top_projection(s) @ kb.block(off, 0, s.dim, kb.cols)).is_zero():
             raise CertificateFailed("cover kernel escapes the radical")
+        off += s.dim
     return p, epi
+
+
+def _top_projection(p: Module) -> Matrix:
+    """The matrix of P -> top P, kept on P; its kernel is JP."""
+    return p.memo("top_projection", lambda: top(p)[1].matrix)
 
 
 def injective_envelope(m: Module):

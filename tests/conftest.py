@@ -1,7 +1,17 @@
 import random
 
 import fdhom.modules as modules
+from fdhom.algebra import _SpanReducer
 from fdhom.linalg import Matrix
+
+
+def cartan_from_structure_constants(a):
+    """Entry (i,j) = dim e_j A e_i, the span of e_j b_k e_i over the basis
+    b_k, read off the structure constants with no module built: an oracle
+    for `modules.cartan_matrix`, which reads the projectives."""
+    return [[_SpanReducer(a.field, [
+        a.multiply(ej, a.multiply(a.basis_vec(k), ei)) for k in range(a.dim)],
+        a.dim).dim() for ej in a.idempotents] for ei in a.idempotents]
 
 
 def random_module(a, rng: random.Random, max_copies: int = 3):

@@ -11,13 +11,13 @@ from fdhom.algebra import (
     Quiver,
     _crt_idempotent,
     build_path_algebra,
-    cartan_matrix,
     opposite,
     primitive_idempotents,
     quotient_by_idempotent_ideal,
 )
 from fdhom.errors import BadRelation, NotAdmissible
 from fdhom.linalg import GF, QQ, Matrix, rank
+from fdhom.modules import cartan_matrix
 from fdhom.presets import (
     loop_algebra,
     path_algebra_a_n,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fdhom.cli import main
+from fdhom.cli import build_parser, main
 
 KA2 = {
     "version": 1,
@@ -71,6 +71,21 @@ def test_invariants_ka2(tmp_path, capsys):
     assert doc["verdicts"]["dim"] == 3
     assert doc["verdicts"]["cartan"] == [[1, 1], [0, 1]]
     assert doc["verdicts"]["mn_table"]["1,2"] is False
+
+
+def test_the_parser_is_built_once_and_each_parse_starts_fresh(tmp_path,
+                                                              capsys):
+    # one parser per process: a later call sees none of an earlier call's
+    # options, and the defaults are the same objects, never written to
+    assert build_parser() is build_parser()
+    path = write(tmp_path, "ka2.json", KA2)
+    _, first, _ = run(capsys, ["invariants", path, "--cap", "3",
+                               "--mn-bound", "2"])
+    _, again, _ = run(capsys, ["invariants", path])
+    assert first["caps"] == {"cap": 3} and len(first["verdicts"]["mn_table"]) == 4
+    assert again["caps"] == {"cap": 16} and len(again["verdicts"]["mn_table"]) == 16
+    args = build_parser().parse_args(["orthogonal", path, "--n", "1"])
+    assert args.members == [] and args.fn.__name__ == "cmd_orthogonal"
 
 
 def test_invariants_semisimple(tmp_path, capsys):

@@ -1,4 +1,3 @@
-from fdhom.algebra import cartan_matrix
 from fdhom.endalg import (
     end_algebra,
     module_over_end,
@@ -7,6 +6,7 @@ from fdhom.endalg import (
 )
 from fdhom.homology import ext_dim, star_module
 from fdhom.modules import (
+    cartan_matrix,
     hom_basis,
     hom_coords,
     hom_dim,

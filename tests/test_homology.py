@@ -485,18 +485,65 @@ def test_dim_report_reads_the_opposite_side_where_a_holds(monkeypatch):
         {(4, n) for n in range(1, 5)}
 
 
+def _square_zero_two_loops():
+    """k<x, y>/(x, y)^2: local, wild, of infinite global and injective
+    dimension; the syzygies of its simple double in size."""
+    q = Quiver.make(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    return build_path_algebra(q, [
+        PathExpr.make([(1, p)])
+        for p in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"])])
+
+
 @pytest.mark.parametrize("mn_bound", [1, 2, 4])
 def test_dim_report_builds_no_term_past_the_per_pair_route(mn_bound,
                                                            monkeypatch):
     # k<x, y>/(x, y)^2 is not Gorenstein: its cosyzygies double in size,
     # and its profile fails at degree 1, so terms past mn_bound would be
     # built for nothing
-    q = Quiver.make(["1"], [("x", "1", "1"), ("y", "1", "1")])
-
-    def make():
-        return build_path_algebra(q, [
-            PathExpr.make([(1, p)])
-            for p in (["x", "x"], ["x", "y"], ["y", "x"], ["y", "y"])])
-
-    rep = _check_against_the_per_pair_route(make, 3, mn_bound, monkeypatch)
+    rep = _check_against_the_per_pair_route(_square_zero_two_loops, 3,
+                                            mn_bound, monkeypatch)
     assert (rep.gorenstein_profile, rep.indeterminate) == (0, True)
+
+
+def _below(p, bound) -> bool:
+    return not isinstance(p, AtLeastCap) and p < bound
+
+
+def _term_verdicts(a, cap, by_pd, mn_bound=4):
+    """The (m, n) table and the Gorenstein degrees on a's coresolution terms:
+    from `mn_condition` and `n_gorenstein`, or, when by_pd, from the route
+    they replaced, the pd of each term resolved up to cap."""
+    terms = injective_coresolution_terms(a, max(cap, mn_bound))
+    if by_pd:
+        pds = [pd(t, cap) for t in terms]
+        mn = {(m, n): all(_below(p, m) for p in pds[:n])
+              for m in range(1, min(cap, mn_bound) + 1)
+              for n in range(1, mn_bound + 1)}
+        gor = [all(_below(p, i + 1) for i, p in enumerate(pds[:n]))
+               for n in range(1, cap + 1)]
+    else:
+        mn = {(m, n): mn_condition(terms, m, n, cap)
+              for m in range(1, min(cap, mn_bound) + 1)
+              for n in range(1, mn_bound + 1)}
+        gor = [n_gorenstein(terms, n, cap) for n in range(1, cap + 1)]
+    return mn, gor
+
+
+@pytest.mark.parametrize("cap", [1, 3, 5])
+@pytest.mark.parametrize("name", sorted(DIM_REPORT_ALGEBRAS) + ["two_loops"])
+def test_pd_below_a_bound_walks_no_further_than_it_needs(name, cap,
+                                                         monkeypatch):
+    # pd < m needs Ω^m = 0 only, not a resolution up to the cap: the same
+    # verdicts as the pd route, from no more covers
+    make = DIM_REPORT_ALGEBRAS.get(name, _square_zero_two_loops)
+    covered, _ = _recording_builds(monkeypatch)
+    got = {}
+    for by_pd in (False, True):
+        a = make()
+        injective_coresolution_terms(a, max(cap, 4))
+        covered.clear()
+        got[by_pd] = _term_verdicts(a, cap, by_pd), len(covered)
+    assert got[False][0] == got[True][0]
+    assert got[False][1] <= got[True][1]
+    if name == "two_loops" and cap > 1:
+        assert got[False][1] < got[True][1]

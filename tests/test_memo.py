@@ -158,3 +158,26 @@ def test_algebras_and_modules_share_one_memo_and_declare_no_cache_slot():
     assert issubclass(FDAlgebra, Memo) and issubclass(Module, Memo)
     assert "memo" not in vars(FDAlgebra) and "memo" not in vars(Module)
     assert all(not name.startswith("_") for name in Module.__slots__)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dual(regular_module(nakayama_a_n(6, 3))),
+    lambda: simple_module(preprojective_a_n(3), 0),
+], ids=["greedy_cover", "simple"])
+def test_a_cover_and_its_omega_link_eliminate_once(make, monkeypatch):
+    # the kernel basis that certifies the cover onto is kept on its epi, and
+    # Ω m is the span of that basis; a simple's kept cover has not eliminated
+    # yet, so its Ω link does it
+    m = make()
+    calls = []
+    eliminate = modules.kernel_basis
+
+    def counted(mat):
+        calls.append(mat)
+        return eliminate(mat)
+
+    monkeypatch.setattr(modules, "kernel_basis", counted)
+    projective_cover(m)
+    om, incl = omega(m)
+    assert om.dim > 0 and len(calls) == 1
+    assert incl.matrix == eliminate(projective_cover(m)[1].matrix)

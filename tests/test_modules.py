@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from conftest import cartan_from_structure_constants
 
-from fdhom.algebra import cartan_matrix
 from fdhom.errors import CertificateFailed
 from fdhom.homology import injective_coresolution_terms
 from fdhom.linalg import GF, QQ, Matrix, rank
 from fdhom.modules import (
     Module,
+    cartan_matrix,
     decompose,
     direct_sum,
     dual,
@@ -109,7 +110,8 @@ def test_hom_regular_regular():
 
 def test_hom_cartan_consistency():
     for a in [path_algebra_a_n(3), preprojective_a_n(2)]:
-        c = cartan_matrix(a)
+        c = cartan_from_structure_constants(a)
+        assert cartan_matrix(a) == c
         n = len(a.idempotents)
         for i in range(n):
             for j in range(n):

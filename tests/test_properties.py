@@ -7,9 +7,8 @@ over two hundred modules with zero tolerance.
 
 import random
 
-from conftest import random_module
+from conftest import cartan_from_structure_constants, random_module
 
-from fdhom.algebra import cartan_matrix
 from fdhom.endalg import end_algebra, module_over_end_op
 from fdhom.homology import (
     costable_hom_dim,
@@ -21,6 +20,7 @@ from fdhom.homology import (
 )
 from fdhom.linalg import GF, Matrix, rank, solve
 from fdhom.modules import (
+    cartan_matrix,
     decompose,
     dual,
     hom_basis,
@@ -130,7 +130,8 @@ def test_cartan_yoneda_random():
             p = projective_module(a, v)
             assert hom_dim(p, m) == rank(m.act_vec(a.idempotents[v]))
     for name, a in CORPUS:
-        c = cartan_matrix(a)
+        c = cartan_from_structure_constants(a)
+        assert cartan_matrix(a) == c, name
         for i in range(len(a.idempotents)):
             for j in range(len(a.idempotents)):
                 assert hom_dim(projective_module(a, j),

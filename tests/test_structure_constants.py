@@ -28,7 +28,6 @@ from fdhom.algebra import (
     Quiver,
     _linear_combination,
     build_path_algebra,
-    cartan_matrix,
     opposite,
     primitive_idempotents,
     quotient_by_idempotent_ideal,
@@ -43,6 +42,7 @@ from fdhom.modules import (
     _nontrivial_idempotent_endo,
     _random_coeffs,
     _summand_element,
+    cartan_matrix,
     direct_sum,
     hom_basis,
     projective_module,
