@@ -193,13 +193,14 @@ def _check_mn(m: int, n: int, cap: int) -> None:
         raise ResolutionTruncated("cap below the pd threshold m")
 
 
-def mn_condition(terms: Sequence[Module], m: int, n: int, cap: int) -> bool:
+def mn_condition(terms: Sequence[Module], m: int, n: int) -> bool:
     """pd I_i < m for the first n of the coresolution terms `terms` (from
     `injective_coresolution_terms`, at least n of them).
 
-    pd < m is decided by a resolution of length m - 1, so `cap` is only
-    checked (cap >= m), never resolved to."""
-    _check_mn(m, n, cap)
+    pd < m is decided by a resolution of length m - 1, so no cap is needed;
+    `two_sided_mn` and `dim_report` check theirs before asking."""
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
     if len(terms) < n:
         raise ValueError("fewer coresolution terms than n")
     return not any(isinstance(pd(term, m - 1), AtLeastCap)
@@ -208,18 +209,15 @@ def mn_condition(terms: Sequence[Module], m: int, n: int, cap: int) -> bool:
 
 def two_sided_mn(a: FDAlgebra, m: int, n: int, cap: int) -> bool:
     _check_mn(m, n, cap)
-    return (mn_condition(injective_coresolution_terms(a, n), m, n, cap)
-            and mn_condition(injective_coresolution_terms(a.op, n), m, n, cap))
+    return (mn_condition(injective_coresolution_terms(a, n), m, n)
+            and mn_condition(injective_coresolution_terms(a.op, n), m, n))
 
 
-def n_gorenstein(terms: Sequence[Module], n: int, cap: int) -> bool:
+def n_gorenstein(terms: Sequence[Module], n: int) -> bool:
     """pd I_i <= i for i < n along the coresolution terms `terms` (from
     `injective_coresolution_terms`, at least n of them).
 
-    pd <= i is decided by a resolution of length i, so `cap` is only
-    checked (cap >= n), never resolved to."""
-    if cap < n:
-        raise ResolutionTruncated("cap below the requested Gorenstein degree")
+    pd <= i is decided by a resolution of length i, so no cap is needed."""
     if len(terms) < n:
         raise ValueError("fewer coresolution terms than n")
     return not any(isinstance(pd(term, i), AtLeastCap)
@@ -391,15 +389,15 @@ def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
         if cap < m:
             indet = True
         else:
-            table[(m, n)] = mn_condition(terms, m, n, cap)
+            table[(m, n)] = mn_condition(terms, m, n)
     reach = max((n for (_, n), ok in table.items() if ok), default=0)
     terms_op = injective_coresolution_terms(a.op, reach) if reach else []
     for (m, n), ok in table.items():
         if ok:
-            table[(m, n)] = mn_condition(terms_op, m, n, cap)
+            table[(m, n)] = mn_condition(terms_op, m, n)
     profile: object = 0
     for n in range(1, cap + 1):
-        if not n_gorenstein(injective_coresolution_terms(a, n), n, cap):
+        if not n_gorenstein(injective_coresolution_terms(a, n), n):
             profile = n - 1
             break
     else:

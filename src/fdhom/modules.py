@@ -28,7 +28,8 @@ keeps its dual D(A), a simple module S_v the projection from P_v as its
 cover, and a map its kernel basis, so a cover and its Ω link eliminate once.
 Resolutions, `syzygy`, `cosyzygy` (D syzygy D) and the coresolution of A (D
 of the Ω chain of D(A), in `homology`) walk the Ω links, so each kernel is
-built once.
+built once, and each link is certified exact once, by `_certify_exact`: the
+one exactness certificate, which the almost split sequences use too.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -47,6 +48,7 @@ projectives of an endomorphism algebra).  `decompose` splits End(x) with
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fdhom.algebra import (
@@ -747,56 +749,76 @@ def injective_envelope(m: Module):
     return env, mono
 
 
-class Resolution:
-    """A minimal projective resolution: aug: modules[0] -> M and
-    maps[i]: modules[i+1] -> modules[i]."""
+def _exact_from_left(dims, ranks) -> bool:
+    """Is 0 -> V_0 -> V_1 -> ... -> V_last exact at every term but the last,
+    with dims[k] = dim V_k and ranks[k] the rank of the map out of V_k?"""
+    prev = 0
+    for d, r in zip(dims, ranks):
+        if r != d - prev:
+            return False
+        prev = r
+    return True
 
-    def __init__(self, target: Module, modules, maps, aug, truncated_at=None):
-        self.target = target
-        self.modules = modules
-        self.maps = maps
-        self.aug = aug
-        self.truncated_at = truncated_at
-        self._check_exact()
+
+def _certify_exact(maps: Sequence[ModuleMap], what: str) -> None:
+    """Certify 0 -> M_0 -> M_1 -> ... -> M_k -> 0 exact for composable maps
+    f_i: M_i -> M_{i+1}, or raise CertificateFailed(what).
+
+    Consecutive composites vanish, so image f_i lies in ker f_{i+1}; with
+    rank f_i + rank f_{i+1} = dim M_{i+1} the two have one dimension, the
+    first map is injective and the last onto.  The ranks come from a fresh
+    elimination of each map, not from the one that built a kernel."""
+    ranks = [f.rank() for f in maps]
+    if not (all(f.then(g).is_zero() for f, g in zip(maps, maps[1:]))
+            and _exact_from_left([f.source.dim for f in maps], ranks)
+            and ranks[-1] == maps[-1].target.dim):
+        raise CertificateFailed(what)
+
+
+def omega(m: Module):
+    """(Ω m, inclusion): the kernel of m's minimal projective cover, kept
+    on m next to the cover, with its link 0 -> Ω m -> P -> m -> 0 certified
+    exact once.  Resolutions, `syzygy`, `cosyzygy` and τ_n walk these links;
+    Ω(P ⊕ N) ≅ Ω N for projective P."""
+
+    def build():
+        q = projective_cover(m)[1]
+        link = kernel(q)
+        _certify_exact([link[1], q], "Ω link is not exact")
+        return link
+
+    return m.memo("omega", build)
+
+
+@dataclass
+class Resolution:
+    """A minimal projective resolution ... -> P_1 -> P_0 of a module:
+    `modules` are P_0..P_L and maps[i]: P_{i+1} -> P_i.
+
+    It is spliced from the Ω links of `omega`, each certified short exact
+    there, and checks nothing itself.  With Ω^0 the module, link i is
+    0 -> Ω^{i+1} -> P_i -> Ω^i -> 0, with q_i: P_i -> Ω^i onto and
+    incl_i: Ω^{i+1} -> P_i into.
+    - The differential d_i: P_i -> P_{i-1} is q_i then incl_{i-1}, so
+      image d_i = Ω^i, as q_i is onto; the kernel of d_{i-1} is that of
+      q_{i-1}, as incl_{i-2} is into, and that is Ω^i.  So the resolution
+      is exact at every P_{i-1}, and q_0 is onto the module.
+    - It terminates exactly when the last Ω is 0: the kernel of the last
+      differential is that Ω.  Otherwise truncated_at is the cap."""
+
+    modules: list
+    maps: list
+    truncated_at: Optional[int]
 
     @property
     def length(self) -> int:
         return len(self.modules) - 1
 
-    def _check_exact(self):
-        # consecutive composites vanish and ranks account for exactness
-        if not self.modules:
-            return
-        seq = [self.aug] + self.maps
-        for i in range(len(seq) - 1):
-            if not seq[i + 1].then(seq[i]).is_zero():
-                raise CertificateFailed("composite not zero in resolution")
-        prev_rank = self.aug.rank()
-        if prev_rank != self.target.dim:
-            raise CertificateFailed("augmentation fails at the resolved module")
-        for i, d in enumerate(self.maps):
-            rk = d.rank()
-            if rk != self.modules[i].dim - prev_rank:
-                raise CertificateFailed("resolution not exact")
-            prev_rank = rk
-        if self.truncated_at is None:
-            # termination: exact at the last term as well
-            if prev_rank != self.modules[-1].dim:
-                raise CertificateFailed("resolution does not terminate exactly")
-
-
-def omega(m: Module):
-    """(Ω m, inclusion): the kernel of m's minimal projective cover, kept
-    on m next to the cover.  Resolutions, `syzygy`, `cosyzygy` and τ_n walk
-    these links; Ω(P ⊕ N) ≅ Ω N for projective P."""
-    return m.memo("omega", lambda: kernel(projective_cover(m)[1]))
-
 
 def min_proj_resolution(m: Module, cap: int) -> Resolution:
     """Iterated minimal covers along the Ω links; terms P_0..P_L with
     L <= cap."""
-    p0, aug = projective_cover(m)
-    modules = [p0]
+    modules = [projective_cover(m)[0]]
     maps = []
     cur, incl = omega(m)
     for _ in range(cap):
@@ -806,8 +828,7 @@ def min_proj_resolution(m: Module, cap: int) -> Resolution:
         maps.append(q.then(incl))
         modules.append(p)
         cur, incl = omega(cur)
-    return Resolution(m, modules, maps, aug,
-                      truncated_at=cap if cur.dim else None)
+    return Resolution(modules, maps, cap if cur.dim else None)
 
 
 # -- projectivity, stripping projective summands -------------------------------

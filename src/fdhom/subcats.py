@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fdhom.algebra import FDAlgebra, _SpanReducer, _linear_combination
+from fdhom.algebra import FDAlgebra, _linear_combination
 from fdhom.endalg import EndData, end_algebra, module_over_end
 from fdhom.errors import (
     CapExceeded,
@@ -36,6 +36,8 @@ from fdhom.modules import (
     Module,
     ModuleMap,
     _approximation_chain,
+    _certify_exact,
+    _exact_from_left,
     _map_span,
     _nontrivial_idempotent_endo,
     _rad_end_basis,
@@ -255,10 +257,7 @@ def almost_split_sequence(z: Module) -> AlmostSplitSeq:
         [incl_tz, e_to_z],
         [not _splits(incl_tz, True), not epi_splits],
     )
-    if not incl_tz.is_injective() or not e_to_z.is_surjective():
-        raise CertificateFailed("pushout sequence not exact at the ends")
-    if incl_tz.rank() + e_to_z.rank() != mid.dim:
-        raise CertificateFailed("pushout sequence not exact in the middle")
+    _certify_exact(seq.maps, "pushout sequence is not exact")
     if epi_splits:
         raise CertificateFailed("almost split sequence splits")
     return seq
@@ -392,15 +391,7 @@ def n_almost_split(gens: Sequence[Module], x_index: int, n: int,
         _map_in_radical(mp, rev_summands[k], rev_summands[k + 1], data)
         for k, mp in enumerate(maps_seq)
     ]
-    # exactness of the module sequence 0 -> Y -> ... -> X -> 0
-    ranks = [m.rank() for m in maps_seq]
-    if not maps_seq[0].is_injective():
-        raise CertificateFailed("transported sequence not exact at Y")
-    for k in range(1, len(maps_seq)):
-        if ranks[k] != terms_seq[k].dim - ranks[k - 1]:
-            raise CertificateFailed("transported sequence not exact")
-    if ranks[-1] != terms_seq[-1].dim:
-        raise CertificateFailed("transported sequence not onto X")
+    _certify_exact(maps_seq, "transported sequence is not exact")
     return AlmostSplitSeq(n, terms_seq, maps_seq, rad_flags)
 
 
@@ -446,7 +437,7 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
         ranks = [_map_span(f, mp.target.dim, w.dim, [
             mp.matrix @ u.matrix for u in hs]).dim()
             for mp, hs in zip(seq.maps, homs)]
-        if not (_exact_from_left(homs, ranks)
+        if not (_exact_from_left(map(len, homs), ranks)
                 and ranks[-1] == _radical_hom_dim(w, x, len(homs[-1]))):
             return False
     for w in gens:
@@ -454,20 +445,9 @@ def hom_sequences_exact(seq: AlmostSplitSeq, gens: Sequence[Module]) -> bool:
         ranks = [_map_span(f, w.dim, mp.source.dim, [
             u.matrix @ mp.matrix for u in hs]).dim()
             for mp, hs in zip(reversed(seq.maps), homs)]
-        if not (_exact_from_left(homs, ranks)
+        if not (_exact_from_left(map(len, homs), ranks)
                 and ranks[-1] == _radical_hom_dim(y, w, len(homs[-1]))):
             return False
-    return True
-
-
-def _exact_from_left(homs, ranks) -> bool:
-    """Is 0 -> H_0 -> H_1 -> ... -> H_last exact at every term but the last,
-    with homs[k] a basis of H_k and ranks[k] the rank of the map out of it?"""
-    prev = 0
-    for hs, r in zip(homs, ranks):
-        if r != len(hs) - prev:
-            return False
-        prev = r
     return True
 
 
@@ -626,24 +606,23 @@ def _module_from_rep(a: FDAlgebra, dims, mats, arrow_ends) -> Module:
 def ar_quiver(gens: Sequence[Module], n: int,
               data: Optional[EndData] = None,
               labels: Optional[list[str]] = None) -> QuiverGraph:
-    """Arrow multiplicities d_XY = dim J/J^2 (X, Y) inside End(⊕gens), plus
-    dotted tau_n arrows on non-projective vertices."""
+    """Arrow multiplicities d_XY = dim J/J^2 (X, Y) inside Γ = End(⊕gens),
+    plus dotted tau_n arrows on non-projective vertices.
+
+    Maps X_i -> X_j live in e_i Γ e_j, and `homogeneous_generators` lifts a
+    basis of each e_w (J/J^2) e_v, one piece (v, w, g) per basis vector, so
+    d_ij counts the pieces with w = i and v = j."""
     if data is None:
         data = end_algebra(gens, check_indec=False)
     gamma = data.algebra
-    f = gamma.field
-    rad = gamma.radical_basis()
-    rad2 = [w for u in rad for v in rad if (w := gamma.multiply(u, v))]
-
-    def sandwich_dim(ei, vecs, ej):
-        """dim of the span of the e_i u e_j, u in vecs; maps X_i -> X_j live
-        in e_i Γ e_j under this product."""
-        return _SpanReducer(f, [gamma.multiply(gamma.multiply(ei, u), ej)
-                                for u in vecs], gamma.dim).dim()
-
-    idems = gamma.idempotents
-    mult = [[sandwich_dim(ei, rad, ej) - sandwich_dim(ei, rad2, ej) for ej in idems]
-            for ei in idems]
+    arrows = gamma.homogeneous_generators()
+    if arrows is None:
+        raise PreconditionFailed("End(⊕gens) has no arrows: its top is not "
+                                 "a product of copies of the field")
+    r = len(gamma.idempotents)
+    mult = [[0] * r for _ in range(r)]
+    for v, w, _ in arrows:
+        mult[w][v] += 1
     dotted = {}
     for i, g in enumerate(gens):
         if projective_vertices(g) is not None:

@@ -142,21 +142,21 @@ def test_mn_condition_definitional_identity():
         dd = domdim(a, 8)
         for n in range(1, 5):
             want = (dd.cap >= n) if isinstance(dd, AtLeastCap) else (dd >= n)
-            assert mn_condition(injective_coresolution_terms(a, n), 1, n, 8) == want
+            assert mn_condition(injective_coresolution_terms(a, n), 1, n) == want
 
 
 def test_mn_a2_fails_12():
     a = path_algebra_a_n(2)
-    assert not mn_condition(injective_coresolution_terms(a, 2), 1, 2, 8)
+    assert not mn_condition(injective_coresolution_terms(a, 2), 1, 2)
 
 
 def test_gorenstein():
     a = preprojective_a_n(2)
     for n in range(1, 5):
-        assert n_gorenstein(injective_coresolution_terms(a, n), n, 8)
+        assert n_gorenstein(injective_coresolution_terms(a, n), n)
     b = path_algebra_a_n(2)
-    assert n_gorenstein(injective_coresolution_terms(b, 1), 1, 8)
-    assert n_gorenstein(injective_coresolution_terms(b, 2), 2, 8)
+    assert n_gorenstein(injective_coresolution_terms(b, 1), 1)
+    assert n_gorenstein(injective_coresolution_terms(b, 2), 2)
 
 
 def test_gorenstein_follows_domdim():
@@ -164,7 +164,7 @@ def test_gorenstein_follows_domdim():
         dd = domdim(a, 6)
         bound = dd.cap if isinstance(dd, AtLeastCap) else dd
         for n in range(1, min(bound, 4) + 1):
-            assert n_gorenstein(injective_coresolution_terms(a, n), n, 6)
+            assert n_gorenstein(injective_coresolution_terms(a, n), n)
 
 
 def test_grade():
@@ -298,8 +298,8 @@ DIM_REPORT_ALGEBRAS = {
 def _dim_report_by_pairs(a, cap, mn_bound=4):
     """The per-pair route: `two_sided_mn` for every (m, n), a Gorenstein
     loop that asks for the coresolution afresh for every degree, and the
-    Gorenstein certificate from the projective resolution of D(A), which
-    `Resolution` certifies exact."""
+    Gorenstein certificate from the projective resolution of D(A), spliced
+    from Ω links that `omega` certifies exact."""
     indet = False
     table = {}
     for m in range(1, mn_bound + 1):
@@ -310,7 +310,7 @@ def _dim_report_by_pairs(a, cap, mn_bound=4):
                 table[(m, n)] = None
                 indet = True
     for n in range(1, cap + 1):
-        if not n_gorenstein(injective_coresolution_terms(a, n), n, cap):
+        if not n_gorenstein(injective_coresolution_terms(a, n), n):
             profile = n - 1
             break
     else:
@@ -471,8 +471,8 @@ def test_dim_report_reads_the_opposite_side_where_a_holds(monkeypatch):
     checked = []
     counted = fdhom.homology.mn_condition
 
-    def recording(terms, m, n, cap):
-        ok = counted(terms, m, n, cap)
+    def recording(terms, m, n):
+        ok = counted(terms, m, n)
         checked.append((terms[0].algebra is a.op, (m, n), ok))
         return ok
 
@@ -522,10 +522,10 @@ def _term_verdicts(a, cap, by_pd, mn_bound=4):
         gor = [all(_below(p, i + 1) for i, p in enumerate(pds[:n]))
                for n in range(1, cap + 1)]
     else:
-        mn = {(m, n): mn_condition(terms, m, n, cap)
+        mn = {(m, n): mn_condition(terms, m, n)
               for m in range(1, min(cap, mn_bound) + 1)
               for n in range(1, mn_bound + 1)}
-        gor = [n_gorenstein(terms, n, cap) for n in range(1, cap + 1)]
+        gor = [n_gorenstein(terms, n) for n in range(1, cap + 1)]
     return mn, gor
 
 

@@ -7,12 +7,13 @@ package, sympy imported in one place only and neither sympy nor numpy
 loaded by importing the package, the CRT idempotent called only by the
 one idempotent splitter, one chain of Ω links (`strip_projectives` called
 only by `syzygy`, a projective cover's kernel taken only by `omega`, and no
-cokernel in `homology` but the transpose's),
-`Fraction` named only where QQ
-scalars are made or printed, no imported name left unused, no write
-through `Matrix.data` (a dense copy, so such a write is silently lost),
-package imports at module level outside the CLI, and no private attribute
-written from outside its own object.
+cokernel in `homology` but the transpose's), one exactness certificate
+(`ModuleMap.rank` read only by `_certify_exact`, `is_injective` and
+`is_surjective`), `Fraction` named only where QQ scalars are made or
+printed, no imported name left unused, no write through `Matrix.data` (a
+dense copy, so such a write is silently lost), package imports at module
+level outside the CLI, and no private attribute written from outside its
+own object.
 """
 
 import ast
@@ -200,6 +201,19 @@ def test_only_transpose_takes_a_cokernel_in_homology():
     # coresolution of A has one route and no envelope/cokernel loop
     assert [fn for fn in _callers({"cokernel"})
             if fn.startswith("homology.py:")] == ["homology.py:transpose"]
+
+
+def test_module_map_rank_is_read_only_by_the_exactness_certificate():
+    # exactness has one certificate, `_certify_exact`, run once per Ω link;
+    # a rank read anywhere else would be a second, hand-written check
+    found = sorted({f"{name}:{fname}" for name, tree in TREES.items()
+                    for fname, fn in _definitions(tree)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "rank"})
+    assert found == ["modules.py:_certify_exact", "modules.py:is_injective",
+                     "modules.py:is_surjective"]
 
 
 def test_importing_the_package_loads_neither_numpy_nor_sympy():

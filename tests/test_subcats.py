@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from fdhom.algebra import _SpanReducer
+from fdhom.endalg import end_algebra
 from fdhom.errors import PreconditionFailed
 from fdhom.homology import domdim, ext_dim, gldim, tau_n
 from fdhom.linalg import GF
@@ -39,6 +41,8 @@ from fdhom.subcats import (
     verify_almost_split,
     in_perp_t,
 )
+from test_cover_span import gaussian_rationals
+from test_instances import d4_subspace_algebra
 
 
 def preproj_parts(a):
@@ -370,6 +374,45 @@ def test_ar_quiver_semisimple():
     q = ar_quiver(inds, 1)
     assert q.arrow_mult == [[0]]
     assert q.dotted == {}
+
+
+def _sandwich_arrow_mult(gamma):
+    """The arrow multiplicities dim e_i J e_j - dim e_i J^2 e_j, with J^2
+    spanned by the products of radical basis elements: an oracle for
+    `ar_quiver` that does not go through `homogeneous_generators`."""
+    rad = gamma.radical_basis()
+    rad2 = [w for u in rad for v in rad if (w := gamma.multiply(u, v))]
+
+    def sandwich_dim(ei, vecs, ej):
+        return _SpanReducer(gamma.field, [
+            gamma.multiply(gamma.multiply(ei, u), ej) for u in vecs],
+            gamma.dim).dim()
+
+    idems = gamma.idempotents
+    return [[sandwich_dim(ei, rad, ej) - sandwich_dim(ei, rad2, ej)
+             for ej in idems] for ei in idems]
+
+
+@pytest.mark.parametrize("make, arrows", [
+    (lambda: path_algebra_a_n(4), 12),
+    (d4_subspace_algebra, 15),
+    (lambda: preprojective_a_n(2), 4),
+    (lambda: preprojective_a_n(3), 18),
+])
+def test_ar_quiver_arrows_match_the_sandwich_route(make, arrows):
+    inds, complete = knit_indecomposables(make())
+    assert complete
+    data = end_algebra(inds, check_indec=False)
+    q = ar_quiver(inds, 1, data=data)
+    assert q.arrow_mult == _sandwich_arrow_mult(data.algebra)
+    assert sum(map(sum, q.arrow_mult)) == arrows
+
+
+def test_ar_quiver_needs_arrows_in_the_endomorphism_algebra():
+    # End of QQ(i) over itself is QQ(i): its top is not a product of copies
+    # of QQ, so it has no homogeneous generators to count
+    with pytest.raises(PreconditionFailed, match="no arrows"):
+        ar_quiver([regular_module(gaussian_rationals())], 1)
 
 
 def test_connecting_tilting_and_check():
