@@ -262,6 +262,10 @@ class FDAlgebra(Memo):
         together with these generate the algebra, or None when A/J is not
         split with one-dimensional blocks (then the idempotents do not span
         A/J and no such homogeneous set exists).
+
+        The pieces e_w g e_v of the radical basis span J, so J^2 is spanned
+        by their products; a product e_w g e_v e_w' g' e_v' is zero unless
+        v = w', so only the pieces that meet are multiplied.
         """
         rad = self.radical_basis()
         if self.dim - len(rad) != len(self.idempotents):
@@ -276,8 +280,10 @@ class FDAlgebra(Memo):
                     piece = self.multiply(wg, ev)
                     if piece:
                         pieces.append((v, w, piece))
-        red = _SpanReducer(self.field, [self.multiply(x, y) for x in rad
-                                        for y in rad], self.dim)
+        red = _SpanReducer(self.field, [self.multiply(x, y)
+                                        for v, _, x in pieces
+                                        for _, w, y in pieces if v == w],
+                           self.dim)
         return [(v, w, g) for v, w, g in pieces if red.add(g)]
 
     @_memoized

@@ -53,6 +53,7 @@ from fdhom.modules import (
     iso,
     min_proj_resolution,
     projective_module,
+    projective_sum,
     projective_vertices,
     projective_vertices_among,
     regular_module,
@@ -202,13 +203,12 @@ def check_extension_pair(gamma: FDAlgebra, f_idems: Sequence[int],
     of P and an exact add(P)-resolution of I, each of length <= m."""
     p_parts = [projective_module(gamma, v) for v in f_idems]
     i_parts = [injective_module(gamma, v) for v in e_idems]
-    p_sum, _, _ = direct_sum(p_parts)
+    p_sum = projective_sum(gamma, tuple(f_idems))
     idp = injective_dim(p_sum, max(cap, m + 1))
     if isinstance(idp, AtLeastCap) or idp > m:
         return False
     # id of D I = eΓ as a right module
-    ei_parts = [projective_module(gamma.op, v) for v in e_idems]
-    ei_sum, _, _ = direct_sum(ei_parts)
+    ei_sum = projective_sum(gamma.op, tuple(e_idems))
     idv = injective_dim(ei_sum, max(cap, m + 1))
     if isinstance(idv, AtLeastCap) or idv > m:
         return False
@@ -217,7 +217,7 @@ def check_extension_pair(gamma: FDAlgebra, f_idems: Sequence[int],
     _, rest = _approximation_chain(p_sum, i_parts, m + 1, left=True)
     if rest is None or rest.dim:
         return False
-    _, rest = _approximation_chain(direct_sum(i_parts)[0], p_parts, m + 1)
+    _, rest = _approximation_chain(dual(ei_sum), p_parts, m + 1)
     return rest is not None and rest.dim == 0
 
 

@@ -22,7 +22,6 @@ from fdhom.modules import (
     _map_span,
     _summand_element,
     cokernel,
-    direct_sum,
     dual,
     hom_basis,
     hom_dim,
@@ -33,7 +32,7 @@ from fdhom.modules import (
     omega,
     projective_cover,
     projective_injective_vertices,
-    projective_module,
+    projective_sum,
     regular_module,
     simple_module,
     zero_module,
@@ -141,18 +140,28 @@ def injective_coresolution_terms(a: FDAlgebra, n_terms: int) -> list[Module]:
     """First terms I_0, ..., I_{n_terms-1} of the minimal injective
     coresolution of the regular module (zero modules once it stops).
 
-    I_k is the injective envelope of the cosyzygy D Ω^k D(A), read off the
-    Ω links of D(A) over A^op (`modules.omega`).  D(A) is kept on the
-    regular module, so each cover and kernel of the chain is built once per
-    algebra, however often or however far the terms are asked for."""
-    terms, cur = [], dual(regular_module(a))
+    A = ⊕_v A e_v, and a sum of minimal injective coresolutions is minimal:
+    the envelope of X ⊕ Y is the sum of theirs (its socle is soc X ⊕ soc Y),
+    and the cokernel of a sum of monos is the sum of their cokernels.  So
+    I_k is the sum over v of the envelopes of the cosyzygies D Ω^k D(A e_v),
+    read off the Ω links (`modules.omega`) of each D(A e_v) =
+    `injective_module(a.op, v)`: the chains that the pd of the injectives
+    of A^op and their projectivity tests walk too.  Its summands are listed
+    in vertex order, as the greedy cover of Ω^k D(A) lists them, and I_k is
+    the kept dual of one kept sum of projectives of A^op
+    (`modules.projective_sum`), so each cover and kernel of the chains is
+    built once per algebra, and each term once, however often or however
+    far the terms are asked for."""
+    chains = [injective_module(a.op, v) for v in range(len(a.idempotents))]
+    terms = []
     for k in range(n_terms):
         if k:
-            cur, _ = omega(cur)
-        if cur.dim == 0:  # no Ω link past the first zero module
-            break
-        terms.append(injective_envelope(dual(cur))[0])
-    return terms + [zero_module(a)] * (n_terms - len(terms))
+            chains = [omega(c)[0] for c in chains]
+        chains = [c for c in chains if c.dim]  # no Ω link past a zero module
+        verts = sorted(v for c in chains
+                       for v in injective_envelope(dual(c))[0].inj_summands)
+        terms.append(dual(projective_sum(a.op, tuple(verts))))
+    return terms
 
 
 def _ends_after(a: FDAlgebra, terms: Sequence[Module]) -> bool:
@@ -249,10 +258,7 @@ def star_module(p: Module) -> Module:
     """
     if p.proj_summands is None:
         raise ValueError("star_module needs a known sum of projectives")
-    a = p.algebra
-    if not p.proj_summands:
-        return zero_module(a.op)
-    return direct_sum([projective_module(a.op, v) for v, _ in p.proj_summands])[0]
+    return projective_sum(p.algebra.op, tuple(v for v, _ in p.proj_summands))
 
 
 def star_map(d: ModuleMap) -> ModuleMap:
@@ -377,9 +383,11 @@ def dim_report(a: FDAlgebra, cap: int, mn_bound: int = 4) -> DimReport:
     fail on A and never read A^op).  The Gorenstein profile asks for n terms
     at degree n, and dom.dim for one more term at a time, so no term is
     built past where the per-pair route stops; every request walks the same
-    kept Ω links of D(A).  The regular module and the injectives are one
-    object per algebra, so the projective-injective vertices reuse the
-    covers that the pd of each injective built."""
+    kept Ω links of the injectives D(A e_v) over A^op and returns the same
+    kept terms.  The injectives are one object per algebra, so the
+    coresolution of A reuses the covers and Ω links that the pd of the
+    injectives of A^op (for the terms of A^op) and the projective-injective
+    vertices of A^op build, and the other way round."""
     indet = False
     table = dict.fromkeys((m, n) for m in range(1, mn_bound + 1)
                           for n in range(1, mn_bound + 1))  # None: cap < m

@@ -19,17 +19,21 @@ approximations (D of a right approximation of D x).  A module is projective
 exactly when its minimal projective cover has its dimension, and
 `projective_vertices` reads the vertices of its summands off that cover;
 `projective_vertices(dual(m))` is the injectivity test.  What is kept per
-algebra (the regular module, the projectives P_i and injectives I_i, the
+algebra (the regular module, the projectives P_i, the sum of projectives of
+each vertex tuple, `projective_sum`, the injectives I_i, the
 projective-injective vertices) lives in the algebra's memo, and what is kept
 per module (generator action, vertex blocks, minimal cover, the Ω link to its
 kernel, the module a dual was built from, Ext values) in the module's own
-memo, dropped with it; both are an `algebra.Memo`.  The regular module also
-keeps its dual D(A), a simple module S_v the projection from P_v as its
-cover, and a map its kernel basis, so a cover and its Ω link eliminate once.
-Resolutions, `syzygy`, `cosyzygy` (D syzygy D) and the coresolution of A (D
-of the Ω chain of D(A), in `homology`) walk the Ω links, so each kernel is
-built once, and each link is certified exact once, by `_certify_exact`: the
-one exactness certificate, which the almost split sequences use too.
+memo, dropped with it; both are an `algebra.Memo`.  The regular module, each
+P_v and each kept sum of projectives also keep their duals, so covers with
+the same top share one P, and the envelopes dual to them one injective.  A
+simple module S_v keeps the projection from P_v as its cover, and a map its
+kernel basis, so a cover and its Ω link eliminate once.  Resolutions, `syzygy`,
+`cosyzygy` (D syzygy D) and the coresolution of A (the sum of those of the
+A e_v, read off the Ω chains of the injectives D(A e_v) over A^op, in
+`homology`) walk the Ω links, so each kernel is built once, and each link is
+certified exact once, by `_certify_exact`: the one exactness certificate,
+which the almost split sequences use too.
 
 Private helpers carry the algorithms that the other layers share:
 `_map_span` is the span of flattened map matrices (the rank of a Hom complex,
@@ -304,7 +308,8 @@ def _left_inverse(basis: Matrix) -> Matrix:
 
 
 def projective_module(a: FDAlgebra, i: int) -> Module:
-    """P_i = A e_i with the left action (built once per algebra)."""
+    """P_i = A e_i with the left action (built once per algebra); it keeps
+    its dual, which is the injective of A^op at i."""
 
     def build():
         f, e = a.field, a.idempotents[i]
@@ -322,12 +327,35 @@ def projective_module(a: FDAlgebra, i: int) -> Module:
                     nz[row][k] = x
         action = [Matrix._of_nz(f, dim, dim, nz) for nz in rows]
         gen = (coords @ Matrix.from_columns(f, a.dim, [e])).col(0)
-        return Module(a, dim, action, check=False,
-                      proj_summands=[(i, gen)],
-                      coord_summand=[0] * dim,
-                      basis_elements=elements)
+        p = Module(a, dim, action, check=False,
+                   proj_summands=[(i, gen)],
+                   coord_summand=[0] * dim,
+                   basis_elements=elements)
+        p.memo("dual", lambda: dual(p))
+        return p
 
     return a.memo(("projective_module", i), build)
+
+
+def projective_sum(a: FDAlgebra, verts: tuple[int, ...]) -> Module:
+    """⊕ P_v over the vertex tuple verts, in its order: one object per
+    algebra and tuple, kept in the algebra's memo.  One vertex gives P_v
+    itself and none the zero module.  Like P_v, it keeps its dual, the sum
+    of the injectives of A^op at the same vertices: covers with the same
+    top share one P, and the envelopes and coresolution terms dual to them
+    one injective."""
+
+    def build():
+        if len(verts) == 1:
+            return projective_module(a, verts[0])
+        if verts:
+            s = direct_sum([projective_module(a, v) for v in verts])[0]
+        else:
+            s = zero_module(a)
+        s.memo("dual", lambda: dual(s))
+        return s
+
+    return a.memo(("projective_sum", verts), build)
 
 
 def simple_module(a: FDAlgebra, i: int) -> Module:
@@ -360,7 +388,8 @@ def dual(m: Module) -> Module:
     The result keeps m in its memo, so the dual of a dual is m itself,
     bookkeeping included; a known sum of projectives dualizes to the sum of
     the injectives at the same vertices.  Only the dual links back, m does
-    not keep d, except the regular module, which keeps D(A)."""
+    not keep d, except the modules kept per algebra that are sums of
+    projectives: the regular module, each P_v and each `projective_sum`."""
     source = m._memo.get("dual")
     if source is not None:
         return source
@@ -719,7 +748,7 @@ def _minimal_cover(m: Module):
     if covered.dim() != m.dim:
         raise CertificateFailed("top not covered: missing generators")
     summands = [projective_module(a, v) for v, _ in chosen]
-    p = summands[0] if len(summands) == 1 else direct_sum(summands)[0]
+    p = projective_sum(a, tuple(v for v, _ in chosen))
     epi = _from_generators(p, m, [wm for _, wm in chosen])[0]
     kb = epi.kernel_basis()
     if p.dim - kb.cols != m.dim:  # rank-nullity: the rank is dim M

@@ -348,21 +348,24 @@ def _recording_builds(monkeypatch):
 
 
 def _chain_builds(side, covered, kernels):
-    """(covers, kernels) built on the Ω chain of D(side): the coresolution
-    of side's regular module is read off that chain and nothing else."""
-    m, chain = dual(regular_module(side)), []
-    while True:
-        chain.append(m)
-        if m not in kernels:  # no Ω link kept past m
-            break
-        m = omega(m)[0]
+    """(covers, kernels) built on the Ω chains of the injectives D(A e_v) =
+    injective_module(side.op, v) over side^op: the coresolution of side's
+    regular module is read off those chains and nothing else."""
+    chain = []
+    for v in range(len(side.idempotents)):
+        m = injective_module(side.op, v)
+        while True:
+            chain.append(m)
+            if m not in kernels:  # no Ω link kept past m
+                break
+            m = omega(m)[0]
     return (sum(c in chain for c in covered), sum(k in chain for k in kernels))
 
 
 def _builds_per_side(route, make, monkeypatch):
     """route(a) on a fresh algebra from make(), and the covers and kernels
-    it built on each side's Ω chain of D(A): {is_opposite: (covers,
-    kernels)}."""
+    it built on each side's Ω chains of the D(A e_v): {is_opposite:
+    (covers, kernels)}."""
     covered, kernels = _recording_builds(monkeypatch)
     a = make()
     got = route(a)
@@ -372,8 +375,8 @@ def _builds_per_side(route, make, monkeypatch):
 
 def _check_against_the_per_pair_route(make, cap, mn_bound, monkeypatch):
     """dim_report, on an algebra from make(), gives the per-pair verdicts
-    and builds no more covers and no more kernels on either side's Ω chain
-    of D(A)."""
+    and builds no more covers and no more kernels on either side's Ω chains
+    of the D(A e_v)."""
     want, per_pair = _builds_per_side(
         lambda a: _dim_report_by_pairs(a, cap, mn_bound), make, monkeypatch)
     rep, builds = _builds_per_side(lambda a: dim_report(a, cap, mn_bound),
@@ -393,14 +396,16 @@ def test_dim_report_agrees_with_the_per_pair_route(name, cap, monkeypatch):
 
 
 def test_dim_report_builds_each_side_once(monkeypatch):
-    # kA_5 is hereditary: the coresolution of either side has two nonzero
-    # terms, so each side's chain D(A) ⊇ Ω D(A) ⊇ 0 has two covers and two
-    # kernels, however often the (m, n) table, the Gorenstein degrees up to
-    # 8 and domdim_report ask for its terms
+    # kA_5 is hereditary, and one of its five projectives is injective: on
+    # either side, the chain of each D(A e_v) is D(A e_v) ⊇ Ω D(A e_v) ⊇ 0,
+    # and Ω D(A e_v) = 0 for the one D(A e_v) that is projective over A^op.
+    # So each side builds 5 + 4 covers and 5 + 4 kernels on its chains,
+    # however often the (m, n) table, the Gorenstein degrees up to 8 and
+    # domdim_report ask for its terms
     rep, builds = _builds_per_side(lambda a: dim_report(a, 8),
                                    lambda: path_algebra_a_n(5), monkeypatch)
     assert rep.gorenstein_profile == AtLeastCap(8)
-    assert builds == {False: (2, 2), True: (2, 2)}
+    assert builds == {False: (9, 9), True: (9, 9)}
 
 
 def _coresolution_by_cokernels(a, n_terms):
@@ -438,11 +443,24 @@ def test_coresolution_terms_match_the_envelope_cokernel_loop(name):
             assert _same_terms(got, want[:n])
 
 
+def _nonzero_chain_levels(side, n):
+    """For k < n, the nonzero Ω^k D(A e_v) over side^op, in vertex order,
+    along the Ω links kept on the injectives injective_module(side.op, v)."""
+    levels = []
+    chain = [injective_module(side.op, v) for v in range(len(side.idempotents))]
+    for k in range(n):
+        if k:
+            chain = [omega(m)[0] for m in chain]
+        chain = [m for m in chain if m.dim]
+        levels.append(chain)
+    return levels
+
+
 @pytest.mark.parametrize("name", DIM_REPORT_ALGEBRAS)
 def test_extending_a_coresolution_matches_building_it_afresh(name,
                                                              monkeypatch):
     # asking for one more term at a time, as domdim_report does, builds
-    # only the cover and kernel behind each new nonzero term
+    # only the covers and kernels behind each new nonzero term
     make = DIM_REPORT_ALGEBRAS[name]
     covered, kernels = _recording_builds(monkeypatch)
     for opposite in (False, True):
@@ -453,10 +471,12 @@ def test_extending_a_coresolution_matches_building_it_afresh(name,
             kernels.clear()
             got = injective_coresolution_terms(side, n)
             if n:
-                # term n - 1 needs the cover of Ω^{n-1} D(A), and the kernel
-                # before it when n > 1, unless an earlier link was zero
-                assert len(covered) == (got[-1].dim > 0)
-                assert len(kernels) == (n > 1 and got[-2].dim > 0)
+                # term n - 1 needs the cover of each nonzero Ω^{n-1} D(A e_v),
+                # and, when n > 1, the Ω link of each nonzero Ω^{n-2} D(A e_v)
+                levels = _nonzero_chain_levels(side, n)
+                assert covered == levels[n - 1]
+                assert kernels == (levels[n - 2] if n > 1 else [])
+                assert (got[-1].dim > 0) == bool(levels[n - 1])
             fresh = make()
             assert _same_terms(got, injective_coresolution_terms(
                 fresh.op if opposite else fresh, n))

@@ -7,7 +7,8 @@ package, sympy imported in one place only and neither sympy nor numpy
 loaded by importing the package, the CRT idempotent called only by the
 one idempotent splitter, one chain of Ω links (`strip_projectives` called
 only by `syzygy`, a projective cover's kernel taken only by `omega`, and no
-cokernel in `homology` but the transpose's), one exactness certificate
+cokernel in `homology` but the transpose's), sums of projectives built only
+by `projective_sum`, one exactness certificate
 (`ModuleMap.rank` read only by `_certify_exact`, `is_injective` and
 `is_surjective`), `Fraction` named only where QQ scalars are made or
 printed, no imported name left unused, no write through `Matrix.data` (a
@@ -196,8 +197,16 @@ def test_only_omega_takes_the_kernel_of_a_projective_cover():
             if called == both] == ["modules.py:omega"]
 
 
+def test_only_projective_sum_passes_projectives_to_direct_sum():
+    # a sum of projectives is one object per algebra and vertex tuple, kept
+    # with its dual: covers with one top, star modules and the terms of the
+    # coresolution of A share it instead of summing the P_v afresh
+    assert [fn for fn, called in _callers({"direct_sum", "projective_module"}).items()
+            if len(called) == 2] == ["modules.py:projective_sum"]
+
+
 def test_only_transpose_takes_a_cokernel_in_homology():
-    # the cosyzygies of A are read off the Ω links of D(A), so the
+    # the cosyzygies of A are read off the Ω links of the D(A e_v), so the
     # coresolution of A has one route and no envelope/cokernel loop
     assert [fn for fn in _callers({"cokernel"})
             if fn.startswith("homology.py:")] == ["homology.py:transpose"]

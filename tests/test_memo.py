@@ -19,6 +19,7 @@ from fdhom.homology import (
 from fdhom.modules import (
     Module,
     dual,
+    injective_module,
     min_proj_resolution,
     omega,
     projective_cover,
@@ -110,6 +111,52 @@ def test_the_dual_of_a_dual_is_the_module_itself():
     a = path_algebra_a_n(3)
     for m in (simple_module(a, 1), projective_module(a, 0)):
         assert dual(dual(m)) is m
+
+
+def test_a_projective_keeps_its_dual():
+    # D(A e_v) is one object, the injective of A^op at v, so the envelope of
+    # P_v is not built again from a fresh dual on every request
+    a = path_algebra_a_n(3)
+    for v in range(3):
+        p = projective_module(a, v)
+        d = dual(p)
+        assert dual(p) is d is injective_module(a.op, v)
+        assert dual(dual(p)) is p
+
+
+def test_a_sum_of_projectives_is_kept_with_its_dual():
+    a = preprojective_a_n(3)
+    s = modules.projective_sum(a, (2, 0, 2))
+    assert modules.projective_sum(a, (2, 0, 2)) is s
+    assert modules.projective_sum(a, (0, 2, 2)) is not s
+    assert modules.projective_sum(a, (1,)) is projective_module(a, 1)
+    assert modules.projective_sum(a, ()).dim == 0
+    assert dual(s) is dual(s) and dual(dual(s)) is s
+    assert dual(s).inj_summands == [2, 0, 2]
+
+
+def test_covers_with_one_top_share_their_projective():
+    # S_2 + S_0 and P_0 + P_2 both have the top S_0 + S_2, so their covers
+    # are the one kept P_0 + P_2; one more S_2 on top gives P_0 + P_2 + P_2
+    a = path_algebra_a_n(3)
+    s0, s2 = simple_module(a, 0), simple_module(a, 2)
+    p0, p2 = projective_module(a, 0), projective_module(a, 2)
+    x = modules.direct_sum([s2, s0])[0]
+    y = modules.direct_sum([p0, p2])[0]
+    assert projective_cover(x)[0] is projective_cover(y)[0]
+    assert projective_cover(x)[0] is modules.projective_sum(a, (0, 2))
+    z = modules.direct_sum([s0, p2, s2])[0]
+    assert projective_cover(z)[0] is modules.projective_sum(a, (0, 2, 2))
+
+
+def test_a_repeated_coresolution_returns_the_kept_terms():
+    for a in (nakayama_a_n(6, 3), preprojective_a_n(3)):
+        for side in (a, a.op):
+            first = injective_coresolution_terms(side, 6)
+            assert all(t is u for t, u in
+                       zip(injective_coresolution_terms(side, 6), first))
+            assert all(t is u for t, u in
+                       zip(injective_coresolution_terms(side, 3), first))
 
 
 def test_the_regular_module_keeps_its_dual():

@@ -48,6 +48,7 @@ from fdhom.modules import (
     projective_module,
     regular_module,
 )
+from fdhom.presets import path_algebra_a_n
 from fdhom.subcats import knit_indecomposables
 from test_algebra import _rebased
 from test_cover_span import gaussian_rationals
@@ -297,6 +298,40 @@ def test_homogeneous_generators_match_a_dense_radical_square(field):
                 red.add(g)
                 want.append((v, w, sparse(g)))
         assert a.homogeneous_generators() == want, name
+
+
+def _generators_from_all_products(a):
+    """`homogeneous_generators` with J^2 spanned by every product x y of two
+    radical basis elements, the (dim J)^2 route."""
+    rad = a.radical_basis()
+    pieces = [(v, w, p) for g in rad for w, ew in enumerate(a.idempotents)
+              for v, ev in enumerate(a.idempotents)
+              if (p := a.multiply(a.multiply(ew, g), ev))]
+    red = fdhom.algebra._SpanReducer(a.field, [a.multiply(x, y) for x in rad
+                                               for y in rad], a.dim)
+    return [(v, w, g) for v, w, g in pieces if red.add(g)]
+
+
+@pytest.mark.parametrize("name, products", [
+    ("kA5", 10), ("Gamma kA4", 52), ("Gamma D4", 118)])
+def test_radical_square_multiplies_only_pieces_that_meet(name, products,
+                                                         monkeypatch):
+    # e_w g e_v times e_w' g' e_v' is zero unless v = w', so J^2 is spanned
+    # by the products of the pieces that meet: 10, 52 and 118 of them where
+    # every pair of radical basis elements makes 100, 625 and 1,936
+    a = path_algebra_a_n(5) if name == "kA5" else \
+        auslander_algebra(name.split()[1], QQ)
+    want = _generators_from_all_products(a)
+    spans = []
+    reducer = fdhom.algebra._SpanReducer
+
+    def recording(field, rows, n):
+        spans.append(len(rows))
+        return reducer(field, rows, n)
+
+    monkeypatch.setattr(fdhom.algebra, "_SpanReducer", recording)
+    assert a.homogeneous_generators() == want
+    assert spans == [products]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
